@@ -598,11 +598,15 @@ def load(path: str | Path, validate: bool = True) -> HopfData:
     return from_json(doc, validate=validate)
 
 
-def resolve(name_or_path: str) -> HopfData:
-    """A catalog name or a path to an algebra file."""
+def resolve(name_or_path: str, validate: bool = True) -> HopfData:
+    """A catalog name or a path to an algebra file.
+
+    ``validate=False`` skips the axiom check on load, for a caller that runs
+    its own ``validate`` once.
+    """
     try:
         return get(name_or_path)
     except CatalogError:
         if Path(name_or_path).exists():
-            return load(name_or_path)
+            return load(name_or_path, validate=validate)
         raise

@@ -52,7 +52,7 @@ def _render_table(doc: dict, indent: int = 0) -> str:
 
 
 def _load(name: str, full_axioms: bool) -> HopfData:
-    h = catalog.resolve(name)
+    h = catalog.resolve(name, validate=False)
     report = h.validate(full=True if full_axioms else None)
     if not report.passed:
         raise ValidationFailed(report)
@@ -60,7 +60,7 @@ def _load(name: str, full_axioms: bool) -> HopfData:
 
 
 def cmd_check(args) -> int:
-    h = catalog.resolve(args.algebra)
+    h = catalog.resolve(args.algebra, validate=False)
     report = h.validate(full=True if args.full_axioms else None)
     doc = report.to_json()
     _emit(doc, args.format)

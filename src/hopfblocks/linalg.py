@@ -1,13 +1,10 @@
 """Dense-API sparse-storage exact matrices, kernels, minimal polynomials, and
 certified operator orders in GL and PGL.
 
-Kernels over Q run a modular fast path: nullspaces are computed modulo a few
-word-size primes, combined by CRT, lifted by rational reconstruction, and then
-*certified* — the mod-p rank of an integer matrix is a lower bound for the
-rational rank, and every lifted kernel vector is re-checked with exact integer
-arithmetic, so the returned basis is exact regardless of which primes were
-used.  A fully exact elimination is the fallback for other fields or if the
-lift fails.
+Kernels over every field come from one exact sparse Gauss-Jordan elimination
+that keeps its pivot rows in reduced row echelon form (over Q each new row is
+first cleared of denominators and content to keep entries small).  The result
+is exact by construction, so it needs no certificate.
 
 Order certification never materializes the conjugation operator on the full
 matrix space: the GL procedure only consumes the conjugation operator's
@@ -20,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd, isqrt
-
-import numpy as np
+from math import gcd
 
 from .fields import Field, FieldMismatch, QQ, is_prime
 from . import polys as P
@@ -297,7 +292,14 @@ def tensor_product(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass
 class KernelBasis:
-    """Kernel basis in reduced form: vectors[i][free_cols[j]] = delta_ij."""
+    """Kernel basis in reduced form: vectors[i][free_cols[j]] = delta_ij.
+
+    ``free_cols`` are the non-pivot columns of the reduced row echelon form of
+    the stacked system, where each pivot is the least column of its row.  The
+    form is unique, so the same system gives the same ``free_cols`` and
+    vectors over every field in which it has the same rank; ``blocks --format
+    json`` publishes ``free_cols`` as ``basis_support_columns``.
+    """
 
     vectors: list[list]
     free_cols: list[int]
@@ -339,176 +341,7 @@ def simultaneous_kernel(mats: list[Matrix]) -> KernelBasis:
             raise FieldMismatch("incompatible matrices in simultaneous_kernel")
     if n == 0:
         return KernelBasis([], [], 0)
-    if F is QQ or F == QQ:
-        int_mats = [_integer_rows(m) for m in mats]
-        result = _kernel_modular(int_mats, n)
-        if result is not None:
-            return result
     return _kernel_exact(mats)
-
-
-def _integer_rows(m: Matrix) -> list[dict]:
-    """Row-scaled copies with integer entries (kernel is unchanged)."""
-    out = []
-    for row in m.rows:
-        if not row:
-            continue
-        denom = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-        if denom == 1:
-            out.append({j: int(v) for j, v in row.items()})
-        else:
-            out.append({j: int(v * denom) for j, v in row.items()})
-    return out
-
-
-_MODULAR_PRIMES: list[int] = []
-
-
-def _modular_primes() -> list[int]:
-    if not _MODULAR_PRIMES:
-        p = (1 << 25) - 1
-        while len(_MODULAR_PRIMES) < 10:
-            if is_prime(p):
-                _MODULAR_PRIMES.append(p)
-            p -= 2
-    return _MODULAR_PRIMES
-
-
-def _densify_modp(rows: list[dict], n: int, p: int) -> np.ndarray:
-    a = np.zeros((len(rows), n), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            a[i, j] = v % p
-    return a
-
-
-def _np_rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = a % p
-    nr, nc = a.shape
-    piv: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        rows = np.flatnonzero(a[:, c])
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
-        piv.append(c)
-        r += 1
-    return a[: len(piv)], piv
-
-
-def _np_nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
-    """Nullspace basis (ncols x k) in reduced form from a mod-p matrix."""
-    rref, piv = _np_rref_modp(a, p)
-    nc = a.shape[1]
-    piv_set = set(piv)
-    free = [c for c in range(nc) if c not in piv_set]
-    out = np.zeros((nc, len(free)), dtype=np.int64)
-    for idx, f in enumerate(free):
-        out[f, idx] = 1
-        for r, c in enumerate(piv):
-            out[c, idx] = (-int(rref[r, f])) % p
-    return out
-
-
-def _modp_kernel_standard(int_mats: list[list[dict]], n: int, p: int):
-    """Intersection of kernels mod p, returned as (free_cols, k x n residue rows)."""
-    K: np.ndarray | None = None
-    for rows in int_mats:
-        if not rows:
-            continue
-        dense = _densify_modp(rows, n, p)
-        b = dense if K is None else dense @ K % p
-        null = _np_nullspace_modp(b, p)
-        K = null if K is None else K @ null % p
-        if K.shape[1] == 0:
-            break
-    if K is None:
-        K = np.eye(n, dtype=np.int64)
-    if K.shape[1] == 0:
-        return (), np.zeros((0, n), dtype=np.int64)
-    rref_t, piv_t = _np_rref_modp(K.T % p, p)
-    return tuple(piv_t), rref_t
-
-
-def _rational_reconstruct(r: int, m: int):
-    """Wang's rational reconstruction of r mod m; None if no small fraction."""
-    bound = isqrt(m // 2)
-    v0, v1 = (m, 0), (r % m, 1)
-    while v1[0] > bound:
-        q = v0[0] // v1[0]
-        v0, v1 = v1, (v0[0] - q * v1[0], v0[1] - q * v1[1])
-    num, den = v1
-    if den == 0:
-        return None
-    if den < 0:
-        num, den = -num, -den
-    if den > bound or gcd(num, den) != 1 or gcd(den, m) != 1:
-        return None
-    return Fraction(num, den)
-
-
-def _verify_integer_kernel(int_mats: list[list[dict]], vec: list) -> bool:
-    denom = 1
-    for v in vec:
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    ivec = [int(v * denom) if isinstance(v, Fraction) else v * denom for v in vec]
-    for rows in int_mats:
-        for row in rows:
-            if sum(c * ivec[j] for j, c in row.items()) != 0:
-                return False
-    return True
-
-
-def _kernel_modular(int_mats: list[list[dict]], n: int) -> KernelBasis | None:
-    if n > 4000:
-        return None
-    buckets: dict[tuple, list[tuple[int, np.ndarray]]] = {}
-    for p in _modular_primes():
-        free, vecs = _modp_kernel_standard(int_mats, n, p)
-        if len(free) == 0:
-            # rank_p = n certifies rank_Q = n: the kernel is exactly zero
-            return KernelBasis([], [], n)
-        buckets.setdefault(free, []).append((p, vecs))
-        entries = [[int(v) for v in row] for row in buckets[free][0][1]]
-        modulus = buckets[free][0][0]
-        for q, qvecs in buckets[free][1:]:
-            inv = pow(modulus % q, -1, q)
-            for i, row in enumerate(entries):
-                for j in range(n):
-                    diff = (int(qvecs[i, j]) - row[j]) % q
-                    row[j] = row[j] + modulus * (diff * inv % q)
-            modulus *= q
-        candidate = []
-        ok = True
-        for row in entries:
-            vec = []
-            for r in row:
-                fr = _rational_reconstruct(r, modulus)
-                if fr is None:
-                    ok = False
-                    break
-                vec.append(QQ.normalize(fr))
-            if not ok:
-                break
-            candidate.append(vec)
-        if ok and all(_verify_integer_kernel(int_mats, v) for v in candidate):
-            return KernelBasis(candidate, list(free), n)
-    return None
 
 
 def _primitive_row(field: Field, row: dict) -> dict:
@@ -847,19 +680,36 @@ class OrderCertificate:
         return f"gl={self.gl_order}, pgl={self.pgl_order}"
 
 
-_PHI_SIEVE_LIMIT = 50_000_000
+_UNITY_SEARCH_LIMIT = 50_000_000
 
 
 def _unity_candidates(bound: int) -> list[int]:
-    """All k >= 1 with euler_phi(k) <= bound, complete by phi(k) >= sqrt(k/2)."""
-    limit = 2 * bound * bound + 2
-    if limit > _PHI_SIEVE_LIMIT:
+    """All k >= 1 with euler_phi(k) <= bound, in increasing order.
+
+    phi is multiplicative with phi(p^e) = p^(e-1) (p - 1), so every such k is
+    a product of prime powers with p - 1 <= bound; a depth-first walk over
+    those primes that stops once phi exceeds bound lists each k exactly once.
+    """
+    limit = 2 * bound * bound + 2  # phi(k) >= sqrt(k/2) puts every k below this
+    if limit > _UNITY_SEARCH_LIMIT:
         raise LinAlgError(f"root-of-unity search bound {limit} too large")
-    phi = np.arange(limit, dtype=np.int64)
-    for p in range(2, limit):
-        if phi[p] == p:
-            phi[p::p] -= phi[p::p] // p
-    return [int(k) for k in np.flatnonzero(phi[1:] <= bound) + 1]
+    primes = [p for p in range(2, bound + 2) if is_prime(p)]
+    found = []
+
+    def walk(start: int, k: int, phi: int) -> None:
+        found.append(k)
+        for i in range(start, len(primes)):
+            p = primes[i]
+            pk, phi_pk = k * p, phi * (p - 1)
+            if phi_pk > bound:
+                break
+            while phi_pk <= bound:
+                walk(i + 1, pk, phi_pk)
+                pk, phi_pk = pk * p, phi_pk * p
+
+    if bound >= 1:
+        walk(0, 1, 1)
+    return sorted(found)
 
 
 def _unity_order(field: Field, m: list) -> OrderVerdict:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hopfblocks
 from hopfblocks import catalog, cli, harness
 from hopfblocks.harness import Check, TheoremReport
+from hopfblocks.hopf import HopfData
 
 
 def run(argv, capsys):
@@ -103,6 +109,44 @@ def test_exit_validation_failure(tmp_path, capsys):
     code, _, err = run(["invariants", str(path)], capsys)
     assert code == 3
     assert "VALIDATION_FAILED" in err
+
+
+def test_check_validation_failure_exit(tmp_path, capsys):
+    from hopfblocks.catalog import to_json
+
+    doc = to_json(catalog.get("group:Z3"))
+    doc["antipode"] = [[0, 0, "1"], [1, 1, "1"], [2, 2, "1"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["check", str(path), "--format", "json"], capsys)
+    assert code == 3
+    assert json.loads(out)["passed"] is False
+
+
+def test_algebra_file_validated_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "z3.json"
+    catalog.save(catalog.get("double:Z3"), path)
+    calls = []
+    original = HopfData.validate
+
+    def counting(self, full=None):
+        calls.append(full)
+        return original(self, full)
+
+    monkeypatch.setattr(HopfData, "validate", counting)
+    for argv, full in ((["invariants", str(path)], None), (["check", str(path), "--full-axioms"], True)):
+        calls.clear()
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        assert calls == [full]
+
+
+def test_cli_import_leaves_out_numpy():
+    src = str(Path(hopfblocks.__file__).resolve().parent.parent)
+    probe = "import sys, hopfblocks.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_exit_discrepancy(monkeypatch, capsys):

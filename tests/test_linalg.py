@@ -5,8 +5,10 @@ import pytest
 
 from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.linalg import (
+    LinAlgError,
     Matrix,
     NotInvertible,
+    _unity_candidates,
     conjugation_operator,
     inverse,
     kernel,
@@ -90,7 +92,7 @@ def test_simultaneous_kernel_matches_stacked():
         assert joint.dim == len(kernel(stacked))
 
 
-def test_kernel_large_sparse_exercises_modular_path():
+def test_kernel_large_sparse_cycle():
     # circulant-style integer matrix with known kernel dimension
     n = 60
     rows = []
@@ -102,6 +104,39 @@ def test_kernel_large_sparse_exercises_modular_path():
     vecs = kernel(mat(rows))
     assert len(vecs) == 1
     assert all(QQ.eq(x, vecs[0][0]) for x in vecs[0])
+
+
+def test_kernel_reduced_form_is_field_independent():
+    # one integer system; free_cols are the non-pivot columns of its RREF
+    # (pivot = least column of each row) over every field where the rank agrees
+    rng = random.Random(5)
+    system = [[[rng.randint(-3, 3) for _ in range(9)] for _ in range(3)] for _ in range(2)]
+    ref = simultaneous_kernel([mat(rows) for rows in system])
+    assert 0 < ref.dim < 9
+    for F in (CyclotomicField(3), PrimeField(2**31 - 1)):
+        ker = simultaneous_kernel([Matrix.from_dense(F, [[F.from_int(x) for x in row] for row in rows]) for rows in system])
+        assert ker.free_cols == ref.free_cols
+        for v, w in zip(ker.vectors, ref.vectors, strict=True):
+            assert all(F.eq(x, F.from_fraction(Fraction(y))) for x, y in zip(v, w, strict=True))
+
+
+def test_unity_candidates_match_phi_oracle():
+    # oracle: a plain phi sieve over [1, 2 b^2 + 1], which holds every k with
+    # phi(k) <= b because phi(k) >= sqrt(k / 2)
+    top = 200
+    limit = 2 * top * top + 2
+    phi = list(range(limit))
+    for p in range(2, limit):
+        if phi[p] == p:
+            for k in range(p, limit, p):
+                phi[k] -= phi[k] // p
+    for b in range(top + 1):
+        assert _unity_candidates(b) == [k for k in range(1, 2 * b * b + 2) if phi[k] <= b], b
+
+
+def test_unity_candidates_keep_search_limit():
+    with pytest.raises(LinAlgError):
+        _unity_candidates(6000)
 
 
 def test_solve_unique():
