@@ -216,11 +216,11 @@ def ribbon_axioms_pass(h: HopfData, v: list) -> bool:
         return False
     if h.antipode_of(v) != v:
         return False
-    try:
-        from .linalg import solve_unique
+    from .linalg import LinAlgError, solve_unique
 
+    try:
         solve_unique(h.left_mult_of(v), h.unit)
-    except Exception:
+    except LinAlgError:
         return False
     if h.r_matrix is None:
         return False
@@ -229,11 +229,11 @@ def ribbon_axioms_pass(h: HopfData, v: list) -> bool:
 
 
 def _element_inverse(h: HopfData, v: list) -> list | None:
-    from .linalg import solve_unique
+    from .linalg import LinAlgError, solve_unique
 
     try:
         return solve_unique(h.left_mult_of(v), h.unit)
-    except Exception:
+    except LinAlgError:
         return None
 
 

@@ -113,17 +113,25 @@ def cmd_blocks(args) -> int:
     return EXIT_OK
 
 
+def _curve_ints(params: str, count: int) -> list[int] | None:
+    """The ``count`` comma-separated integers of a curve spec, or None."""
+    try:
+        ints = [int(p) for p in params.split(",")]
+    except ValueError:
+        return None
+    return ints if len(ints) == count else None
+
+
 def cmd_dehn(args) -> int:
     h = _load(args.algebra, args.full_axioms)
     curve = args.curve
-    if curve.startswith("nonsep:"):
-        handle = int(curve.split(":", 1)[1])
+    kind, _, params = curve.partition(":")
+    if kind == "nonsep" and (handle := _curve_ints(params, 1)):
         space = blk.block_space(h, args.genus, blk.DIRECT, genus_cap=args.genus_cap)
-        op = blk.nonseparating_twist_op(space, handle, cap=args.cap)
+        op = blk.nonseparating_twist_op(space, handle[0], cap=args.cap)
         doc = {"report_version": 1, "algebra": h.name, **op.to_json()}
-    elif curve.startswith("sep:"):
-        parts = curve.split(":", 1)[1].split(",")
-        g1, g2 = int(parts[0]), int(parts[1])
+    elif kind == "sep" and (genera := _curve_ints(params, 2)):
+        g1, g2 = genera
         sep = blk.separating_twist_op(h, g1, g2, cap=args.cap)
         doc = {"report_version": 1, "algebra": h.name, "genus": g1 + g2, **sep.to_json()}
     elif curve == "bpair":
@@ -139,7 +147,7 @@ def cmd_dehn(args) -> int:
             "certificate": cert.to_json(),
         }
     else:
-        _error("BAD_CURVE", f"unknown curve spec {curve!r}")
+        _error("BAD_CURVE", f"bad curve spec {curve!r}; expected nonsep:<i>, sep:<g'>,<g''> or bpair")
         return EXIT_USAGE
     _emit(doc, args.format)
     return EXIT_OK
@@ -291,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except blk.BlocksError as exc:
         _error("BLOCKS", str(exc))
+        return EXIT_USAGE
+    except repcat.HomSpaceTooLarge as exc:
+        _error("HOM_SPACE_TOO_LARGE", str(exc))
         return EXIT_USAGE
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd
 
 
 class FieldError(Exception):
@@ -357,7 +356,7 @@ class CyclotomicField(Field):
         return tuple(out)
 
     def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return not any(a)
 
     def normalize(self, a):
         return tuple(Fraction(x) for x in a)
@@ -451,25 +450,3 @@ def field_from_json(spec: dict) -> Field:
     if kind == "Fp":
         return PrimeField(int(spec["p"]))
     raise FieldError(f"unknown field kind {kind!r}")
-
-
-def require_same_field(a: Field, b: Field) -> None:
-    if a != b:
-        raise FieldMismatch(f"field mismatch: {a!r} vs {b!r}")
-
-
-def as_integer_row(field: Field, values) -> list[int] | None:
-    """Scale a list of rationals by the lcm of denominators; None if not rational."""
-    if field.kind != "Q":
-        return None
-    denom = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    out = []
-    for v in values:
-        if isinstance(v, Fraction):
-            out.append(int(v * denom))
-        else:
-            out.append(v * denom)
-    return out

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
 from .linalg import (
+    LinAlgError,
     Matrix,
     NotInvertible,
     OrderCertificate,
+    _RowReducer,
     inverse,
     operator_order,
     simultaneous_kernel,
@@ -397,15 +399,12 @@ class HopfData:
 
     def span_closure_dim(self, indices: list[int]) -> int:
         """Dimension of the unital subalgebra generated by the given basis elements."""
-        from .linalg import _Echelon
-
-        F = self.field
-        ech = _Echelon(F, self.dim)
-        ech.add(self.unit)
+        red = _RowReducer(self.field)
+        red.add(dict(enumerate(self.unit)))
         frontier = []
         for i in indices:
             v = self.basis_vector(i)
-            if ech.add(v):
+            if red.add(dict(enumerate(v))):
                 frontier.append(v)
         basis = [self.unit] + frontier
         while frontier:
@@ -413,11 +412,11 @@ class HopfData:
             for x in list(basis):
                 for y in frontier:
                     for prod in (self.multiply(x, y), self.multiply(y, x)):
-                        if ech.add(prod):
+                        if red.add(dict(enumerate(prod))):
                             new_frontier.append(prod)
             basis.extend(new_frontier)
             frontier = new_frontier
-        return ech.dim
+        return len(red.pivots)
 
     # -- validation --------------------------------------------------------------
 
@@ -656,7 +655,7 @@ class HopfData:
                 self._cache["ribbon_inverse"] = solve_unique(
                     self.left_mult_of(self.ribbon), self.unit
                 )
-            except Exception as exc:
+            except LinAlgError as exc:
                 raise HopfError(f"ribbon element is not invertible: {exc}") from exc
         return self._cache["ribbon_inverse"]
 

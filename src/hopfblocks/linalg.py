@@ -1,10 +1,14 @@
 """Dense-API sparse-storage exact matrices, kernels, minimal polynomials, and
 certified operator orders in GL and PGL.
 
-Kernels over every field come from one exact sparse Gauss-Jordan elimination
-that keeps its pivot rows in reduced row echelon form (over Q each new row is
-first cleared of denominators and content to keep entries small).  The result
-is exact by construction, so it needs no certificate.
+Every elimination in this module -- kernels, inverses, unique solves, the
+annihilators behind minimal polynomials, and subalgebra spans -- goes through
+one exact sparse row reducer, ``_RowReducer``.  It keeps its rows in reduced
+row echelon form keyed by pivot column: the pivot is the least column of its
+row, the row is 1 there and 0 in every other pivot column (over Q each new row
+is first cleared of denominators and content to keep entries small).  That
+form is unique for a given row space, so results are exact by construction
+and need no certificate.
 
 Order certification never materializes the conjugation operator on the full
 matrix space: the GL procedure only consumes the conjugation operator's
@@ -267,19 +271,6 @@ class Matrix:
                 return None
         return c
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.nrows != other.nrows:
-            raise LinAlgError("row mismatch in hstack")
-        out = Matrix(self.field, self.nrows, self.ncols + other.ncols)
-        off = self.ncols
-        for i in range(self.nrows):
-            row = dict(self.rows[i])
-            for j, v in other.rows[i].items():
-                row[off + j] = v
-            out.rows[i] = row
-        return out
-
 
 def tensor_product(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
@@ -339,9 +330,20 @@ def simultaneous_kernel(mats: list[Matrix]) -> KernelBasis:
     for m in mats:
         if m.field != F or m.ncols != n:
             raise FieldMismatch("incompatible matrices in simultaneous_kernel")
-    if n == 0:
-        return KernelBasis([], [], 0)
-    return _kernel_exact(mats)
+    red = _RowReducer(F)
+    for m in mats:
+        for row in m.rows:
+            red.add(row)
+    free = [c for c in range(n) if c not in red.pivots]
+    position = {f: i for i, f in enumerate(free)}
+    vectors = [[F.zero] * n for _ in free]
+    for i, f in enumerate(free):
+        vectors[i][f] = F.one
+    for col, prow in red.pivots.items():
+        for j, c in prow.items():
+            if j != col:
+                vectors[position[j]][col] = F.neg(c)
+    return KernelBasis(vectors, free, n)
 
 
 def _primitive_row(field: Field, row: dict) -> dict:
@@ -361,124 +363,95 @@ def _primitive_row(field: Field, row: dict) -> dict:
     return ints
 
 
-def _kernel_exact(mats: list[Matrix]) -> KernelBasis:
-    F = mats[0].field
-    n = mats[0].ncols
-    pivots: list[tuple[int, dict]] = []  # (col, normalized reduced row)
-    for m in mats:
-        for raw in m.rows:
-            if not raw:
-                continue
-            row = dict(raw)
-            for col, prow in pivots:
-                c = row.get(col)
-                if c is None or F.is_zero(c):
-                    continue
-                for j, v in prow.items():
-                    d = F.sub(row.get(j, F.zero), F.mul(c, v))
-                    if F.is_zero(d):
-                        row.pop(j, None)
-                    else:
-                        row[j] = d
-            row = {j: v for j, v in row.items() if not F.is_zero(v)}
-            if not row:
-                continue
-            row = _primitive_row(F, row)
-            lead = min(row)
-            inv = F.inv(row[lead])
-            row = {j: F.mul(inv, v) for j, v in row.items()}
-            # keep full RREF: eliminate the new leading column from older pivots
-            for k, (col, prow) in enumerate(pivots):
-                c = prow.get(lead)
-                if c is None or F.is_zero(c):
-                    continue
-                newr = dict(prow)
-                for j, v in row.items():
-                    d = F.sub(newr.get(j, F.zero), F.mul(c, v))
-                    if F.is_zero(d):
-                        newr.pop(j, None)
-                    else:
-                        newr[j] = d
-                pivots[k] = (col, newr)
-            pivots.append((lead, row))
-    pivots.sort(key=lambda t: t[0])
-    piv_cols = {col for col, _ in pivots}
-    free = [c for c in range(n) if c not in piv_cols]
-    vectors = []
-    for f in free:
-        v = [F.zero] * n
-        v[f] = F.one
-        for col, prow in pivots:
-            c = prow.get(f)
-            if c is not None and not F.is_zero(c):
-                v[col] = F.neg(c)
-        vectors.append(v)
-    return KernelBasis(vectors, free, n)
+class _RowReducer:
+    """Sparse reduced row echelon form, grown one row at a time.
 
+    ``pivots`` maps each pivot column to its row (column -> nonzero value).
+    Invariant: the pivot is the least column of its row, the row is 1 there
+    and 0 in every other pivot column.  Rows are sparse dicts over ``field``;
+    over Q a new row is made primitive before it is normalised.
+    """
 
-def rank(a: Matrix) -> int:
-    return a.ncols - simultaneous_kernel([a]).dim
+    def __init__(self, field: Field):
+        self.field = field
+        self.pivots: dict[int, dict] = {}
+
+    def reduce(self, row: dict) -> dict:
+        """The row minus its multiples of pivot rows: 0 in every pivot column.
+
+        A pivot row is 0 in every other pivot column, so subtracting it
+        creates no pivot entry; one pass over the row's own pivot columns
+        suffices.
+        """
+        F = self.field
+        zero, sub, mul, is_zero = F.zero, F.sub, F.mul, F.is_zero
+        pivots = self.pivots
+        out = {j: v for j, v in row.items() if not is_zero(v)}
+        for col in [j for j in out if j in pivots]:
+            c = out[col]
+            for j, v in pivots[col].items():
+                d = sub(out.get(j, zero), mul(c, v))
+                if is_zero(d):
+                    out.pop(j, None)
+                else:
+                    out[j] = d
+        return out
+
+    def add(self, row: dict) -> dict:
+        """Reduce the row and keep it as a pivot row unless it is dependent.
+
+        Returns the reduced row before normalisation, or ``{}`` when the row
+        lies in the span of the pivot rows.
+        """
+        F = self.field
+        reduced = self.reduce(row)
+        if not reduced:
+            return reduced
+        new = _primitive_row(F, reduced)
+        lead = min(new)
+        inv = F.inv(new[lead])
+        new = {j: F.mul(inv, v) for j, v in new.items()}
+        for prow in self.pivots.values():
+            c = prow.get(lead)
+            if c is None:
+                continue
+            for j, v in new.items():
+                d = F.sub(prow.get(j, F.zero), F.mul(c, v))
+                if F.is_zero(d):
+                    prow.pop(j, None)
+                else:
+                    prow[j] = d
+        self.pivots[lead] = new
+        return reduced
 
 
 def solve_unique(a: Matrix, b: list) -> list:
     """The unique x with A x = b; raises if no solution or not unique."""
-    F = a.field
-    col = Matrix(F, a.nrows, 1)
-    for i, v in enumerate(b):
-        if not F.is_zero(v):
-            col.rows[i][0] = F.neg(v)
-    ker = simultaneous_kernel([a.hstack(col)])
-    sols = [v for v in ker.vectors if not F.is_zero(v[a.ncols])]
-    if not sols or ker.dim != 1:
+    F, n = a.field, a.ncols
+    if len(b) != a.nrows:
+        raise LinAlgError("right-hand side length does not match the rows")
+    red = _RowReducer(F)
+    for row, v in zip(a.rows, b):
+        red.add({**row, n: F.neg(v)})
+    # [A | -b] has a unique kernel vector (x | 1) iff every column of A is a
+    # pivot column and the column of -b is not
+    if n in red.pivots or any(c not in red.pivots for c in range(n)):
         raise LinAlgError("system has no unique solution")
-    v = sols[0]
-    t_inv = F.inv(v[a.ncols])
-    return [F.mul(t_inv, x) for x in v[: a.ncols]]
+    return [F.neg(red.pivots[c].get(n, F.zero)) for c in range(n)]
 
 
 def inverse(a: Matrix) -> Matrix:
+    """A^-1 read off the reduced form [I | A^-1] of [A | I]."""
     if not a.is_square():
         raise NotInvertible("non-square matrix")
-    F = a.field
-    n = a.nrows
-    # exact Gauss-Jordan on [A | I]
-    work = [dict(a.rows[i]) for i in range(n)]
-    aug = [{i: F.one} for i in range(n)]
-    perm = list(range(n))
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if not F.is_zero(work[r].get(c, F.zero)):
-                piv = r
-                break
-        if piv is None:
-            raise NotInvertible("singular matrix")
-        work[c], work[piv] = work[piv], work[c]
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = F.inv(work[c][c])
-        work[c] = {j: F.mul(inv, v) for j, v in work[c].items()}
-        aug[c] = {j: F.mul(inv, v) for j, v in aug[c].items()}
-        for r in range(n):
-            if r == c:
-                continue
-            f = work[r].get(c)
-            if f is None or F.is_zero(f):
-                continue
-            for j, v in work[c].items():
-                d = F.sub(work[r].get(j, F.zero), F.mul(f, v))
-                if F.is_zero(d):
-                    work[r].pop(j, None)
-                else:
-                    work[r][j] = d
-            for j, v in aug[c].items():
-                d = F.sub(aug[r].get(j, F.zero), F.mul(f, v))
-                if F.is_zero(d):
-                    aug[r].pop(j, None)
-                else:
-                    aug[r][j] = d
-    out = Matrix(F, n, n)
-    out.rows = aug
-    return out
+    F, n = a.field, a.nrows
+    red = _RowReducer(F)
+    for i, row in enumerate(a.rows):
+        red.add({**row, n + i: F.one})
+    if any(c not in red.pivots for c in range(n)):
+        raise NotInvertible("singular matrix")
+    rows = [{j - n: v for j, v in red.pivots[c].items() if j >= n} for c in range(n)]
+    return Matrix(F, n, n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -486,76 +459,25 @@ def inverse(a: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-class _Echelon:
-    """Incremental row echelon over a field for dense vectors."""
-
-    def __init__(self, field: Field, n: int):
-        self.field = field
-        self.n = n
-        self.pivots: list[tuple[int, list]] = []  # (lead col, vector with lead 1)
-
-    def reduce(self, vec: list) -> list:
-        F = self.field
-        v = list(vec)
-        for col, pv in self.pivots:
-            c = v[col]
-            if F.is_zero(c):
-                continue
-            for j in range(self.n):
-                x = pv[j]
-                if not F.is_zero(x):
-                    v[j] = F.sub(v[j], F.mul(c, x))
-        return v
-
-    def contains(self, vec: list) -> bool:
-        F = self.field
-        return all(F.is_zero(x) for x in self.reduce(vec))
-
-    def add(self, vec: list) -> bool:
-        F = self.field
-        v = self.reduce(vec)
-        lead = next((j for j in range(self.n) if not F.is_zero(v[j])), None)
-        if lead is None:
-            return False
-        inv = F.inv(v[lead])
-        self.pivots.append((lead, [F.mul(inv, x) for x in v]))
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-
 def _sequence_annihilator(field: Field, vec_iter) -> list:
     """Monic polynomial of least degree annihilating the stream v, Tv, T^2 v, ...
 
     ``vec_iter`` yields the successive vectors; term j is consumed only until
-    the first linear dependence appears.
+    the first linear dependence appears.  Row j fed to the reducer is
+    (w_j | e_j), so the columns from n on of a reduced row record which
+    combination of w_0..w_j it is; the first row with no column below n is
+    the dependence.
     """
     F = field
-    pivots: list[tuple[int, list, list]] = []  # (lead, vector, combination)
-    j = 0
-    for w in vec_iter:
+    red = _RowReducer(F)
+    for j, w in enumerate(vec_iter):
         n = len(w)
-        r = list(w)
-        rc = [F.zero] * j + [F.one]
-        for lead, pv, pc in pivots:
-            c = r[lead]
-            if F.is_zero(c):
-                continue
-            for t in range(n):
-                x = pv[t]
-                if not F.is_zero(x):
-                    r[t] = F.sub(r[t], F.mul(c, x))
-            for t, x in enumerate(pc):
-                if not F.is_zero(x):
-                    rc[t] = F.sub(rc[t], F.mul(c, x))
-        lead = next((t for t in range(n) if not F.is_zero(r[t])), None)
-        if lead is None:
-            return rc  # monic by construction: position j untouched
-        inv = F.inv(r[lead])
-        pivots.append((lead, [F.mul(inv, x) for x in r], [F.mul(inv, x) for x in rc]))
-        j += 1
+        row = dict(enumerate(w))
+        row[n + j] = F.one
+        reduced = red.add(row)
+        if min(reduced) >= n:
+            inv = F.inv(reduced[n + j])
+            return [F.mul(inv, reduced.get(n + t, F.zero)) for t in range(j + 1)]
     raise LinAlgError("annihilator stream exhausted without dependence")
 
 

@@ -109,27 +109,3 @@ def is_squarefree(field: Field, a) -> bool:
 
 def cyclotomic_over(field: Field, k: int) -> list:
     return [field.from_int(c) for c in cyclotomic_polynomial(k)]
-
-
-def peval_scalar(field: Field, a, x):
-    acc = field.zero
-    for c in reversed(a):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
-def format_poly(field: Field, a, var: str = "x") -> str:
-    if not a:
-        return "0"
-    parts = []
-    for i, c in enumerate(a):
-        if field.is_zero(c):
-            continue
-        cs = field.format(c)
-        if i == 0:
-            parts.append(f"{cs}")
-        elif i == 1:
-            parts.append(f"{cs}*{var}" if cs != "1" else var)
-        else:
-            parts.append(f"{cs}*{var}^{i}" if cs != "1" else f"{var}^{i}")
-    return " + ".join(parts)

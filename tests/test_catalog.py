@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hopfblocks import catalog
+from hopfblocks import catalog, hopf, linalg
 from hopfblocks.catalog import (
     CatalogError,
     GroupTable,
@@ -10,6 +10,7 @@ from hopfblocks.catalog import (
     ParseError,
     ValidationFailed,
     cyclic_group,
+    double_of_group,
     from_json,
     group_algebra,
     load,
@@ -138,3 +139,21 @@ def test_resolve_path(tmp_path):
     save(h, path)
     loaded = catalog.resolve(str(path))
     assert loaded.dim == 3
+
+
+def test_solver_defects_are_not_read_as_non_invertible(monkeypatch):
+    # only a LinAlgError means "no inverse"; any other error is a defect
+    h = double_of_group(cyclic_group(2))
+
+    def broken(*args):
+        raise TypeError("defect in the solver")
+
+    monkeypatch.setattr(linalg, "solve_unique", broken)
+    monkeypatch.setattr(hopf, "solve_unique", broken)
+    with pytest.raises(TypeError):
+        ribbon_axioms_pass(h, h.ribbon)
+    with pytest.raises(TypeError):
+        catalog._element_inverse(h, h.ribbon)
+    h._cache.pop("ribbon_inverse", None)
+    with pytest.raises(TypeError):
+        h.ribbon_inverse()

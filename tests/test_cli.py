@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hopfblocks
 from hopfblocks import catalog, cli, harness
 from hopfblocks.harness import Check, TheoremReport
@@ -171,3 +173,16 @@ def test_bad_curve(capsys):
     code, _, err = run(["dehn", "double:Z2", "--curve", "spiral:1"], capsys)
     assert code == 2
     assert "BAD_CURVE" in err
+
+
+@pytest.mark.parametrize("spec", ["sep:x", "sep:1", "sep:1,2,3", "nonsep:x", "nonsep:1,2"])
+def test_bad_curve_numbers(spec, capsys):
+    code, _, err = run(["dehn", "double:Z2", "--curve", spec], capsys)
+    assert code == 2
+    assert "BAD_CURVE" in err
+
+
+def test_hom_space_too_large_exit(capsys):
+    code, _, err = run(["dehn", "double:S3", "--curve", "sep:1,2"], capsys)
+    assert code == 2
+    assert "HOM_SPACE_TOO_LARGE" in err

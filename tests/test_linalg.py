@@ -139,17 +139,58 @@ def test_unity_candidates_keep_search_limit():
         _unity_candidates(6000)
 
 
-def test_solve_unique():
-    a = mat([[2, 0], [1, 1]])
-    x = solve_unique(a, [4, 3])
-    assert x == [2, 1]
+FIELDS = pytest.mark.parametrize("F", [QQ, CyclotomicField(3), PrimeField(7)], ids=["Q", "Qzeta3", "F7"])
 
 
-def test_inverse():
-    a = mat([[1, 2], [3, 5]])
+def lift(F, data):
+    return Matrix.from_dense(F, [[F.from_int(x) for x in row] for row in data])
+
+
+def same_vector(F, xs, ys):
+    return all(F.eq(x, y) for x, y in zip(xs, ys, strict=True))
+
+
+@FIELDS
+def test_solve_unique(F):
+    x = solve_unique(lift(F, [[2, 0], [1, 1]]), [F.from_int(4), F.from_int(3)])
+    assert same_vector(F, x, [F.from_int(2), F.one])
+    rng = random.Random(2)
+    solved = 0
+    for n in range(1, 6):
+        a = rand_matrix(rng, F, n + 2, n)
+        if kernel(a):
+            continue
+        want = [F.random_element(rng) for _ in range(n)]
+        assert same_vector(F, solve_unique(a, a.apply_right(want)), want)
+        solved += 1
+    assert solved >= 3
+    with pytest.raises(LinAlgError):  # inconsistent, though A has full column rank
+        solve_unique(lift(F, [[1, 0], [0, 1], [1, 1]]), [F.one, F.one, F.zero])
+    with pytest.raises(LinAlgError):  # underdetermined
+        solve_unique(lift(F, [[1, 1], [2, 2]]), [F.one, F.from_int(2)])
+
+
+@FIELDS
+def test_inverse(F):
+    a = lift(F, [[1, 2], [3, 5]])
     assert a.mul(inverse(a)).is_identity()
     with pytest.raises(NotInvertible):
-        inverse(mat([[1, 1], [1, 1]]))
+        inverse(lift(F, [[1, 1], [1, 1]]))
+    rng = random.Random(13)
+    inverted = 0
+    for n in range(1, 7):
+        a = rand_matrix(rng, F, n, n)
+        if kernel(a):
+            continue
+        b = inverse(a)
+        assert a.mul(b).is_identity() and b.mul(a).is_identity()
+        inverted += 1
+    assert inverted >= 4
+    for n in range(3, 7):
+        dense = rand_matrix(rng, F, n, n).to_dense()
+        dense[-1] = [F.add(x, y) for x, y in zip(dense[0], dense[1])]  # singular over every field
+        with pytest.raises(NotInvertible):
+            inverse(Matrix.from_dense(F, dense))
 
 
 # -- tensor products -----------------------------------------------------------
@@ -212,6 +253,33 @@ def test_minpoly_annihilates():
             acc = acc.add(power.scale(c))
             power = power.mul(t)
         assert acc.is_zero_matrix()
+
+
+def power_dependence_oracle(t):
+    """Least k at which vec(I), vec(T), ..., vec(T^k) are dependent; the
+    monic dependence, low degree first."""
+    F, n = t.field, t.nrows
+    powers = [Matrix.identity(F, n)]
+    while True:
+        cols = [[p.entry(i, j) for i in range(n) for j in range(n)] for p in powers]
+        ker = simultaneous_kernel([Matrix.from_dense(F, [list(r) for r in zip(*cols)])])
+        if ker.dim:
+            v = ker.vectors[0]
+            return [F.mul(F.inv(v[-1]), x) for x in v]
+        powers.append(powers[-1].mul(t))
+
+
+@FIELDS
+def test_minpoly_matches_power_dependence_oracle(F):
+    rng = random.Random(23)
+    samples = [
+        lift(F, [[2, 1, 0], [0, 2, 0], [0, 0, 2]]),  # not diagonalizable: (x - 2)^2
+        lift(F, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 3]]),  # x^3 (x - 3)
+        Matrix.diagonal(F, [F.one, F.one, F.neg(F.one)]),
+        *(rand_matrix(rng, F, n, n) for n in (1, 3, 4, 5)),
+    ]
+    for t in samples:
+        assert same_vector(F, minimal_polynomial(t), power_dependence_oracle(t))
 
 
 # -- operator orders -----------------------------------------------------------
