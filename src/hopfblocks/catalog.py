@@ -208,11 +208,12 @@ def ribbon_axioms_pass(h: HopfData, v: list) -> bool:
     """Full ribbon battery: central, invertible, eps(v)=1, S(v)=v,
     Delta(v) = (R21 R)(v x v)."""
     F = h.field
+    vs = h.sparse(v)
     for i in range(h.dim):
-        e = h.basis_vector(i)
-        if h.multiply(v, e) != h.multiply(e, v):
+        e = {i: F.one}
+        if not h.sparse_eq(h.product(vs, e), h.product(e, vs)):
             return False
-    if not F.eq(h.counit_of(v), F.one):
+    if not F.eq(h.counit_of(vs), F.one):
         return False
     if h.antipode_of(v) != v:
         return False
@@ -225,7 +226,7 @@ def ribbon_axioms_pass(h: HopfData, v: list) -> bool:
     if h.r_matrix is None:
         return False
     q = h.monodromy_element()
-    return h.t2_eq(h.comult_of(v), h.t2_mult(q, h.t2_from_vectors(v, v)))
+    return h.sparse_eq(h.comult_of(vs), h.t2_mult(q, h.t2_from_vectors(v, v)))
 
 
 def _element_inverse(h: HopfData, v: list) -> list | None:
@@ -601,12 +602,16 @@ def load(path: str | Path, validate: bool = True) -> HopfData:
 def resolve(name_or_path: str, validate: bool = True) -> HopfData:
     """A catalog name or a path to an algebra file.
 
+    An argument that is no catalog name is read as a file when it exists or
+    looks like a path (it has a directory part or a ``.json`` suffix), so a
+    missing file raises ``FileNotFoundError``, not ``CatalogError``.
     ``validate=False`` skips the axiom check on load, for a caller that runs
     its own ``validate`` once.
     """
     try:
         return get(name_or_path)
     except CatalogError:
-        if Path(name_or_path).exists():
-            return load(name_or_path, validate=validate)
+        path = Path(name_or_path)
+        if path.exists() or len(path.parts) > 1 or path.suffix == ".json":
+            return load(path, validate=validate)
         raise

@@ -14,7 +14,7 @@ import sys
 from . import blocks as blk
 from . import catalog, harness, repcat
 from .catalog import CatalogError, ParseError, ValidationFailed
-from .hopf import HopfData, MissingRibbon
+from .hopf import DimensionMismatch, HopfData, MissingRibbon
 from .linalg import operator_order
 
 EXIT_OK = 0
@@ -284,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except ParseError as exc:
         _error("PARSE_ERROR", str(exc))
+        return EXIT_USAGE
+    except DimensionMismatch as exc:
+        _error("DIMENSION_MISMATCH", str(exc))
         return EXIT_USAGE
     except FileNotFoundError as exc:
         _error("IO_ERROR", str(exc))

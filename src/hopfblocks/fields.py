@@ -105,9 +105,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def is_one(self, a) -> bool:
-        return self.eq(a, self.one)
-
     def from_fraction(self, fr: Fraction):
         raise NotImplementedError
 

@@ -5,6 +5,12 @@ comultiplication, counit, antipode, optional R-matrix, optional ribbon
 element) over an exact field, and provides full axiom verification,
 structural predicates, and the Drinfeld double construction.
 
+Elements are dense coordinate lists in the public API; internally, products
+and the axiom checks work on sparse elements (basis index -> coefficient)
+read straight from the structure constants, so ``validate`` checks every
+axiom as an identity between sparse combinations of ``mult``, ``comult``,
+``counit``, ``unit`` and the antipode columns.
+
 Conventions (fixed once, used everywhere):
 
 * twist of a module M is the action of the ribbon element v: theta_M = rho_M(v);
@@ -159,37 +165,49 @@ class HopfData:
         v[i] = self.field.one
         return v
 
-    def multiply(self, x: list, y: list) -> list:
+    def sparse(self, x: list) -> dict:
+        """The sparse element (basis index -> nonzero coefficient) of a vector."""
         F = self.field
+        return {i: v for i, v in enumerate(x) if not F.is_zero(v)}
+
+    def product(self, x: dict, y: dict) -> dict:
+        """x * y for sparse elements, the library's one product routine."""
+        F = self.field
+        add, mul = F.add, F.mul
+        out: dict = {}
+        for i, a in x.items():
+            mult_i = self.mult[i]
+            for j, b in y.items():
+                c = mul(a, b)
+                for k, m in mult_i[j].items():
+                    p = mul(c, m)
+                    out[k] = add(out[k], p) if k in out else p
+        return {k: v for k, v in out.items() if not F.is_zero(v)}
+
+    def sparse_eq(self, x: dict, y: dict) -> bool:
+        """Equality of sparse elements or tensors; a missing key is zero."""
+        F = self.field
+        return all(F.eq(x.get(k, F.zero), y.get(k, F.zero)) for k in x.keys() | y.keys())
+
+    def multiply(self, x: list, y: list) -> list:
+        """x * y for dense coordinate vectors, through ``product``."""
         out = self.zero_vector()
-        for i, xv in enumerate(x):
-            if F.is_zero(xv):
-                continue
-            multi = self.mult[i]
-            for j, yv in enumerate(y):
-                if F.is_zero(yv):
-                    continue
-                c = F.mul(xv, yv)
-                for k, m in multi[j].items():
-                    out[k] = F.add(out[k], F.mul(c, m))
+        for k, v in self.product(self.sparse(x), self.sparse(y)).items():
+            out[k] = v
         return out
 
-    def counit_of(self, x: list):
+    def counit_of(self, x: dict):
+        """eps(x) for a sparse element."""
         F = self.field
-        return F.sum(F.mul(a, b) for a, b in zip(x, self.counit))
+        return F.sum(F.mul(c, self.counit[i]) for i, c in x.items())
 
-    def comult_of(self, x: list) -> dict:
+    def comult_of(self, x: dict) -> dict:
+        """Delta(x) for a sparse element, as a sparse tensor keyed by index pairs."""
         F = self.field
         out: dict = {}
-        for i, xv in enumerate(x):
-            if F.is_zero(xv):
-                continue
+        for i, xv in x.items():
             for jk, c in self.comult[i].items():
-                s = F.add(out.get(jk, F.zero), F.mul(xv, c))
-                if F.is_zero(s):
-                    out.pop(jk, None)
-                else:
-                    out[jk] = s
+                self._accumulate(out, jk, F.mul(xv, c))
         return out
 
     def antipode_of(self, x: list) -> list:
@@ -201,7 +219,8 @@ class HopfData:
 
     # -- tensor-square / cube elements ---------------------------------------
 
-    def t2_scale_add(self, acc: dict, key, c):
+    def _accumulate(self, acc: dict, key, c):
+        """acc[key] += c for a sparse element or tensor, dropping zeros."""
         F = self.field
         s = F.add(acc.get(key, F.zero), c)
         if F.is_zero(s):
@@ -219,7 +238,7 @@ class HopfData:
                 for a, ma in self.mult[i][k].items():
                     ca = F.mul(c, ma)
                     for b, mb in self.mult[j][l].items():
-                        self.t2_scale_add(out, (a, b), F.mul(ca, mb))
+                        self._accumulate(out, (a, b), F.mul(ca, mb))
         return out
 
     def t2_flip(self, t: dict) -> dict:
@@ -239,13 +258,6 @@ class HopfData:
     def t2_unit(self) -> dict:
         return self.t2_from_vectors(self.unit, self.unit)
 
-    def t2_eq(self, t: dict, s: dict) -> bool:
-        F = self.field
-        for key in set(t) | set(s):
-            if not F.eq(t.get(key, F.zero), s.get(key, F.zero)):
-                return False
-        return True
-
     def t2_apply_leg(self, t: dict, leg: int, matrix: Matrix) -> dict:
         """Apply a linear map to one tensor leg (0 or 1)."""
         F = self.field
@@ -257,7 +269,7 @@ class HopfData:
                 if F.is_zero(m):
                     continue
                 key = (k, j) if leg == 0 else (i, k)
-                self.t2_scale_add(out, key, F.mul(c, m))
+                self._accumulate(out, key, F.mul(c, m))
         return out
 
     def monodromy_element(self) -> dict:
@@ -400,19 +412,20 @@ class HopfData:
     def span_closure_dim(self, indices: list[int]) -> int:
         """Dimension of the unital subalgebra generated by the given basis elements."""
         red = _RowReducer(self.field)
-        red.add(dict(enumerate(self.unit)))
+        unit = self.sparse(self.unit)
+        red.add(unit)
         frontier = []
         for i in indices:
-            v = self.basis_vector(i)
-            if red.add(dict(enumerate(v))):
+            v = {i: self.field.one}
+            if red.add(v):
                 frontier.append(v)
-        basis = [self.unit] + frontier
+        basis = [unit] + frontier
         while frontier:
             new_frontier = []
             for x in list(basis):
                 for y in frontier:
-                    for prod in (self.multiply(x, y), self.multiply(y, x)):
-                        if red.add(dict(enumerate(prod))):
+                    for prod in (self.product(x, y), self.product(y, x)):
+                        if red.add(prod):
                             new_frontier.append(prod)
             basis.extend(new_frontier)
             frontier = new_frontier
@@ -436,26 +449,28 @@ class HopfData:
             closure = self.span_closure_dim(gens)
             record("generators-span", closure == self.dim, f"closure dim {closure} != {self.dim}")
 
+        # every identity below is checked on sparse elements built from the
+        # structure constants; e[i] is the basis element e_i
+        e = [{i: F.one} for i in range(self.dim)]
+        unit = self.sparse(self.unit)
+
         # unitality
         bad = None
         for i in range(self.dim):
-            e = self.basis_vector(i)
-            if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
+            if not (self.sparse_eq(self.product(unit, e[i]), e[i])
+                    and self.sparse_eq(self.product(e[i], unit), e[i])):
                 bad = labels[i]
                 break
         record("unitality", bad is None, bad and f"unit fails on {bad}")
 
-        # associativity
+        # associativity: sum_m mult[i][j][m] e_m e_k = sum_m mult[j][k][m] e_i e_m
         bad = None
         first = range(self.dim) if full else gens
         for i in first:
-            ei = self.basis_vector(i)
             for j in range(self.dim):
-                ej = self.basis_vector(j)
-                ij = self.multiply(ei, ej)
+                ij = self.mult[i][j]
                 for k in range(self.dim):
-                    ek = self.basis_vector(k)
-                    if self.multiply(ij, ek) != self.multiply(ei, self.multiply(ej, ek)):
+                    if not self.sparse_eq(self.product(ij, e[k]), self.product(e[i], self.mult[j][k])):
                         bad = (labels[i], labels[j], labels[k])
                         break
                 if bad:
@@ -471,43 +486,38 @@ class HopfData:
             right: dict = {}
             for (j, k), c in self.comult[i].items():
                 for (p, q), d in self.comult[j].items():
-                    self._t3_add(left, (p, q, k), F.mul(c, d))
+                    self._accumulate(left, (p, q, k), F.mul(c, d))
                 for (p, q), d in self.comult[k].items():
-                    self._t3_add(right, (j, p, q), F.mul(c, d))
-            if not self._t3_eq(left, right):
+                    self._accumulate(right, (j, p, q), F.mul(c, d))
+            if not self.sparse_eq(left, right):
                 bad = labels[i]
                 break
         record("coassociativity", bad is None, bad and f"Delta fails on {bad}")
 
         bad = None
         for i in range(self.dim):
-            lvec, rvec = self.zero_vector(), self.zero_vector()
+            left, right = {}, {}
             for (j, k), c in self.comult[i].items():
-                lvec[k] = F.add(lvec[k], F.mul(c, self.counit[j]))
-                rvec[j] = F.add(rvec[j], F.mul(c, self.counit[k]))
-            e = self.basis_vector(i)
-            if lvec != e or rvec != e:
+                self._accumulate(left, k, F.mul(c, self.counit[j]))
+                self._accumulate(right, j, F.mul(c, self.counit[k]))
+            if not (self.sparse_eq(left, e[i]) and self.sparse_eq(right, e[i])):
                 bad = labels[i]
                 break
         record("counitality", bad is None, bad and f"counit fails on {bad}")
 
         # bialgebra: Delta and counit are algebra maps
         bad = None
-        one_t = self.t2_unit()
-        if not self.t2_eq(self.comult_of(self.unit), one_t):
+        if not self.sparse_eq(self.comult_of(unit), self.t2_unit()):
             bad = "1"
-        if bad is None and not F.eq(self.counit_of(self.unit), F.one):
+        if bad is None and not F.eq(self.counit_of(unit), F.one):
             bad = "1 (counit)"
         if bad is None:
             for i in first:
-                ei = self.basis_vector(i)
-                di = self.comult_of(ei)
                 for j in range(self.dim):
-                    ej = self.basis_vector(j)
-                    prod = self.multiply(ei, ej)
+                    prod = self.mult[i][j]
                     lhs = self.comult_of(prod)
-                    rhs = self.t2_mult(di, self.comult_of(ej))
-                    if not self.t2_eq(lhs, rhs):
+                    rhs = self.t2_mult(self.comult[i], self.comult[j])
+                    if not self.sparse_eq(lhs, rhs):
                         bad = f"Delta({labels[i]}*{labels[j]})"
                         break
                     if not F.eq(self.counit_of(prod), F.mul(self.counit[i], self.counit[j])):
@@ -517,21 +527,18 @@ class HopfData:
                     break
         record("bialgebra", bad is None, bad)
 
-        # antipode axioms (linear: all basis elements)
+        # antipode axioms (linear: all basis elements); s_col[j] = S(e_j)
         bad = None
+        s_col = self.antipode.transpose().rows
         for i in range(self.dim):
-            lvec, rvec = self.zero_vector(), self.zero_vector()
+            left, right = {}, {}
             for (j, k), c in self.comult[i].items():
-                sj = self.antipode_of(self.basis_vector(j))
-                term = self.multiply(sj, self.basis_vector(k))
-                for t, v in enumerate(term):
-                    lvec[t] = F.add(lvec[t], F.mul(c, v))
-                sk = self.antipode_of(self.basis_vector(k))
-                term = self.multiply(self.basis_vector(j), sk)
-                for t, v in enumerate(term):
-                    rvec[t] = F.add(rvec[t], F.mul(c, v))
-            target = [F.mul(self.counit[i], u) for u in self.unit]
-            if lvec != target or rvec != target:
+                for t, v in self.product(s_col[j], e[k]).items():
+                    self._accumulate(left, t, F.mul(c, v))
+                for t, v in self.product(e[j], s_col[k]).items():
+                    self._accumulate(right, t, F.mul(c, v))
+            target = {t: F.mul(self.counit[i], u) for t, u in unit.items()}
+            if not (self.sparse_eq(left, target) and self.sparse_eq(right, target)):
                 bad = labels[i]
                 break
         record("antipode", bad is None, bad and f"antipode axiom fails on {bad}")
@@ -550,32 +557,22 @@ class HopfData:
             report.is_factorizable = self.is_factorizable()[0]
         return report
 
-    def _t3_add(self, acc: dict, key, c):
-        F = self.field
-        s = F.add(acc.get(key, F.zero), c)
-        if F.is_zero(s):
-            acc.pop(key, None)
-        else:
-            acc[key] = s
-
-    def _t3_eq(self, t: dict, s: dict) -> bool:
-        F = self.field
-        return all(F.eq(t.get(k, F.zero), s.get(k, F.zero)) for k in set(t) | set(s))
-
     def _validate_quasitriangular(self, record):
         F = self.field
         r = self.r_matrix
 
         # (eps x id)R = 1 = (id x eps)R
-        lvec, rvec = self.zero_vector(), self.zero_vector()
+        left, right = {}, {}
         for (i, j), c in r.items():
-            lvec[j] = F.add(lvec[j], F.mul(c, self.counit[i]))
-            rvec[i] = F.add(rvec[i], F.mul(c, self.counit[j]))
-        record("r-counit", lvec == self.unit and rvec == self.unit, "counit legs of R are not 1")
+            self._accumulate(left, j, F.mul(c, self.counit[i]))
+            self._accumulate(right, i, F.mul(c, self.counit[j]))
+        unit = self.sparse(self.unit)
+        record("r-counit", self.sparse_eq(left, unit) and self.sparse_eq(right, unit),
+               "counit legs of R are not 1")
 
         # invertibility: (S x id)R is the two-sided inverse of R
         sr = self.t2_apply_leg(r, 0, self.antipode)
-        inv_ok = self.t2_eq(self.t2_mult(r, sr), self.t2_unit()) and self.t2_eq(
+        inv_ok = self.sparse_eq(self.t2_mult(r, sr), self.t2_unit()) and self.sparse_eq(
             self.t2_mult(sr, r), self.t2_unit()
         )
         record("r-invertible", inv_ok, "(S x id)R is not inverse to R")
@@ -583,9 +580,9 @@ class HopfData:
         # intertwining: Delta^op(x) R = R Delta(x) on all basis elements
         bad = None
         for i in range(self.dim):
-            d = self.comult_of(self.basis_vector(i))
+            d = self.comult[i]
             dop = self.t2_flip(d)
-            if not self.t2_eq(self.t2_mult(dop, r), self.t2_mult(r, d)):
+            if not self.sparse_eq(self.t2_mult(dop, r), self.t2_mult(r, d)):
                 bad = self.basis_labels[i]
                 break
         record("r-intertwines-coproduct", bad is None, bad and f"fails on {bad}")
@@ -594,39 +591,40 @@ class HopfData:
         lhs: dict = {}
         for (i, j), c in r.items():
             for (p, q), d in self.comult[i].items():
-                self._t3_add(lhs, (p, q, j), F.mul(c, d))
+                self._accumulate(lhs, (p, q, j), F.mul(c, d))
         rhs: dict = {}
         for (a, b), c in r.items():
             for (a2, b2), c2 in r.items():
                 cc = F.mul(c, c2)
                 for t, m in self.mult[b][b2].items():
-                    self._t3_add(rhs, (a, a2, t), F.mul(cc, m))
-        record("r-hexagon-left", self._t3_eq(lhs, rhs), "(Delta x id)R != R13 R23")
+                    self._accumulate(rhs, (a, a2, t), F.mul(cc, m))
+        record("r-hexagon-left", self.sparse_eq(lhs, rhs), "(Delta x id)R != R13 R23")
 
         lhs = {}
         for (i, j), c in r.items():
             for (p, q), d in self.comult[j].items():
-                self._t3_add(lhs, (i, p, q), F.mul(c, d))
+                self._accumulate(lhs, (i, p, q), F.mul(c, d))
         rhs = {}
         for (a, b), c in r.items():  # R13
             for (a2, b2), c2 in r.items():  # R12
                 cc = F.mul(c, c2)
                 for t, m in self.mult[a][a2].items():
-                    self._t3_add(rhs, (t, b2, b), F.mul(cc, m))
-        record("r-hexagon-right", self._t3_eq(lhs, rhs), "(id x Delta)R != R13 R12")
+                    self._accumulate(rhs, (t, b2, b), F.mul(cc, m))
+        record("r-hexagon-right", self.sparse_eq(lhs, rhs), "(id x Delta)R != R13 R12")
 
         # consequence: (S x S)R = R
         ssr = self.t2_apply_leg(self.t2_apply_leg(r, 0, self.antipode), 1, self.antipode)
-        record("r-antipode-consequence", self.t2_eq(ssr, r), "(S x S)R != R")
+        record("r-antipode-consequence", self.sparse_eq(ssr, r), "(S x S)R != R")
 
     def _validate_ribbon(self, record):
         F = self.field
         v = self.ribbon
+        vs = self.sparse(v)
 
         bad = None
         for i in range(self.dim):
-            e = self.basis_vector(i)
-            if self.multiply(v, e) != self.multiply(e, v):
+            e = {i: F.one}
+            if not self.sparse_eq(self.product(vs, e), self.product(e, vs)):
                 bad = self.basis_labels[i]
                 break
         record("ribbon-central", bad is None, bad and f"v does not commute with {bad}")
@@ -638,14 +636,14 @@ class HopfData:
             record("ribbon-invertible", False, "no multiplicative inverse")
             return
 
-        record("ribbon-counit", F.eq(self.counit_of(v), F.one), "eps(v) != 1")
+        record("ribbon-counit", F.eq(self.counit_of(vs), F.one), "eps(v) != 1")
         record("ribbon-antipode", self.antipode_of(v) == v, "S(v) != v")
 
         if self.r_matrix is not None:
             q = self.monodromy_element()
-            lhs = self.comult_of(v)
+            lhs = self.comult_of(vs)
             rhs = self.t2_mult(q, self.t2_from_vectors(v, v))
-            record("ribbon-coproduct", self.t2_eq(lhs, rhs), "Delta(v) != (R21 R)(v x v)")
+            record("ribbon-coproduct", self.sparse_eq(lhs, rhs), "Delta(v) != (R21 R)(v x v)")
 
     def ribbon_inverse(self) -> list:
         if self.ribbon is None:
@@ -673,9 +671,10 @@ class HopfData:
 
     def is_grouplike(self, x: list) -> bool:
         F = self.field
-        if not F.eq(self.counit_of(x), F.one):
+        xs = self.sparse(x)
+        if not F.eq(self.counit_of(xs), F.one):
             return False
-        return self.t2_eq(self.comult_of(x), self.t2_from_vectors(x, x))
+        return self.sparse_eq(self.comult_of(xs), self.t2_from_vectors(x, x))
 
 
 # ---------------------------------------------------------------------------

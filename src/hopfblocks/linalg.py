@@ -186,18 +186,8 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, left factor major: (A⊗B)(v⊗w) = Av ⊗ Bw."""
-        self._check(other)
         F = self.field
-        out = Matrix(F, self.nrows * other.nrows, self.ncols * other.ncols)
-        bn, bm = other.nrows, other.ncols
-        for i, arow in enumerate(self.rows):
-            for bi, brow in enumerate(other.rows):
-                target = out.rows[i * bn + bi]
-                for j, a in arow.items():
-                    jb = j * bm
-                    for bj, b in brow.items():
-                        target[jb + bj] = F.mul(a, b)
-        return out
+        return kron_sum(F, self.nrows * other.nrows, self.ncols * other.ncols, [(F.one, self, other)])
 
     def apply_right(self, vec: list) -> list:
         """Matrix times column vector."""
@@ -274,6 +264,36 @@ class Matrix:
 
 def tensor_product(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
+
+
+def kron_sum(field: Field, nrows: int, ncols: int, terms) -> Matrix:
+    """The nrows x ncols matrix sum of c * (A ⊗ B) over the (c, A, B) terms.
+
+    Every product accumulates straight into the output rows, and entries that
+    cancel are dropped once at the end; no Kronecker matrix, scaled copy or
+    partial sum is built.
+    """
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for c, a, b in terms:
+        if a.field != field or b.field != field:
+            raise FieldMismatch("matrices over different fields")
+        bn, bm = b.nrows, b.ncols
+        if (a.nrows * bn, a.ncols * bm) != (nrows, ncols):
+            raise LinAlgError("shape mismatch in kron_sum")
+        brows = [(bi, brow) for bi, brow in enumerate(b.rows) if brow]
+        for i, arow in enumerate(a.rows):
+            if not arow:
+                continue
+            scaled = [(j * bm, mul(c, v)) for j, v in arow.items()]
+            for bi, brow in brows:
+                target = rows[i * bn + bi]
+                for jb, ca in scaled:
+                    for bj, v in brow.items():
+                        col = jb + bj
+                        p = mul(ca, v)
+                        target[col] = add(target[col], p) if col in target else p
+    return Matrix(field, nrows, ncols, [{j: v for j, v in row.items() if not is_zero(v)} for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +506,6 @@ def _krylov_stream(t: Matrix, v: list):
     while True:
         yield w
         w = t.apply_right(w)
-
-
-def _plcm(field: Field, a: list, b: list) -> list:
-    g = P.pgcd(field, a, b)
-    return P.pmonic(field, P.pmul(field, a, P.pexactdiv(field, b, g)))
 
 
 def _evaluate_poly_at_matrix(m: list, t: Matrix) -> Matrix:

@@ -20,19 +20,6 @@ def pdeg(coeffs) -> int:
     return len(coeffs) - 1
 
 
-def pconst(field: Field, c) -> list:
-    return [] if field.is_zero(c) else [c]
-
-
-def padd(field: Field, a, b) -> list:
-    out = [field.zero] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = field.add(out[i], x)
-    for i, x in enumerate(b):
-        out[i] = field.add(out[i], x)
-    return ptrim(field, out)
-
-
 def psub(field: Field, a, b) -> list:
     out = [field.zero] * max(len(a), len(b))
     for i, x in enumerate(a):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .fields import Field
 from .hopf import HopfData, MissingRMatrix, MissingRibbon
-from .linalg import KernelBasis, Matrix, simultaneous_kernel, tensor_product
+from .linalg import KernelBasis, Matrix, kron_sum, simultaneous_kernel, tensor_product
 
 
 class RepcatError(Exception):
@@ -60,9 +60,6 @@ class Module:
             if not F.is_zero(c):
                 out = out.add(self.act(i).scale(c))
         return out
-
-    def identity_matrix(self) -> Matrix:
-        return Matrix.identity(self.algebra.field, self.dim)
 
     def action_respects_algebra(self) -> bool:
         """rho(g) rho(e_j) = rho(g e_j) on the generating set, and rho(1) = I."""
@@ -120,10 +117,8 @@ def tensor_module(m: Module, n: Module) -> Module:
     F = h.field
 
     def build(i):
-        out = Matrix(F, m.dim * n.dim, m.dim * n.dim)
-        for (a, b), c in h.comult[i].items():
-            out = out.add(tensor_product(m.act(a), n.act(b)).scale(c))
-        return out
+        terms = [(c, m.act(a), n.act(b)) for (a, b), c in h.comult[i].items()]
+        return kron_sum(F, m.dim * n.dim, m.dim * n.dim, terms)
 
     return Module(h, m.dim * n.dim, f"({m.name}@{n.name})", build, tensor_factors=(m, n))
 
@@ -223,10 +218,6 @@ def hom_space(source: Module, target: Module) -> HomSpace:
     if source.tensor_factors and source.tensor_factors[0].is_regular:
         return _hom_from_free(source, target)
     return _hom_generic(source, target)
-
-
-def _vec_index(target_dim_cols: int, r: int, c: int) -> int:
-    return r * target_dim_cols + c
 
 
 def _hom_generic(source: Module, target: Module) -> HomSpace:
@@ -367,19 +358,9 @@ def _flip_matrix(F: Field, m: int, n: int) -> Matrix:
 
 
 def _action_of_tensor_element(m: Module, n: Module, t: dict) -> Matrix:
-    """(rho_M x rho_N)(t) for a sparse element t of H x H, grouping by first leg."""
-    h = m.algebra
-    F = h.field
-    by_first: dict[int, list] = {}
-    for (i, j), c in t.items():
-        by_first.setdefault(i, []).append((j, c))
-    out = Matrix(F, m.dim * n.dim, m.dim * n.dim)
-    for i, terms in by_first.items():
-        partial = Matrix(F, n.dim, n.dim)
-        for j, c in terms:
-            partial = partial.add(n.act(j).scale(c))
-        out = out.add(tensor_product(m.act(i), partial))
-    return out
+    """(rho_M x rho_N)(t) for a sparse element t of H x H."""
+    terms = [(c, m.act(i), n.act(j)) for (i, j), c in t.items()]
+    return kron_sum(m.algebra.field, m.dim * n.dim, m.dim * n.dim, terms)
 
 
 def braiding(m: Module, n: Module) -> Matrix:

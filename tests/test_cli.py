@@ -101,6 +101,24 @@ def test_exit_parse_error(tmp_path, capsys):
     assert "PARSE_ERROR" in err
 
 
+def test_exit_dimension_mismatch(tmp_path, capsys):
+    from hopfblocks.catalog import to_json
+
+    doc = to_json(catalog.get("group:Z2"))
+    doc["unit"] = ["1"]  # one coordinate for a 2-dimensional algebra
+    path = tmp_path / "short_unit.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["check", str(path)], capsys)
+    assert code == 2
+    assert "DIMENSION_MISMATCH" in err
+
+
+def test_exit_io_error_missing_file(tmp_path, capsys):
+    code, _, err = run(["check", str(tmp_path / "no" / "such" / "file.json")], capsys)
+    assert code == 2
+    assert "IO_ERROR" in err
+
+
 def test_exit_validation_failure(tmp_path, capsys):
     from hopfblocks.catalog import to_json
 

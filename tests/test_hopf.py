@@ -44,6 +44,106 @@ def test_broken_antipode_fails_with_witness():
     assert failed["antipode"].witness
 
 
+def _fresh(name):
+    # not catalog.get: that is cached and shared, and these tests corrupt it
+    s3 = catalog.symmetric_group_3()
+    return {
+        "double:S3": lambda: catalog.double_of_group(s3),
+        "group:S3": lambda: catalog.group_algebra(s3),
+        "double:sweedler": catalog.sweedler_double,
+    }[name]()
+
+
+def _double_one_constant(h, part):
+    """Double a product of the last generator with the last basis element,
+    the unit, or one coproduct entry of e_1."""
+    F = h.field
+    if part == "mult":
+        g, j = h.generating_indices()[-1], h.dim - 1
+        k, c = next(iter(h.mult[g][j].items()))
+        h.mult[g][j][k] = F.add(c, c)
+    elif part == "unit":
+        h.unit = [F.add(x, x) for x in h.unit]
+    else:
+        key, c = next(iter(h.comult[1].items()))
+        h.comult[1][key] = F.add(c, c)
+    h._cache.clear()  # drop what was derived from the intact constants
+
+
+# every failing check, in report order, with its witness
+BROKEN_CONSTANTS = {
+    ("double:S3", "mult"): [
+        ("associativity", "((123)^*.(12), (132)^*.(123), (132)^*.(132))"),
+        ("bialgebra", "Delta(e^*.(123)*e^*.(132))"),
+        ("antipode", "antipode axiom fails on e^*.(123)"),
+        ("r-invertible", "(S x id)R is not inverse to R"),
+        ("r-intertwines-coproduct", "fails on e^*.(132)"),
+        ("r-hexagon-right", "(id x Delta)R != R13 R12"),
+        ("ribbon-central", "v does not commute with (132)^*.(123)"),
+        ("ribbon-coproduct", "Delta(v) != (R21 R)(v x v)"),
+    ],
+    ("double:S3", "unit"): [
+        ("unitality", "unit fails on e^*.e"),
+        ("bialgebra", "1"),
+        ("antipode", "antipode axiom fails on e^*.e"),
+        ("r-counit", "counit legs of R are not 1"),
+        ("r-invertible", "(S x id)R is not inverse to R"),
+    ],
+    ("double:S3", "comult"): [
+        ("coassociativity", "Delta fails on e^*.(12)"),
+        ("counitality", "counit fails on e^*.(12)"),
+        ("bialgebra", "Delta(e^*.(12)*e^*.(12))"),
+        ("antipode", "antipode axiom fails on e^*.(12)"),
+        ("r-hexagon-left", "(Delta x id)R != R13 R23"),
+    ],
+    ("group:S3", "mult"): [
+        ("associativity", "((12), (23), (132))"),
+        ("bialgebra", "Delta((123)*(132))"),
+        ("antipode", "antipode axiom fails on (123)"),
+    ],
+    ("group:S3", "unit"): [
+        ("unitality", "unit fails on e"),
+        ("bialgebra", "1"),
+        ("antipode", "antipode axiom fails on e"),
+    ],
+    ("group:S3", "comult"): [
+        ("counitality", "counit fails on (12)"),
+        ("bialgebra", "Delta((12)*(12))"),
+        ("antipode", "antipode axiom fails on (12)"),
+    ],
+    ("double:sweedler", "mult"): [
+        ("associativity", "(1^*.g, gx^*.x, gx^*.gx)"),
+        ("bialgebra", "Delta(x^*.x*x^*.gx)"),
+    ],
+    ("double:sweedler", "unit"): [
+        ("unitality", "unit fails on 1^*.1"),
+        ("bialgebra", "1"),
+        ("antipode", "antipode axiom fails on 1^*.1"),
+        ("r-counit", "counit legs of R are not 1"),
+        ("r-invertible", "(S x id)R is not inverse to R"),
+    ],
+    ("double:sweedler", "comult"): [
+        ("coassociativity", "Delta fails on 1^*.g"),
+        ("counitality", "counit fails on 1^*.g"),
+        ("bialgebra", "Delta(1^*.g*1^*.g)"),
+        ("antipode", "antipode axiom fails on 1^*.g"),
+        ("r-intertwines-coproduct", "fails on 1^*.g"),
+        ("r-hexagon-left", "(Delta x id)R != R13 R23"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, part", sorted(BROKEN_CONSTANTS))
+def test_broken_structure_constant_fails_with_witness(name, part):
+    h = _fresh(name)
+    assert h.validate().passed
+    _double_one_constant(h, part)
+    report = h.validate()
+    # D(S3) (dim 36) is checked on its generators, the others on every basis triple
+    assert report.mode == ("generators" if name == "double:S3" else "full")
+    assert [(c.name, c.witness) for c in report.failures()] == BROKEN_CONSTANTS[name, part]
+
+
 def test_sweedler_axioms_pass():
     report = catalog.get("sweedler").validate()
     assert report.passed

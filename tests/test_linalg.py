@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hopfblocks.linalg import (
     conjugation_operator,
     inverse,
     kernel,
+    kron_sum,
     minimal_polynomial,
     operator_order,
     simultaneous_kernel,
@@ -221,6 +223,37 @@ def test_tensor_mixed_product_law():
         lhs = tensor_product(a, b).mul(tensor_product(c, d))
         rhs = tensor_product(a.mul(c), b.mul(d))
         assert lhs == rhs
+
+
+def kron_sum_oracle(F, terms):
+    """Entrywise: (A⊗B)[3i + k][2j + l] = A[i][j] B[k][l] for 2x3 A and 3x2 B."""
+    dense = [[F.zero] * 6 for _ in range(6)]
+    for c, a, b in terms:
+        ad, bd = a.to_dense(), b.to_dense()
+        for i, j, k, l in itertools.product(range(2), range(3), range(3), range(2)):
+            term = F.mul(c, F.mul(ad[i][j], bd[k][l]))
+            dense[3 * i + k][2 * j + l] = F.add(dense[3 * i + k][2 * j + l], term)
+    return Matrix.from_dense(F, dense)
+
+
+@FIELDS
+def test_kron_sum_matches_entrywise_oracle(F):
+    rng = random.Random(11)
+    terms = [
+        (F.random_element(rng, zero_ok=False), rand_matrix(rng, F, 2, 3), rand_matrix(rng, F, 3, 2))
+        for _ in range(4)
+    ]
+    # cancels the first term except in the blocks of row 0 of its right factor
+    c0, a0, b0 = terms[0]
+    b1 = Matrix(F, 3, 2, [{0: F.one}] + [dict(row) for row in b0.rows[1:]])
+    partial = [(c0, a0, b0), (F.neg(c0), a0, b1)]
+    for case in (terms, terms + partial[1:], partial):
+        expected = kron_sum_oracle(F, case)
+        got = kron_sum(F, 6, 6, case)
+        assert got == expected
+        assert got.nnz() == expected.nnz()
+    assert kron_sum(F, 6, 6, partial).nnz() < 36
+    assert kron_sum(F, 6, 6, [(c0, a0, b0), (F.neg(c0), a0, b0)]).nnz() == 0
 
 
 # -- minimal polynomials -------------------------------------------------------
