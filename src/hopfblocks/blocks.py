@@ -13,6 +13,14 @@ Two models are provided and cross-checked:
 The twist about the i-th handle meridian acts in the direct model by
 precomposition with (left multiplication by the ribbon element) in slot i;
 in the relative-center model by the ribbon action on the ambient module.
+
+A block's basis is the sparse ``KernelBasis`` of its invariance constraints.
+``restrict_operator`` pushes each sparse basis column through the ambient
+operator and certifies the result completely: every image must equal the
+re-expansion of its coordinates in the basis (B.R = Op.B), and operators on
+hom spaces (separating twists, bounding pairs) are checked the same way on
+every basis map.  Block spaces, separating twists and the end twist are
+cached on the algebra (``HopfData._cache``), never in module globals.
 """
 
 from __future__ import annotations
@@ -89,11 +97,12 @@ class BlockSpace:
         )
 
 
-_BLOCK_CACHE: dict = {}
-
-
 def block_space(h: HopfData, genus: int, model: str = DIRECT, genus_cap: int | None = None) -> BlockSpace:
-    """The block space of the genus-g handlebody, in the chosen model."""
+    """The block space of the genus-g handlebody, in the chosen model.
+
+    Block spaces are cached on the algebra (``HopfData._cache``), so they
+    live exactly as long as it does.
+    """
     if genus < 0:
         raise BlocksError("genus must be non-negative")
     if model not in (DIRECT, RELATIVE_CENTER):
@@ -103,13 +112,13 @@ def block_space(h: HopfData, genus: int, model: str = DIRECT, genus_cap: int | N
     cap = genus_cap if genus_cap is not None else default_genus_cap(h)
     if genus > cap:
         raise GenusCapExceeded(f"genus {genus} exceeds cap {cap} for dim {h.dim}")
-    key = (id(h), genus, model)
-    if key not in _BLOCK_CACHE:
+    key = ("block", genus, model)
+    if key not in h._cache:
         if model == DIRECT:
-            _BLOCK_CACHE[key] = _direct_block(h, genus)
+            h._cache[key] = _direct_block(h, genus)
         else:
-            _BLOCK_CACHE[key] = _center_block(h, genus)
-    return _BLOCK_CACHE[key]
+            h._cache[key] = _center_block(h, genus)
+    return h._cache[key]
 
 
 # the closed-surface spaces for twists supported in the handlebody agree with
@@ -148,40 +157,35 @@ def _center_block(h: HopfData, genus: int) -> BlockSpace:
     return BlockSpace(h, genus, RELATIVE_CENTER, basis, ambient, covectors=False)
 
 
-def restrict_operator(block: BlockSpace, ambient_op: Matrix, spot_checks: int = 3) -> Matrix:
+def restrict_operator(block: BlockSpace, ambient_op: Matrix) -> Matrix:
     """Matrix of an ambient operator restricted to the block subspace.
 
-    The kernel basis is in reduced form, so coordinates are read off at the
-    free columns; a few rows are re-expanded and compared exactly as a
-    bookkeeping check.
+    Each sparse basis column b_j is pushed through the operator: through its
+    rows for the covector (direct) model, b_j . Op, and through the rows of
+    its transpose for the vector (center) model, Op . b_j.  The kernel basis
+    is in reduced form, so the coordinates R[k][j] of an image are its
+    entries at the free columns.  Every image is then compared exactly with
+    its re-expansion sum_k R[k][j] b_k: the complete identity B.R = Op.B,
+    which fails exactly when the operator moves some basis vector out of the
+    block.
     """
-    F = block.algebra.field
+    h = block.algebra
+    F = h.field
+    add, mul = F.add, F.mul
     basis = block.basis
-    images = []
-    for vec in basis.vectors:
-        if block.covectors:
-            images.append(ambient_op.apply_left(vec))
-        else:
-            images.append(ambient_op.apply_right(vec))
+    rows = (ambient_op if block.covectors else ambient_op.transpose()).rows
     out = Matrix(F, basis.dim, basis.dim)
-    for j, img in enumerate(images):
-        for k, col in enumerate(basis.free_cols):
-            v = img[col]
+    for j, col in enumerate(basis.columns):
+        img: dict = {}
+        for i, x in col.items():
+            for t, a in rows[i].items():
+                p = mul(x, a)
+                img[t] = add(img[t], p) if t in img else p
+        coords = [img.get(c, F.zero) for c in basis.free_cols]
+        for k, v in enumerate(coords):
             if not F.is_zero(v):
                 out.rows[k][j] = v
-    for j in range(min(spot_checks, basis.dim)):
-        img = images[j]
-        recon = [F.zero] * basis.ncols
-        for k in range(basis.dim):
-            c = out.rows[k].get(j, F.zero)
-            if F.is_zero(c):
-                continue
-            bvec = basis.vectors[k]
-            for t in range(basis.ncols):
-                x = bvec[t]
-                if not F.is_zero(x):
-                    recon[t] = F.add(recon[t], F.mul(c, x))
-        if any(not F.eq(a, b) for a, b in zip(recon, img)):
+        if not h.sparse_eq(basis.combination(coords), img):
             raise BlocksError("restricted operator left the block subspace")
     return out
 
@@ -191,17 +195,20 @@ def end_twist(h: HopfData) -> Matrix:
 
     This is the twist that a meridian Dehn twist induces on the end variable;
     centrality of the ribbon element makes it an intertwiner of the adjoint
-    action (post-checked), and it satisfies rho_M(v * x) = twist(M) rho_M(x)
-    for every module M, matching the end projections.
+    action (post-checked once per algebra, which then keeps the matrix), and
+    it satisfies rho_M(v * x) = twist(M) rho_M(x) for every module M,
+    matching the end projections.
     """
     if h.ribbon is None:
         raise MissingRibbon(h.name)
-    lv = h.left_mult_of(h.ribbon)
-    ad = adjoint_module(h)
-    for g in h.generating_indices():
-        if lv.mul(ad.act(g)) != ad.act(g).mul(lv):
-            raise BlocksError("end twist failed the adjoint intertwiner post-check")
-    return lv
+    if "end_twist" not in h._cache:
+        lv = h.left_mult_of(h.ribbon)
+        ad = adjoint_module(h)
+        for g in h.generating_indices():
+            if lv.mul(ad.act(g)) != ad.act(g).mul(lv):
+                raise BlocksError("end twist failed the adjoint intertwiner post-check")
+        h._cache["end_twist"] = lv
+    return h._cache["end_twist"]
 
 
 @dataclass
@@ -280,17 +287,17 @@ class SeparatingTwist:
         }
 
 
-_SEPARATING_CACHE: dict = {}
-
-
 def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
                         cap: int | None = None) -> SeparatingTwist:
     """Twist about the standard separating meridian splitting handles
     {1..g'} from {g'+1..g}: postcomposition with the twist of the right end
-    power on Hom(A^(g'), A^(g''))."""
-    key = (id(h), genus_left, genus_right, cap)
-    if key in _SEPARATING_CACHE:
-        return _SEPARATING_CACHE[key]
+    power on Hom(A^(g'), A^(g'')).
+
+    The result is cached on the algebra.
+    """
+    key = ("separating", genus_left, genus_right, cap)
+    if key in h._cache:
+        return h._cache[key]
     if genus_left < 1 or genus_right < 1:
         raise BlocksError("separating split requires both genera >= 1")
     a = adjoint_module(h)
@@ -299,17 +306,7 @@ def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
     hom = hom_space(left, right)
     theta_right = twist(right)
     theta_left = twist(left)
-    F = h.field
-    out = Matrix(F, hom.dim, hom.dim)
-    for j, f in enumerate(hom.basis):
-        coords = hom.coordinates(theta_right.mul(f))
-        for k, c in enumerate(coords):
-            if not F.is_zero(c):
-                out.rows[k][j] = c
-    # bookkeeping check on the first basis element
-    if hom.dim:
-        if not hom.contains_matrix(theta_right.mul(hom.basis[0])):
-            raise BlocksError("separating twist left the hom space")
+    out = _hom_operator(hom, theta_right.mul, "separating twist")
     cert = operator_order(out, cap=cap)
     result = SeparatingTwist(
         genus_left,
@@ -320,7 +317,7 @@ def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
         operator_order(theta_left, cap=cap),
         operator_order(theta_right, cap=cap),
     )
-    _SEPARATING_CACHE[key] = result
+    h._cache[key] = result
     return result
 
 
@@ -335,12 +332,21 @@ def bounding_pair_op(h: HopfData, x: Module, y: Module) -> tuple[HomSpace, Matri
     theta_y = twist(y)
     theta_x_inv = inverse(twist(x))
     pre = tensor_product(theta_x_inv, Matrix.identity(h.field, a.dim))
-    F = h.field
-    out = Matrix(F, hom.dim, hom.dim)
+    return hom, _hom_operator(hom, lambda f: theta_y.mul(f).mul(pre), "bounding pair")
+
+
+def _hom_operator(hom: HomSpace, op, what: str) -> Matrix:
+    """The matrix of f -> op(f) on a hom space, in its basis.
+
+    Every image is compared exactly with the combination of the basis that
+    its coordinates name, so an operator that leaves the hom space raises.
+    """
+    out = Matrix(hom.source.algebra.field, hom.dim, hom.dim)
     for j, f in enumerate(hom.basis):
-        g = theta_y.mul(f).mul(pre)
-        coords = hom.coordinates(g)
-        for k, c in enumerate(coords):
-            if not F.is_zero(c):
-                out.rows[k][j] = c
-    return hom, out
+        image = op(f)
+        coords = hom.coordinates(image)
+        if hom.combination(coords) != image:
+            raise BlocksError(f"{what} left the hom space")
+        for k, c in coords.items():
+            out.rows[k][j] = c
+    return out

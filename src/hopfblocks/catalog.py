@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .fields import Field, QQ, field_from_json
 from .hopf import HopfData, Matrix, StructureReport, drinfeld_double
+from .linalg import LinAlgError
 
 
 class CatalogError(Exception):
@@ -205,35 +206,15 @@ def _group_simple_modules(group: GroupTable, field: Field) -> list[dict]:
 
 
 def ribbon_axioms_pass(h: HopfData, v: list) -> bool:
-    """Full ribbon battery: central, invertible, eps(v)=1, S(v)=v,
-    Delta(v) = (R21 R)(v x v)."""
-    F = h.field
-    vs = h.sparse(v)
-    for i in range(h.dim):
-        e = {i: F.one}
-        if not h.sparse_eq(h.product(vs, e), h.product(e, vs)):
-            return False
-    if not F.eq(h.counit_of(vs), F.one):
-        return False
-    if h.antipode_of(v) != v:
-        return False
-    from .linalg import LinAlgError, solve_unique
-
-    try:
-        solve_unique(h.left_mult_of(v), h.unit)
-    except LinAlgError:
-        return False
-    if h.r_matrix is None:
-        return False
-    q = h.monodromy_element()
-    return h.sparse_eq(h.comult_of(vs), h.t2_mult(q, h.t2_from_vectors(v, v)))
+    """The full ribbon battery of ``HopfData.ribbon_battery`` (central,
+    invertible, eps(v)=1, S(v)=v, Delta(v) = (R21 R)(v x v)); an algebra
+    without an R-matrix has no ribbon element."""
+    return h.r_matrix is not None and all(passed for _, passed, _ in h.ribbon_battery(v))
 
 
 def _element_inverse(h: HopfData, v: list) -> list | None:
-    from .linalg import LinAlgError, solve_unique
-
     try:
-        return solve_unique(h.left_mult_of(v), h.unit)
+        return h.element_inverse(v)
     except LinAlgError:
         return None
 

@@ -34,11 +34,17 @@ from .repcat import (
 
 
 class PreconditionError(Exception):
-    """A theorem's hypotheses are not met by the input algebra."""
+    """A theorem's hypotheses are not met by the input algebra.
 
-    def __init__(self, code: str, detail: str = ""):
+    ``name`` and ``statement`` are those of the check that was gated, so its
+    row in a report reads like the check it stands for.
+    """
+
+    def __init__(self, code: str, detail: str, name: str, statement: str):
         self.code = code
-        super().__init__(f"{code}: {detail}" if detail else code)
+        self.name = name
+        self.statement = statement
+        super().__init__(f"{code}: {detail}")
 
 
 @dataclass
@@ -50,6 +56,7 @@ class Check:
     status: str = "pass"  # pass | fail | skipped | gated
     detail: str = ""
     runtime: float = 0.0
+    reason: str = ""  # code of a gated or skipped check, shown in the table; not in the JSON report
 
     @property
     def passed(self) -> bool:
@@ -89,15 +96,15 @@ class TheoremReport:
         }
 
     def to_table(self) -> str:
-        rows = [("check", "status", "computed", "expected", "time")]
+        rows = [("check", "status", "reason", "computed", "expected", "time")]
         for c in self.checks:
-            rows.append((c.name, c.status.upper(), c.lhs, c.rhs, f"{c.runtime:.2f}s"))
-        widths = [max(len(r[i]) for r in rows) for i in range(5)]
+            rows.append((c.name, c.status.upper(), c.reason, c.lhs, c.rhs, f"{c.runtime:.2f}s"))
+        widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         lines = []
         for i, r in enumerate(rows):
             lines.append("  ".join(cell.ljust(widths[k]) for k, cell in enumerate(r)))
             if i == 0:
-                lines.append("-" * (sum(widths) + 8))
+                lines.append("-" * (sum(widths) + 2 * (len(r) - 1)))
         return "\n".join(lines)
 
 
@@ -106,15 +113,23 @@ def _timed(check: Check, t0: float) -> Check:
     return check
 
 
-def require_ribbon_factorizable(h: HopfData) -> None:
+def _skipped(name: str, statement: str, exc: GenusCapExceeded) -> Check:
+    return Check(name, statement, status="skipped", detail=str(exc), reason="GenusCapExceeded")
+
+
+def require_ribbon_factorizable(h: HopfData, name: str, statement: str) -> None:
     """Gate: the twist-order theorems assume a ribbon factorizable algebra
-    over a characteristic-zero field."""
+    over a characteristic-zero field.  name and statement are the gated
+    check's."""
     if h.field.kind == "Fp":
-        raise PreconditionError("CharacteristicZeroRequired", h.name)
-    if h.r_matrix is None or not h.is_factorizable()[0]:
-        raise PreconditionError("FactorizableRequired", h.name)
-    if h.ribbon is None:
-        raise PreconditionError("RibbonRequired", h.name)
+        code = "CharacteristicZeroRequired"
+    elif h.r_matrix is None or not h.is_factorizable()[0]:
+        code = "FactorizableRequired"
+    elif h.ribbon is None:
+        code = "RibbonRequired"
+    else:
+        return
+    raise PreconditionError(code, h.name, name, statement)
 
 
 def _verdict_eq(a: OrderVerdict, b: OrderVerdict) -> bool:
@@ -137,7 +152,10 @@ def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
     """Order of the ribbon element equals the order of the twist on a
     projective generator, and bounds the twist order of every module."""
     t0 = time.time()
-    require_ribbon_factorizable(h)
+    name = "ribbon-element-order"
+    statement = ("order of the generalized ribbon element = order of the twist on the regular module, "
+                 "and the twist order of each sampled module divides it")
+    require_ribbon_factorizable(h, name, statement)
     ribbon_cert = h.ribbon_order(cap=cap)
     reg = regular_module(h)
     reg_cert = operator_order(twist(reg), cap=cap)
@@ -153,9 +171,8 @@ def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
                 ok = False
                 detail = f"|twist({m.name})| = {v.n} does not divide {n}"
     check = Check(
-        name="ribbon-element-order",
-        statement="order of the generalized ribbon element = order of the twist on the regular module, "
-        "and the twist order of each sampled module divides it",
+        name=name,
+        statement=statement,
         lhs=f"twist(regular): {reg_cert.gl_order}",
         rhs=f"ribbon element: {ribbon_cert.gl_order}",
         status="pass" if ok else "fail",
@@ -167,17 +184,17 @@ def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
 def verify_nonseparating(h: HopfData, g_max: int, cap: int | None = None,
                          genus_cap: int | None = None) -> list[Check]:
     """Every meridian twist acts with PGL order equal to the ribbon twist order."""
-    require_ribbon_factorizable(h)
+    statement = "PGL order of the twist about each handle meridian equals the ribbon twist order"
+    require_ribbon_factorizable(h, f"nonseparating-twist-order(g=1..{g_max})", statement)
     ribbon = h.ribbon_order(cap=cap)
     checks = []
     for g in range(1, g_max + 1):
         t0 = time.time()
         name = f"nonseparating-twist-order(g={g})"
-        statement = "PGL order of the twist about each handle meridian equals the ribbon twist order"
         try:
             block = block_space(h, g, DIRECT, genus_cap=genus_cap)
         except GenusCapExceeded as exc:
-            checks.append(_timed(Check(name, statement, status="skipped", detail=str(exc)), t0))
+            checks.append(_timed(_skipped(name, statement, exc), t0))
             continue
         orders = []
         ok = True
@@ -204,14 +221,16 @@ def verify_nonseparating(h: HopfData, g_max: int, cap: int | None = None,
 def verify_separating(h: HopfData, g_left: int, g_right: int, cap: int | None = None) -> Check:
     """Separating twist order = min of the twist orders of the two end powers."""
     t0 = time.time()
-    require_ribbon_factorizable(h)
+    name = f"separating-twist-order({g_left},{g_right})"
+    statement = "PGL order of the separating twist = min of the twist orders of the end powers"
+    require_ribbon_factorizable(h, name, statement)
     sep = separating_twist_op(h, g_left, g_right, cap=cap)
     expected = _verdict_min(sep.twist_left_order.gl_order, sep.twist_right_order.gl_order)
     ok = _verdict_eq(sep.certificate.pgl_order, expected)
     return _timed(
         Check(
-            name=f"separating-twist-order({g_left},{g_right})",
-            statement="PGL order of the separating twist = min of the twist orders of the end powers",
+            name=name,
+            statement=statement,
             lhs=f"operator: {sep.certificate.pgl_order} (hom dim {sep.dim})",
             rhs=f"min({sep.twist_left_order.gl_order}, {sep.twist_right_order.gl_order}) = {expected}",
             status="pass" if ok else "fail",
@@ -225,7 +244,9 @@ def verify_johnson(h: HopfData, cap: int | None = None) -> Check:
     end's self double braiding is trivial; cross-checked on the genus-2
     separating operator."""
     t0 = time.time()
-    require_ribbon_factorizable(h)
+    name = "johnson-kernel-criterion"
+    statement = "separating twists act trivially iff end twist and end self-monodromy are trivial"
+    require_ribbon_factorizable(h, name, statement)
     a = adjoint_module(h)
     twist_trivial = twist(a).is_identity()
     braid_trivial = monodromy(a, a).is_identity()
@@ -235,8 +256,8 @@ def verify_johnson(h: HopfData, cap: int | None = None) -> Check:
     ok = sep_trivial == predicted
     return _timed(
         Check(
-            name="johnson-kernel-criterion",
-            statement="separating twists act trivially iff end twist and end self-monodromy are trivial",
+            name=name,
+            statement=statement,
             lhs=f"genus-2 separating operator trivial: {sep_trivial}",
             rhs=f"predicted (twist trivial: {twist_trivial}, double braiding trivial: {braid_trivial}): {predicted}",
             status="pass" if ok else "fail",
@@ -250,8 +271,10 @@ def verify_torelli(h: HopfData) -> Check:
     algebra is commutative; when commutative, the end is a sum of trivial
     modules."""
     t0 = time.time()
+    name = "torelli-criterion"
+    statement = "the end is in the Mueger center iff the algebra is commutative"
     if h.r_matrix is None:
-        raise PreconditionError("RMatrixRequired", h.name)
+        raise PreconditionError("RMatrixRequired", h.name, name, statement)
     a = adjoint_module(h)
     central = muger_central(a)
     commutative, witness = h.is_commutative()
@@ -270,8 +293,8 @@ def verify_torelli(h: HopfData) -> Check:
         detail = f"noncommutativity witness: {witness}"
     return _timed(
         Check(
-            name="torelli-criterion",
-            statement="the end is in the Mueger center iff the algebra is commutative",
+            name=name,
+            statement=statement,
             lhs=f"end transparent: {central}",
             rhs=f"commutative: {commutative}",
             status="pass" if ok else "fail",
@@ -286,14 +309,14 @@ def verify_zg(h: HopfData, genus: int, window: int, cap: int | None = None,
     """The lattice of commuting meridian twists acts with kernel exactly the
     multiples of the ribbon twist order (all-or-nothing per coordinate)."""
     t0 = time.time()
-    require_ribbon_factorizable(h)
-    ribbon = h.ribbon_order(cap=cap).gl_order
     name = f"commuting-twist-lattice(g={genus}, window={window})"
     statement = "lattice points acting trivially are exactly the multiples of the ribbon order"
+    require_ribbon_factorizable(h, name, statement)
+    ribbon = h.ribbon_order(cap=cap).gl_order
     try:
         block = block_space(h, genus, DIRECT, genus_cap=genus_cap)
     except GenusCapExceeded as exc:
-        return _timed(Check(name, statement, status="skipped", detail=str(exc)), t0)
+        return _timed(_skipped(name, statement, exc), t0)
     ops = [nonseparating_twist_op(block, i, cap=cap).matrix for i in range(1, genus + 1)]
     powers = []
     for op in ops:
@@ -351,14 +374,14 @@ def verify_excision(h: HopfData, genus: int, cap: int | None = None,
                     genus_cap: int | None = None) -> Check:
     """Direct and relative-center models agree in dimension and twist order."""
     t0 = time.time()
-    require_ribbon_factorizable(h)
     name = f"excision-consistency(g={genus})"
     statement = "direct and relative-center block models agree (dimension and twist certificate)"
+    require_ribbon_factorizable(h, name, statement)
     try:
         direct = block_space(h, genus, DIRECT, genus_cap=genus_cap)
         center = block_space(h, genus, RELATIVE_CENTER, genus_cap=genus_cap)
     except GenusCapExceeded as exc:
-        return _timed(Check(name, statement, status="skipped", detail=str(exc)), t0)
+        return _timed(_skipped(name, statement, exc), t0)
     op_d = nonseparating_twist_op(direct, 1, cap=cap)
     op_c = center_twist_op(center, cap=cap)
     dims_ok = direct.dim == center.dim
@@ -393,11 +416,12 @@ def run_all(h: HopfData, max_genus: int = 2, window: int = 4, cap: int | None = 
         except PreconditionError as exc:
             report.checks.append(
                 Check(
-                    name=getattr(fn, "__name__", "check"),
-                    statement="",
+                    name=exc.name,
+                    statement=exc.statement,
                     status="gated",
                     detail=str(exc),
                     runtime=time.time() - t0,
+                    reason=exc.code,
                 )
             )
 

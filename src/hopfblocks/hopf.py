@@ -32,6 +32,7 @@ from .linalg import (
     OrderCertificate,
     _RowReducer,
     inverse,
+    linear_combination,
     operator_order,
     simultaneous_kernel,
     solve_unique,
@@ -305,19 +306,13 @@ class HopfData:
 
     def left_mult_of(self, x: list) -> Matrix:
         F = self.field
-        out = Matrix(F, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if not F.is_zero(c):
-                out = out.add(self.left_mult_matrix(i).scale(c))
-        return out
+        terms = [(c, self.left_mult_matrix(i)) for i, c in enumerate(x) if not F.is_zero(c)]
+        return linear_combination(F, self.dim, self.dim, terms)
 
     def right_mult_of(self, x: list) -> Matrix:
         F = self.field
-        out = Matrix(F, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if not F.is_zero(c):
-                out = out.add(self.right_mult_matrix(i).scale(c))
-        return out
+        terms = [(c, self.right_mult_matrix(i)) for i, c in enumerate(x) if not F.is_zero(c)]
+        return linear_combination(F, self.dim, self.dim, terms)
 
     def generating_indices(self) -> list[int]:
         return self.generators if self.generators is not None else list(range(self.dim))
@@ -617,8 +612,17 @@ class HopfData:
         record("r-antipode-consequence", self.sparse_eq(ssr, r), "(S x S)R != R")
 
     def _validate_ribbon(self, record):
+        for name, passed, witness in self.ribbon_battery(self.ribbon):
+            record(name, passed, witness)
+
+    def ribbon_battery(self, v: list):
+        """The ribbon axioms for a candidate v, lazily, as (name, passed, witness).
+
+        In order: v is central, invertible, eps(v) = 1, S(v) = v and, when
+        the algebra has an R-matrix, Delta(v) = (R21 R)(v x v).  Nothing
+        after a failed invertibility check is yielded.
+        """
         F = self.field
-        v = self.ribbon
         vs = self.sparse(v)
 
         bad = None
@@ -627,32 +631,34 @@ class HopfData:
             if not self.sparse_eq(self.product(vs, e), self.product(e, vs)):
                 bad = self.basis_labels[i]
                 break
-        record("ribbon-central", bad is None, bad and f"v does not commute with {bad}")
+        yield "ribbon-central", bad is None, bad and f"v does not commute with {bad}"
 
         try:
-            self.ribbon_inverse()
-            record("ribbon-invertible", True)
-        except HopfError:
-            record("ribbon-invertible", False, "no multiplicative inverse")
+            self.element_inverse(v)
+        except LinAlgError:
+            yield "ribbon-invertible", False, "no multiplicative inverse"
             return
+        yield "ribbon-invertible", True, None
 
-        record("ribbon-counit", F.eq(self.counit_of(vs), F.one), "eps(v) != 1")
-        record("ribbon-antipode", self.antipode_of(v) == v, "S(v) != v")
+        yield "ribbon-counit", F.eq(self.counit_of(vs), F.one), "eps(v) != 1"
+        yield "ribbon-antipode", self.antipode_of(v) == v, "S(v) != v"
 
         if self.r_matrix is not None:
             q = self.monodromy_element()
             lhs = self.comult_of(vs)
             rhs = self.t2_mult(q, self.t2_from_vectors(v, v))
-            record("ribbon-coproduct", self.sparse_eq(lhs, rhs), "Delta(v) != (R21 R)(v x v)")
+            yield "ribbon-coproduct", self.sparse_eq(lhs, rhs), "Delta(v) != (R21 R)(v x v)"
+
+    def element_inverse(self, x: list) -> list:
+        """The inverse of x, from x y = 1; a ``LinAlgError`` when x has none."""
+        return solve_unique(self.left_mult_of(x), self.unit)
 
     def ribbon_inverse(self) -> list:
         if self.ribbon is None:
             raise MissingRibbon(self.name)
         if "ribbon_inverse" not in self._cache:
             try:
-                self._cache["ribbon_inverse"] = solve_unique(
-                    self.left_mult_of(self.ribbon), self.unit
-                )
+                self._cache["ribbon_inverse"] = self.element_inverse(self.ribbon)
             except LinAlgError as exc:
                 raise HopfError(f"ribbon element is not invertible: {exc}") from exc
         return self._cache["ribbon_inverse"]

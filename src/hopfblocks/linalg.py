@@ -10,6 +10,12 @@ is first cleared of denominators and content to keep entries small).  That
 form is unique for a given row space, so results are exact by construction
 and need no certificate.
 
+A kernel basis (``KernelBasis``) is read straight off the pivot rows as
+sparse columns, one dict per basis vector; consumers push those columns
+through their operators and read coordinates at the free columns, so no
+dense vector of the ambient length is built on the way.  ``vectors``
+densifies on demand for small kernels and tests.
+
 Order certification never materializes the conjugation operator on the full
 matrix space: the GL procedure only consumes the conjugation operator's
 minimal polynomial, which is computed as the minimal polynomial of x/y in
@@ -141,7 +147,8 @@ class Matrix:
         return out
 
     def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(self.field.neg(self.field.one)))
+        F = self.field
+        return linear_combination(F, self.nrows, self.ncols, [(F.one, self), (F.neg(F.one), other)])
 
     def scale(self, c) -> "Matrix":
         F = self.field
@@ -200,17 +207,6 @@ class Matrix:
                 if not F.is_zero(x):
                     acc = F.add(acc, F.mul(a, x))
             out.append(acc)
-        return out
-
-    def apply_left(self, vec: list) -> list:
-        """Row vector times matrix."""
-        F = self.field
-        out = [F.zero] * self.ncols
-        for i, x in enumerate(vec):
-            if F.is_zero(x):
-                continue
-            for j, a in self.rows[i].items():
-                out[j] = F.add(out[j], F.mul(x, a))
         return out
 
     def power(self, k: int) -> "Matrix":
@@ -296,6 +292,26 @@ def kron_sum(field: Field, nrows: int, ncols: int, terms) -> Matrix:
     return Matrix(field, nrows, ncols, [{j: v for j, v in row.items() if not is_zero(v)} for row in rows])
 
 
+def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
+    """The nrows x ncols matrix sum of c * M over the (c, M) terms.
+
+    Like ``kron_sum``, every term accumulates straight into the output rows
+    and entries that cancel are dropped once at the end.
+    """
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for c, m in terms:
+        if m.field != field:
+            raise FieldMismatch("matrices over different fields")
+        if (m.nrows, m.ncols) != (nrows, ncols):
+            raise LinAlgError("shape mismatch in linear_combination")
+        for target, row in zip(rows, m.rows):
+            for j, v in row.items():
+                p = mul(c, v)
+                target[j] = add(target[j], p) if j in target else p
+    return Matrix(field, nrows, ncols, [{j: v for j, v in row.items() if not is_zero(v)} for row in rows])
+
+
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
@@ -303,37 +319,58 @@ def kron_sum(field: Field, nrows: int, ncols: int, terms) -> Matrix:
 
 @dataclass
 class KernelBasis:
-    """Kernel basis in reduced form: vectors[i][free_cols[j]] = delta_ij.
+    """Kernel basis in reduced form, stored as sparse columns.
+
+    ``columns[i]`` is the i-th basis vector as a dict (coordinate -> nonzero
+    value): 1 at ``free_cols[i]``, 0 at every other free column, and minus the
+    pivot rows' entries in that free column at the pivot columns.  It is read
+    straight off the pivot rows; no dense vector is built.
 
     ``free_cols`` are the non-pivot columns of the reduced row echelon form of
     the stacked system, where each pivot is the least column of its row.  The
     form is unique, so the same system gives the same ``free_cols`` and
     vectors over every field in which it has the same rank; ``blocks --format
-    json`` publishes ``free_cols`` as ``basis_support_columns``.
+    json`` publishes ``free_cols`` as ``basis_support_columns``.  A vector v
+    in the span has coordinates v[free_cols[i]].
     """
 
-    vectors: list[list]
+    field: Field
+    columns: list[dict]
     free_cols: list[int]
     ncols: int
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.columns)
 
-    def coordinates_of(self, vec: list) -> list:
-        """Coordinates of vec in this basis, assuming vec lies in the span."""
-        return [vec[c] for c in self.free_cols]
+    @property
+    def vectors(self) -> list[list]:
+        """The basis as dense vectors, for small kernels and tests."""
+        out = []
+        for col in self.columns:
+            vec = [self.field.zero] * self.ncols
+            for j, v in col.items():
+                vec[j] = v
+            out.append(vec)
+        return out
 
-    def in_span(self, field: Field, vec: list) -> bool:
-        coords = self.coordinates_of(vec)
-        recon = [field.zero] * self.ncols
-        for c, bvec in zip(coords, self.vectors):
-            if field.is_zero(c):
+    def combination(self, coords: list) -> dict:
+        """The sparse vector sum_i coords[i] * columns[i]."""
+        F = self.field
+        add, mul = F.add, F.mul
+        out: dict = {}
+        for c, col in zip(coords, self.columns):
+            if F.is_zero(c):
                 continue
-            for j, x in enumerate(bvec):
-                if not field.is_zero(x):
-                    recon[j] = field.add(recon[j], field.mul(c, x))
-        return all(field.eq(a, b) for a, b in zip(recon, vec))
+            for j, v in col.items():
+                p = mul(c, v)
+                out[j] = add(out[j], p) if j in out else p
+        return {j: v for j, v in out.items() if not F.is_zero(v)}
+
+    def in_span(self, vec: list) -> bool:
+        F = self.field
+        recon = self.combination([vec[c] for c in self.free_cols])
+        return all(F.eq(recon.get(j, F.zero), x) for j, x in enumerate(vec))
 
 
 def kernel(a: Matrix) -> list[list]:
@@ -355,15 +392,13 @@ def simultaneous_kernel(mats: list[Matrix]) -> KernelBasis:
         for row in m.rows:
             red.add(row)
     free = [c for c in range(n) if c not in red.pivots]
-    position = {f: i for i, f in enumerate(free)}
-    vectors = [[F.zero] * n for _ in free]
-    for i, f in enumerate(free):
-        vectors[i][f] = F.one
+    columns = [{f: F.one} for f in free]
+    column_of = dict(zip(free, columns))
     for col, prow in red.pivots.items():
         for j, c in prow.items():
             if j != col:
-                vectors[position[j]][col] = F.neg(c)
-    return KernelBasis(vectors, free, n)
+                column_of[j][col] = F.neg(c)
+    return KernelBasis(F, columns, free, n)
 
 
 def _primitive_row(field: Field, row: dict) -> dict:

@@ -7,13 +7,25 @@ generating set.  Two free-module fast paths avoid huge dense systems: maps
 out of the regular module are classified by the image of the unit, and maps
 out of (regular x W) by the free-module untwisting h x w -> h1 x S(h2)w.
 Fast-path bases are post-checked to intertwine on the generating set.
+Every path reads coordinates sparsely, straight from the nonzeros of a map.
+
+The adjoint module (the canonical end) is kept on the algebra, and a module
+keeps its tensor powers, so their action matrices are built once per
+algebra.
 """
 
 from __future__ import annotations
 
 from .fields import Field
 from .hopf import HopfData, MissingRMatrix, MissingRibbon
-from .linalg import KernelBasis, Matrix, kron_sum, simultaneous_kernel, tensor_product
+from .linalg import (
+    KernelBasis,
+    Matrix,
+    kron_sum,
+    linear_combination,
+    simultaneous_kernel,
+    tensor_product,
+)
 
 
 class RepcatError(Exception):
@@ -36,7 +48,11 @@ GENERIC_HOM_UNKNOWN_LIMIT = 6000
 
 
 class Module:
-    """A finite-dimensional left module given by one action matrix per basis index."""
+    """A finite-dimensional left module given by one action matrix per basis index.
+
+    Action matrices are built on first use and kept, and so are the module's
+    tensor powers (``tensor_power``).
+    """
 
     def __init__(self, algebra: HopfData, dim: int, name: str, action_builder, *,
                  is_regular: bool = False, tensor_factors: tuple | None = None):
@@ -47,6 +63,7 @@ class Module:
         self._action: dict[int, Matrix] = {}
         self.is_regular = is_regular
         self.tensor_factors = tensor_factors
+        self._powers: list[Module] = [self]  # _powers[k - 1] is the k-th tensor power
 
     def act(self, i: int) -> Matrix:
         if i not in self._action:
@@ -55,11 +72,8 @@ class Module:
 
     def act_element(self, x: list) -> Matrix:
         F = self.algebra.field
-        out = Matrix(F, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if not F.is_zero(c):
-                out = out.add(self.act(i).scale(c))
-        return out
+        terms = [(c, self.act(i)) for i, c in enumerate(x) if not F.is_zero(c)]
+        return linear_combination(F, self.dim, self.dim, terms)
 
     def action_respects_algebra(self) -> bool:
         """rho(g) rho(e_j) = rho(g e_j) on the generating set, and rho(1) = I."""
@@ -124,29 +138,41 @@ def tensor_module(m: Module, n: Module) -> Module:
 
 
 def adjoint_module(h: HopfData) -> Module:
-    """The algebra on itself with a.x = sum a1 x S(a2): the canonical end."""
+    """The algebra on itself with a.x = sum a1 x S(a2): the canonical end.
+
+    One instance per algebra, kept in ``HopfData._cache``, so each adjoint
+    action matrix (and each matrix of its tensor powers) is built once.
+    """
+    if "adjoint" in h._cache:
+        return h._cache["adjoint"]
     F = h.field
     right_s: dict[int, Matrix] = {}
 
-    def build(i):
-        out = Matrix(F, h.dim, h.dim)
-        for (a, b), c in h.comult[i].items():
-            if b not in right_s:
-                right_s[b] = h.right_mult_of(h.antipode_of(h.basis_vector(b)))
-            out = out.add(h.left_mult_matrix(a).mul(right_s[b]).scale(c))
-        return out
+    def right_antipode(b: int) -> Matrix:
+        if b not in right_s:
+            right_s[b] = h.right_mult_of(h.antipode_of(h.basis_vector(b)))
+        return right_s[b]
 
-    return Module(h, h.dim, "adjoint", build)
+    def build(i):
+        terms = [(c, h.left_mult_matrix(a).mul(right_antipode(b))) for (a, b), c in h.comult[i].items()]
+        return linear_combination(F, h.dim, h.dim, terms)
+
+    h._cache["adjoint"] = Module(h, h.dim, "adjoint", build)
+    return h._cache["adjoint"]
 
 
 def tensor_power(m: Module, g: int) -> Module:
-    """Left-associated g-th tensor power; power 0 is the trivial module."""
+    """Left-associated g-th tensor power; power 0 is the trivial module.
+
+    Powers are kept on m, and power k is built on power k - 1, so every
+    power shares the action matrices of the lower ones.
+    """
     if g == 0:
         return trivial_module(m.algebra)
-    out = m
-    for _ in range(g - 1):
-        out = tensor_module(out, m)
-    return out
+    powers = m._powers
+    while len(powers) < g:
+        powers.append(tensor_module(powers[-1], m))
+    return powers[g - 1]
 
 
 def module_from_action_table(h: HopfData, name: str, dim: int, table: dict[int, list[list]]) -> Module:
@@ -186,18 +212,18 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, f: Matrix) -> list:
-        """Coordinates of an intertwiner f in this basis (f must lie in the span)."""
+    def coordinates(self, f: Matrix) -> dict:
+        """Coordinates of an intertwiner f in this basis, sparse (basis index
+        -> nonzero value); f must lie in the span."""
         return self._coords_fn(f)
 
+    def combination(self, coords: dict) -> Matrix:
+        """The map sum_k coords[k] * basis[k]."""
+        terms = [(c, self.basis[k]) for k, c in coords.items()]
+        return linear_combination(self.source.algebra.field, self.target.dim, self.source.dim, terms)
+
     def contains_matrix(self, f: Matrix) -> bool:
-        F = self.source.algebra.field
-        coords = self.coordinates(f)
-        acc = Matrix(F, self.target.dim, self.source.dim)
-        for c, b in zip(coords, self.basis):
-            if not F.is_zero(c):
-                acc = acc.add(b.scale(c))
-        return acc == f
+        return self.combination(self.coordinates(f)) == f
 
     def __repr__(self):
         return f"HomSpace({self.source.name} -> {self.target.name}, dim={self.dim})"
@@ -237,22 +263,23 @@ def _hom_generic(source: Module, target: Module) -> HomSpace:
         rhs = tensor_product(ident_t, source.act(g).transpose())
         mats.append(lhs.sub(rhs))
     ker = simultaneous_kernel(mats)
+    # unknown r * source.dim + c is the entry (r, c) of the map
     basis = []
-    for vec in ker.vectors:
+    for col in ker.columns:
         f = Matrix(F, target.dim, source.dim)
-        for r in range(target.dim):
-            for c in range(source.dim):
-                v = vec[r * source.dim + c]
-                if not F.is_zero(v):
-                    f.rows[r][c] = v
+        for idx, v in col.items():
+            r, c = divmod(idx, source.dim)
+            f.rows[r][c] = v
         basis.append(f)
+    free_entries = [divmod(idx, source.dim) for idx in ker.free_cols]
 
-    def coords(f: Matrix) -> list:
-        vec = [F.zero] * (target.dim * source.dim)
-        for r, row in enumerate(f.rows):
-            for c, v in row.items():
-                vec[r * source.dim + c] = v
-        return [vec[j] for j in ker.free_cols]
+    def coords(f: Matrix) -> dict:
+        out = {}
+        for k, (r, c) in enumerate(free_entries):
+            v = f.rows[r].get(c)
+            if v is not None and not F.is_zero(v):
+                out[k] = v
+        return out
 
     return HomSpace(source, target, basis, ker, coords)
 
@@ -272,10 +299,10 @@ def _hom_from_regular(source: Module, target: Module) -> HomSpace:
                 if v is not None and not F.is_zero(v):
                     f.rows[r][col] = v
         basis.append(f)
-    unit = h.unit
+    unit_entries = h.sparse(h.unit)
 
-    def coords(f: Matrix) -> list:
-        return f.apply_right(unit)
+    def coords(f: Matrix) -> dict:
+        return _unit_block_coordinates(F, f, unit_entries, 1)
 
     space = HomSpace(source, target, basis, None, coords)
     _post_check_fast_basis(space)
@@ -289,49 +316,60 @@ def _hom_from_free(source: Module, target: Module) -> HomSpace:
     F = h.field
     reg, w_mod = source.tensor_factors
     wd = w_mod.dim
-    s_act: dict[int, Matrix] = {}
+    add, mul, is_zero = F.add, F.mul, F.is_zero
+    s_rows: dict[int, list[dict]] = {}  # h2 -> rows of rho_W(S(e_h2))
+    y_cols: dict[int, list[dict]] = {}  # h1 -> columns of rho_Y(e_h1)
+    terms = []  # (hidx * wd, c, y_cols[h1], s_rows[h2]) for each term c e_h1 x e_h2 of Delta(e_hidx)
+    for hidx in range(h.dim):
+        for (h1, h2), c in h.comult[hidx].items():
+            if h2 not in s_rows:
+                s_rows[h2] = w_mod.act_element(h.antipode_of(h.basis_vector(h2))).rows
+            if h1 not in y_cols:
+                y_cols[h1] = target.act(h1).transpose().rows
+            terms.append((hidx * wd, c, y_cols[h1], s_rows[h2]))
     basis = []
     for y in range(target.dim):
         for t in range(wd):
-            f = Matrix(F, target.dim, source.dim)
-            for hidx in range(h.dim):
-                for (h1, h2), c in h.comult[hidx].items():
-                    if h2 not in s_act:
-                        s_act[h2] = w_mod.act_element(h.antipode_of(h.basis_vector(h2)))
-                    srow = s_act[h2].rows[t]
-                    if not srow:
-                        continue
-                    ycol = target.act(h1)
-                    for r in range(target.dim):
-                        a = ycol.rows[r].get(y)
-                        if a is None or F.is_zero(a):
-                            continue
-                        ca = F.mul(c, a)
-                        for widx, sv in srow.items():
-                            col = hidx * wd + widx
-                            val = F.add(f.rows[r].get(col, F.zero), F.mul(ca, sv))
-                            if F.is_zero(val):
-                                f.rows[r].pop(col, None)
-                            else:
-                                f.rows[r][col] = val
-            basis.append(f)
-    unit = h.unit
+            rows: list[dict] = [{} for _ in range(target.dim)]
+            for base, c, ycols, srows in terms:
+                srow = srows[t]
+                if not srow:
+                    continue
+                for r, a in ycols[y].items():
+                    ca = mul(c, a)
+                    row = rows[r]
+                    for widx, sv in srow.items():
+                        col = base + widx
+                        p = mul(ca, sv)
+                        row[col] = add(row[col], p) if col in row else p
+            rows = [{j: v for j, v in row.items() if not is_zero(v)} for row in rows]
+            basis.append(Matrix(F, target.dim, source.dim, rows))
+    unit_entries = h.sparse(h.unit)
 
-    def coords(f: Matrix) -> list:
+    def coords(f: Matrix) -> dict:
         # c_{y,t} = (f applied to 1 x e_t)[y]: Delta(1) = 1 x 1 makes the
         # untwisting act trivially at the unit
-        images = []
-        for t in range(wd):
-            vec = [F.zero] * source.dim
-            for hidx, uv in enumerate(unit):
-                if not F.is_zero(uv):
-                    vec[hidx * wd + t] = uv
-            images.append(f.apply_right(vec))
-        return [images[t][y] for y in range(target.dim) for t in range(wd)]
+        return _unit_block_coordinates(F, f, unit_entries, wd)
 
     space = HomSpace(source, target, basis, None, coords)
     _post_check_fast_basis(space)
     return space
+
+
+def _unit_block_coordinates(F: Field, f: Matrix, unit_entries: dict, wd: int) -> dict:
+    """Entry y * wd + t is (f applied to 1 x e_t)[y], for f on H x W with W of
+    dimension wd (wd = 1: f applied to 1), read from the nonzeros of f in the
+    columns hidx * wd + t of the unit's support."""
+    out: dict = {}
+    for y, row in enumerate(f.rows):
+        for col, v in row.items():
+            hidx, t = divmod(col, wd)
+            uv = unit_entries.get(hidx)
+            if uv is not None:
+                key = y * wd + t
+                p = F.mul(v, uv)
+                out[key] = F.add(out[key], p) if key in out else p
+    return {k: v for k, v in out.items() if not F.is_zero(v)}
 
 
 def _post_check_fast_basis(space: HomSpace, sample: int = 2) -> None:

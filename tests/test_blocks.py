@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import pytest
 
 from hopfblocks import catalog
 from hopfblocks.blocks import (
+    BlocksError,
     DIRECT,
     GenusCapExceeded,
     HandleOutOfRange,
@@ -13,10 +17,11 @@ from hopfblocks.blocks import (
     center_twist_op,
     end_twist,
     nonseparating_twist_op,
+    restrict_operator,
     separating_twist_op,
     surface_block_space,
 )
-from hopfblocks.linalg import operator_order
+from hopfblocks.linalg import Matrix, operator_order
 from hopfblocks.repcat import adjoint_module, hom_space, regular_module, trivial_module
 
 
@@ -207,3 +212,35 @@ def test_block_operator_certificate_consistency():
     for d in range(1, n):
         if n % d == 0:
             assert not op.matrix.power(d).is_identity()
+
+
+@pytest.mark.parametrize("model", [DIRECT, RELATIVE_CENTER])
+def test_restrict_operator_checks_every_basis_vector(model):
+    # Op = I + E with E sending only basis vector 3 (1 at free column f, 0 at
+    # every other free column) to a pivot unit vector, which no nonzero
+    # vector of the block has; the images of basis vectors 0-2 stay fixed
+    block = block_space(catalog.get("group:S3"), 2, model)
+    basis = block.basis
+    assert block.dim > 3
+    f = basis.free_cols[3]
+    pivot = next(c for c in range(basis.ncols) if c not in basis.free_cols)
+    F = block.algebra.field
+    op = Matrix.identity(F, basis.ncols)
+    if block.covectors:  # image b . Op
+        op.rows[f][pivot] = F.one
+    else:  # image Op . b
+        op.rows[pivot][f] = F.one
+    assert restrict_operator(block, Matrix.identity(F, basis.ncols)).is_identity()
+    with pytest.raises(BlocksError):
+        restrict_operator(block, op)
+
+
+def test_block_caches_do_not_pin_the_algebra():
+    # a fresh construction, not the cached catalog.get entry
+    h = catalog.double_of_group(catalog.cyclic_group(2))
+    assert block_space(h, 1).dim == 4
+    assert separating_twist_op(h, 1, 1).dim == 16
+    ref = weakref.ref(h)
+    del h
+    gc.collect()
+    assert ref() is None

@@ -115,3 +115,24 @@ def test_skipped_is_not_passed_semantics():
     report = TheoremReport("X", [Check("a", "s", status="skipped", detail="cap")])
     assert report.passed  # no failures
     assert not report.checks[0].passed  # but the check itself did not pass
+
+
+def test_gated_rows_name_their_checks():
+    report = harness.run_all(catalog.get("double:sweedler"))
+    assert [c.name for c in report.checks] == [
+        "ribbon-element-order",
+        "nonseparating-twist-order(g=1..2)",
+        "separating-twist-order(1,1)",
+        "excision-consistency(g=1)",
+        "excision-consistency(g=2)",
+        "johnson-kernel-criterion",
+        "torelli-criterion",
+        "commuting-twist-lattice(g=2, window=4)",
+    ]
+    gated = [c for c in report.checks if c.status == "gated"]
+    assert len(gated) == 7
+    assert all(c.statement and c.detail == "RibbonRequired: D(H4)" for c in gated)
+    table_rows = report.to_table().splitlines()[2:]
+    for c, line in zip(report.checks, table_rows, strict=True):
+        assert line.startswith(c.name)
+        assert ("RibbonRequired" in line) == (c.status == "gated")

@@ -14,6 +14,7 @@ from hopfblocks.linalg import (
     inverse,
     kernel,
     kron_sum,
+    linear_combination,
     minimal_polynomial,
     operator_order,
     simultaneous_kernel,
@@ -254,6 +255,25 @@ def test_kron_sum_matches_entrywise_oracle(F):
         assert got.nnz() == expected.nnz()
     assert kron_sum(F, 6, 6, partial).nnz() < 36
     assert kron_sum(F, 6, 6, [(c0, a0, b0), (F.neg(c0), a0, b0)]).nnz() == 0
+
+
+@FIELDS
+def test_linear_combination_matches_entrywise_oracle(F):
+    rng = random.Random(13)
+    terms = [(F.random_element(rng, zero_ok=False), rand_matrix(rng, F, 3, 4)) for _ in range(4)]
+    c0, m0 = terms[0]
+    # cancels the first term except in row 0
+    m1 = Matrix(F, 3, 4, [{}] + [dict(row) for row in m0.rows[1:]])
+    for case in (terms, terms + [(F.neg(c0), m1)], [(c0, m0), (F.neg(c0), m0)]):
+        dense = [[F.zero] * 4 for _ in range(3)]
+        for c, m in case:
+            for i, j in itertools.product(range(3), range(4)):
+                dense[i][j] = F.add(dense[i][j], F.mul(c, m.entry(i, j)))
+        expected = Matrix.from_dense(F, dense)
+        got = linear_combination(F, 3, 4, case)
+        assert got == expected
+        assert got.nnz() == expected.nnz()
+    assert linear_combination(F, 3, 4, [(c0, m0), (F.neg(c0), m0)]).nnz() == 0
 
 
 # -- minimal polynomials -------------------------------------------------------

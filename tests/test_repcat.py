@@ -1,7 +1,7 @@
 import pytest
 
 from hopfblocks import catalog, repcat
-from hopfblocks.fields import QQ
+from hopfblocks.fields import QQ, PrimeField
 from hopfblocks.linalg import Matrix, operator_order
 from hopfblocks.repcat import (
     ActionsDoNotCommute,
@@ -101,7 +101,7 @@ def test_hom_fast_path_matches_generic():
     for f in fast.basis:
         assert is_intertwiner(f, reg, a)
         vec = [f.entry(r, c) for r in range(a.dim) for c in range(reg.dim)]
-        assert generic.kernel.in_span(h.field, vec)
+        assert generic.kernel.in_span(vec)
 
 
 def test_hom_free_fast_path_matches_generic():
@@ -115,7 +115,7 @@ def test_hom_free_fast_path_matches_generic():
     for f in fast.basis[:4]:
         assert is_intertwiner(f, src, reg)
         vec = [f.entry(r, c) for r in range(reg.dim) for c in range(src.dim)]
-        assert generic.kernel.in_span(h.field, vec)
+        assert generic.kernel.in_span(vec)
 
 
 def test_hom_basis_matrices_are_intertwiners():
@@ -265,3 +265,24 @@ def test_bimodule_noncommuting_actions_rejected():
     b = Matrix.from_dense(F, [[0, 0], [1, 0]])
     with pytest.raises(ActionsDoNotCommute):
         Bimodule(F, 2, {"t": a}, {"t": b})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("algebra", ["group:S3", "sweedler"])
+def test_hom_coordinates_of_basis_are_unit_vectors(algebra, field):
+    group = catalog.symmetric_group_3()
+    h = catalog.group_algebra(group, field) if algebra == "group:S3" else catalog.sweedler(field)
+    reg, a = regular_module(h), adjoint_module(h)
+    spaces = {
+        "regular": hom_space(reg, a),
+        "free": hom_space(tensor_module(reg, a), reg),
+        "generic": hom_space(a, tensor_module(a, a)),
+    }
+    assert spaces["regular"].kernel is None and spaces["free"].kernel is None
+    assert spaces["generic"].kernel is not None
+    F = h.field
+    for path, hs in spaces.items():
+        assert hs.dim > 1, path
+        for j, f in enumerate(hs.basis):
+            coords = hs.coordinates(f)
+            assert coords.keys() == {j} and F.eq(coords[j], F.one), (path, j)
