@@ -130,10 +130,18 @@ def _direct_block(h: HopfData, genus: int) -> BlockSpace:
     F = h.field
     power = tensor_power(adjoint_module(h), genus)
     mats = []
-    ident = Matrix.identity(F, power.dim)
     for g in h.generating_indices():
-        diff = power.act(g).sub(ident.scale(h.counit[g]))
-        mats.append(diff.transpose())
+        # covectors f with f . rho(g) = eps(g) f: the rows of rho(g)^T - eps(g) I
+        diff = power.act(g).transpose()
+        eps = h.counit[g]
+        if not F.is_zero(eps):
+            for i, row in enumerate(diff.rows):
+                d = F.sub(row.get(i, F.zero), eps)
+                if F.is_zero(d):
+                    del row[i]
+                else:
+                    row[i] = d
+        mats.append(diff)
     basis = simultaneous_kernel(mats)
     return BlockSpace(h, genus, DIRECT, basis, power, covectors=True)
 

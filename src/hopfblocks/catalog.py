@@ -14,7 +14,7 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
-from .fields import Field, QQ, field_from_json
+from .fields import Field, FieldError, QQ, field_from_json
 from .hopf import HopfData, Matrix, StructureReport, drinfeld_double
 from .linalg import LinAlgError
 
@@ -558,7 +558,7 @@ def from_json(doc: dict, validate: bool = True) -> HopfData:
             generators=[int(g) for g in doc["generators"]] if "generators" in doc else None,
             flags=_flags_from_json(doc.get("flags", {})),
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, FieldError) as exc:
         raise ParseError(f"malformed algebra file: {exc}") from exc
     if validate:
         report = h.validate()

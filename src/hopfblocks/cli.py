@@ -154,6 +154,9 @@ def cmd_dehn(args) -> int:
 
 
 def cmd_theorems(args) -> int:
+    if args.max_genus < 1 or args.window < 0:
+        _error("BAD_ARGUMENT", "--max-genus must be at least 1 and --window at least 0")
+        return EXIT_USAGE
     h = _load(args.algebra, args.full_axioms)
     report = harness.run_all(
         h, max_genus=args.max_genus, window=args.window, cap=args.cap, genus_cap=args.genus_cap

@@ -141,6 +141,8 @@ class HopfData:
             raise DimensionMismatch("comult tensor must have dim entries")
         if antipode.nrows != dim or antipode.ncols != dim:
             raise DimensionMismatch("antipode must be dim x dim")
+        if generators is not None and any(not 0 <= g < dim for g in generators):
+            raise DimensionMismatch("generator indices must lie in 0..dim-1")
         self.name = name
         self.field = field
         self.dim = dim
@@ -652,16 +654,6 @@ class HopfData:
     def element_inverse(self, x: list) -> list:
         """The inverse of x, from x y = 1; a ``LinAlgError`` when x has none."""
         return solve_unique(self.left_mult_of(x), self.unit)
-
-    def ribbon_inverse(self) -> list:
-        if self.ribbon is None:
-            raise MissingRibbon(self.name)
-        if "ribbon_inverse" not in self._cache:
-            try:
-                self._cache["ribbon_inverse"] = self.element_inverse(self.ribbon)
-            except LinAlgError as exc:
-                raise HopfError(f"ribbon element is not invertible: {exc}") from exc
-        return self._cache["ribbon_inverse"]
 
     def drinfeld_element(self) -> list:
         """u = sum S(b_i) a_i for R = sum a_i x b_i."""

@@ -2,15 +2,19 @@
 certified operator orders in GL and PGL.
 
 Every elimination in this module -- kernels, inverses, unique solves, the
-annihilators behind minimal polynomials, and subalgebra spans -- goes through
-one exact sparse row reducer, ``_RowReducer``.  It keeps its rows in reduced
-row echelon form keyed by pivot column: the pivot is the least column of its
-row, the row is 1 there and 0 in every other pivot column (over Q each new row
-is first cleared of denominators and content to keep entries small).  That
-form is unique for a given row space, so results are exact by construction
-and need no certificate.
+annihilators behind minimal polynomials, and subalgebra spans -- is read off
+the reduced row echelon form of its system: the pivot is the least column of
+its row, the row is 1 there and 0 in every other pivot column.  That form is
+unique for a given row space, so results are exact by construction and need
+no certificate.  One exact sparse row reducer, ``_RowReducer``, builds it
+(over Q each new row is first cleared of denominators and content to keep
+entries small).
 
-A kernel basis (``KernelBasis``) is read straight off the pivot rows as
+A kernel basis (``KernelBasis``) comes from one of two routes, chosen by row
+length.  When every row of the stacked system has at most two nonzeros --
+the block constraints of group doubles are monomial -- a weighted union-find
+solves it in near-linear time (``_two_term_kernel``); any other system goes
+whole to the reducer.  Both routes give the same reduced basis, stored as
 sparse columns, one dict per basis vector; consumers push those columns
 through their operators and read coordinates at the free columns, so no
 dense vector of the ambient length is built on the way.  ``vectors``
@@ -323,8 +327,10 @@ class KernelBasis:
 
     ``columns[i]`` is the i-th basis vector as a dict (coordinate -> nonzero
     value): 1 at ``free_cols[i]``, 0 at every other free column, and minus the
-    pivot rows' entries in that free column at the pivot columns.  It is read
-    straight off the pivot rows; no dense vector is built.
+    pivot rows' entries in that free column at the pivot columns.  No dense
+    vector is built.  Systems whose rows have at most two nonzeros reach this
+    basis by a weighted union-find, all others by ``_RowReducer``; the reduced
+    form is unique, so both routes give the same columns.
 
     ``free_cols`` are the non-pivot columns of the reduced row echelon form of
     the stacked system, where each pivot is the least column of its row.  The
@@ -379,7 +385,12 @@ def kernel(a: Matrix) -> list[list]:
 
 
 def simultaneous_kernel(mats: list[Matrix]) -> KernelBasis:
-    """Basis of the intersection of the kernels of the given matrices."""
+    """Basis of the intersection of the kernels of the given matrices.
+
+    When every row of the stacked system has at most two nonzeros the kernel
+    is solved by ``_two_term_kernel``; otherwise the whole system goes to
+    ``_RowReducer``.  Both give the same reduced basis.
+    """
     if not mats:
         raise LinAlgError("simultaneous_kernel of no matrices")
     F = mats[0].field
@@ -387,6 +398,87 @@ def simultaneous_kernel(mats: list[Matrix]) -> KernelBasis:
     for m in mats:
         if m.field != F or m.ncols != n:
             raise FieldMismatch("incompatible matrices in simultaneous_kernel")
+    basis = _two_term_kernel(F, n, mats)
+    return basis if basis is not None else _reduced_kernel(F, n, mats)
+
+
+def _two_term_kernel(field: Field, n: int, mats: list[Matrix]) -> KernelBasis | None:
+    """The reduced kernel basis when every row has at most two nonzeros, else None.
+
+    A weighted union-find with path compression and union by size (Tarjan,
+    J. ACM 22, 1975): each column c has a parent and a ratio with
+    x_c = ratio_c * x_parent.  A two-term row a x_i + b x_j = 0 merges the
+    components of i and j, or, when they already share a root, forces that
+    component to zero unless the cycle it closes is consistent; a one-term
+    row forces its component to zero, and a merge with a zero component is
+    zero.  Every live component spans one kernel vector, normalised at its
+    largest column t to x_c = w_c / w_t.  The largest column is the
+    component's one free column of the reduced row echelon form (each pivot
+    the least column of its row), so the basis is the one ``_RowReducer``
+    gives.
+    """
+    F = field
+    one, add, mul, div, neg, is_zero = F.one, F.add, F.mul, F.div, F.neg, F.is_zero
+    parent = list(range(n))
+    ratio = [one] * n
+    size = [1] * n
+    dead = [False] * n
+
+    def find(c: int) -> tuple[int, object]:
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        w = one
+        for node in reversed(path):
+            w = mul(ratio[node], w)
+            ratio[node] = w
+            parent[node] = c
+        return c, (ratio[path[0]] if path else one)
+
+    for m in mats:
+        for row in m.rows:
+            if not row:
+                continue
+            t = [(j, v) for j, v in row.items() if not is_zero(v)]
+            if len(t) > 2:
+                return None
+            if len(t) < 2:
+                if t:
+                    dead[find(t[0][0])[0]] = True
+                continue
+            (i, a), (j, b) = t
+            ri, wi = find(i)
+            rj, wj = find(j)
+            ai, bj = mul(a, wi), mul(b, wj)  # the row reads ai x_ri + bj x_rj = 0
+            if ri == rj:
+                if not is_zero(add(ai, bj)):
+                    dead[ri] = True
+                continue
+            if size[ri] < size[rj]:
+                ri, rj, ai, bj = rj, ri, bj, ai
+            parent[rj] = ri
+            ratio[rj] = neg(div(ai, bj))
+            size[ri] += size[rj]
+            dead[ri] = dead[ri] or dead[rj]
+
+    members: dict[int, list] = {}
+    for c in range(n):
+        r, w = find(c)
+        if not dead[r]:
+            members.setdefault(r, []).append((c, w))
+    columns = {}
+    for comp in members.values():
+        top, wt = comp[-1]
+        columns[top] = {c: div(w, wt) for c, w in comp[:-1]}
+        columns[top][top] = one
+    free = sorted(columns)
+    return KernelBasis(F, [columns[f] for f in free], free, n)
+
+
+def _reduced_kernel(field: Field, n: int, mats: list[Matrix]) -> KernelBasis:
+    """The kernel basis read off the pivot rows of ``_RowReducer``."""
+    F = field
     red = _RowReducer(F)
     for m in mats:
         for row in m.rows:

@@ -24,7 +24,6 @@ from .linalg import (
     kron_sum,
     linear_combination,
     simultaneous_kernel,
-    tensor_product,
 )
 
 
@@ -255,13 +254,15 @@ def _hom_generic(source: Module, target: Module) -> HomSpace:
             f"{unknowns} unknowns for Hom({source.name}, {target.name}); "
             "no free-module fast path applies"
         )
-    mats = []
     ident_s = Matrix.identity(F, source.dim)
     ident_t = Matrix.identity(F, target.dim)
-    for g in h.generating_indices():
-        lhs = tensor_product(target.act(g), ident_s)
-        rhs = tensor_product(ident_t, source.act(g).transpose())
-        mats.append(lhs.sub(rhs))
+    minus = F.neg(F.one)
+    # f rho_S(g) = rho_T(g) f on the row-major unknowns of f
+    mats = [
+        kron_sum(F, unknowns, unknowns,
+                 [(F.one, target.act(g), ident_s), (minus, ident_t, source.act(g).transpose())])
+        for g in h.generating_indices()
+    ]
     ker = simultaneous_kernel(mats)
     # unknown r * source.dim + c is the entry (r, c) of the map
     basis = []

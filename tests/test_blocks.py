@@ -244,3 +244,18 @@ def test_block_caches_do_not_pin_the_algebra():
     del h
     gc.collect()
     assert ref() is None
+
+
+def test_genus_three_double_s3():
+    # the paper's non-separating theorem at genus 3: the Verlinde count
+    # sum_i (D/d_i)^(2g-2) over the simple D(S3)-modules (D = 6) in both
+    # models, and PGL order of a meridian twist equal to the ribbon order
+    h = catalog.get("double:S3")
+    simple_dims = [1, 1, 2, 2, 2, 2, 3, 3]
+    verlinde = sum((6 // d) ** 4 for d in simple_dims)
+    direct = block_space(h, 3, DIRECT, genus_cap=3)
+    center = block_space(h, 3, RELATIVE_CENTER, genus_cap=3)
+    assert direct.dim == center.dim == verlinde == 2948
+    op = nonseparating_twist_op(direct, 1)
+    assert op.certificate.pgl_order == h.ribbon_order().gl_order
+    assert op.certificate.pgl_order.n == 6

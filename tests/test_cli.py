@@ -204,3 +204,35 @@ def test_hom_space_too_large_exit(capsys):
     code, _, err = run(["dehn", "double:S3", "--curve", "sep:1,2"], capsys)
     assert code == 2
     assert "HOM_SPACE_TOO_LARGE" in err
+
+
+def _corrupt_file(tmp_path, key, value):
+    from hopfblocks.catalog import to_json
+
+    doc = to_json(catalog.get("group:Z2"))
+    doc[key] = value
+    path = tmp_path / f"bad_{key}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, corrupt, code_name",
+    [
+        (["check"], ("field", {"kind": "R"}), "PARSE_ERROR"),
+        (["invariants"], ("field", {"kind": "R"}), "PARSE_ERROR"),
+        (["check"], ("generators", [0, 7]), "DIMENSION_MISMATCH"),
+        (["invariants"], ("generators", [-1]), "DIMENSION_MISMATCH"),
+        (["theorems", "double:Z2", "--max-genus", "0"], None, "BAD_ARGUMENT"),
+        (["theorems", "double:Z2", "--window", "-1"], None, "BAD_ARGUMENT"),
+    ],
+    ids=["check-field-kind", "invariants-field-kind", "check-generator-index",
+         "invariants-generator-index", "theorems-max-genus-0", "theorems-window-negative"],
+)
+def test_bad_input_exits_usage_with_stable_code(argv, corrupt, code_name, tmp_path, capsys):
+    if corrupt is not None:
+        argv = argv + [_corrupt_file(tmp_path, *corrupt)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert f"error[{code_name}]" in err
+    assert "Traceback" not in err

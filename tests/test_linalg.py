@@ -9,6 +9,7 @@ from hopfblocks.linalg import (
     LinAlgError,
     Matrix,
     NotInvertible,
+    _RowReducer,
     _unity_candidates,
     conjugation_operator,
     inverse,
@@ -151,6 +152,71 @@ def lift(F, data):
 
 def same_vector(F, xs, ys):
     return all(F.eq(x, y) for x, y in zip(xs, ys, strict=True))
+
+
+def reducer_kernel(F, n, mats):
+    """Oracle: the kernel basis read straight off ``_RowReducer``'s pivot rows."""
+    red = _RowReducer(F)
+    for m in mats:
+        for row in m.rows:
+            red.add(row)
+    free = [c for c in range(n) if c not in red.pivots]
+    columns = {f: {f: F.one} for f in free}
+    for p, prow in red.pivots.items():
+        for j, c in prow.items():
+            if j != p:
+                columns[j][p] = F.neg(c)
+    return free, [columns[f] for f in free]
+
+
+def random_two_term_system(F, rng, n):
+    """Stacked rows of at most two nonzeros over n columns: links consistent
+    with a hidden solution p, links that most likely close inconsistent
+    cycles, one-term rows, repeated rows, explicit zero entries, and a few
+    columns no row touches."""
+    p = [F.random_element(rng, zero_ok=False) for _ in range(n)]
+    touched = rng.sample(range(n), n - 3)
+    rows = []
+    for _ in range(rng.randint(n // 2, n + 5)):
+        kind = rng.random()
+        i, j = rng.sample(touched, 2)
+        a = F.random_element(rng, zero_ok=False)
+        if kind < 0.08:
+            rows.append({i: a})
+        elif kind < 0.16:
+            rows.append({i: a, j: F.zero})
+        elif kind < 0.25:
+            rows.append({i: a, j: F.random_element(rng, zero_ok=False)})
+        else:
+            rows.append({i: a, j: F.neg(F.div(F.mul(a, p[i]), p[j]))})
+        if rng.random() < 0.1:
+            c = F.random_element(rng, zero_ok=False)
+            rows.append({k: F.mul(c, v) for k, v in rows[-1].items()})
+        if rng.random() < 0.05:
+            rows.append({})
+    rng.shuffle(rows)
+    cut = rng.randint(0, len(rows))
+    return [Matrix(F, cut, n, rows[:cut]), Matrix(F, len(rows) - cut, n, rows[cut:])]
+
+
+@FIELDS
+def test_two_term_kernel_matches_reducer(F):
+    rng = random.Random(11)
+    n = 24
+    systems = [random_two_term_system(F, rng, n) for _ in range(40)]
+    three_term = random_two_term_system(F, rng, n)
+    three_term[0].rows.append({0: F.one, 5: F.one, 9: F.neg(F.one)})
+    three_term[0].nrows += 1
+    linked = 0
+    for mats in systems + [three_term]:
+        ker = simultaneous_kernel(mats)
+        free, columns = reducer_kernel(F, n, mats)
+        assert ker.free_cols == free
+        for col, ref in zip(ker.columns, columns, strict=True):
+            assert set(col) == set(ref)
+            assert all(F.eq(col[j], ref[j]) for j in ref)
+        linked += sum(len(col) > 1 for col in ker.columns)
+    assert linked > 0
 
 
 @FIELDS
