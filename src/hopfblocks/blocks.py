@@ -8,7 +8,13 @@ Two models are provided and cross-checked:
   intertwine into the trivial module;
 * relative center: the center of Hom(G, G x A^(g-1)) relative B = End(G),
   realized on G x A^(g-1) through the free-module identification
-  Hom(G, N) = N, F -> F(1), with G the regular module.
+  Hom(G, N) = N, F -> F(1), with G the regular module.  It is the kernel of
+  R(g) x I - rho(g) over the generators g, one construction for every genus
+  (A^0 is the trivial module, so genus 1 gives the center of H).
+
+Block spaces of the closed surfaces bounding the handlebodies agree with
+these by restriction, for twists supported in the handlebody, so
+``block_space`` serves both.
 
 The twist about the i-th handle meridian acts in the direct model by
 precomposition with (left multiplication by the ribbon element) in slot i;
@@ -33,6 +39,7 @@ from .linalg import (
     Matrix,
     OrderCertificate,
     inverse,
+    kron_sum,
     operator_order,
     simultaneous_kernel,
     tensor_product,
@@ -121,11 +128,6 @@ def block_space(h: HopfData, genus: int, model: str = DIRECT, genus_cap: int | N
     return h._cache[key]
 
 
-# the closed-surface spaces for twists supported in the handlebody agree with
-# the handlebody spaces by restriction; both names are exposed
-surface_block_space = block_space
-
-
 def _direct_block(h: HopfData, genus: int) -> BlockSpace:
     F = h.field
     power = tensor_power(adjoint_module(h), genus)
@@ -148,19 +150,16 @@ def _direct_block(h: HopfData, genus: int) -> BlockSpace:
 
 def _center_block(h: HopfData, genus: int) -> BlockSpace:
     F = h.field
-    reg = regular_module(h)
-    if genus == 1:
-        ambient = reg
-        right_in_ambient = {g: h.right_mult_matrix(g) for g in h.generating_indices()}
-    else:
-        rest = tensor_power(adjoint_module(h), genus - 1)
-        ambient = tensor_module(reg, rest)
-        ident_rest = Matrix.identity(F, rest.dim)
-        right_in_ambient = {
-            g: tensor_product(h.right_mult_matrix(g), ident_rest)
-            for g in h.generating_indices()
-        }
-    mats = [right_in_ambient[g].sub(ambient.act(g)) for g in h.generating_indices()]
+    rest = tensor_power(adjoint_module(h), genus - 1)
+    ambient = tensor_module(regular_module(h), rest)
+    ident_rest = Matrix.identity(F, rest.dim)
+    # x with (R(g) x I) x = rho_ambient(g) x, each constraint one kron_sum
+    mats = [
+        kron_sum(F, ambient.dim, ambient.dim,
+                 [(F.one, h.right_mult_matrix(g), ident_rest)]
+                 + [(F.neg(c), h.left_mult_matrix(a), rest.act(b)) for (a, b), c in h.comult[g].items()])
+        for g in h.generating_indices()
+    ]
     basis = simultaneous_kernel(mats)
     return BlockSpace(h, genus, RELATIVE_CENTER, basis, ambient, covectors=False)
 
@@ -182,6 +181,7 @@ def restrict_operator(block: BlockSpace, ambient_op: Matrix) -> Matrix:
     add, mul = F.add, F.mul
     basis = block.basis
     rows = (ambient_op if block.covectors else ambient_op.transpose()).rows
+    free_index = {c: k for k, c in enumerate(basis.free_cols)}
     out = Matrix(F, basis.dim, basis.dim)
     for j, col in enumerate(basis.columns):
         img: dict = {}
@@ -189,10 +189,9 @@ def restrict_operator(block: BlockSpace, ambient_op: Matrix) -> Matrix:
             for t, a in rows[i].items():
                 p = mul(x, a)
                 img[t] = add(img[t], p) if t in img else p
-        coords = [img.get(c, F.zero) for c in basis.free_cols]
-        for k, v in enumerate(coords):
-            if not F.is_zero(v):
-                out.rows[k][j] = v
+        coords = {free_index[t]: v for t, v in img.items() if t in free_index and not F.is_zero(v)}
+        for k, v in coords.items():
+            out.rows[k][j] = v
         if not h.sparse_eq(basis.combination(coords), img):
             raise BlocksError("restricted operator left the block subspace")
     return out

@@ -198,8 +198,6 @@ def cmd_catalog_list(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # global flags accepted both before and after the subcommand; the
     # suppressed defaults keep a subparser from clobbering earlier values
-    d = argparse.SUPPRESS if suppress else None
-
     def dft(value):
         return argparse.SUPPRESS if suppress else value
 
@@ -212,7 +210,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="iteration cap for order searches")
     parser.add_argument("--genus-cap", type=int, default=dft(None),
                         help="override the genus resource cap")
-    del d
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -402,7 +402,12 @@ def verify_excision(h: HopfData, genus: int, cap: int | None = None,
 
 def run_all(h: HopfData, max_genus: int = 2, window: int = 4, cap: int | None = None,
             genus_cap: int | None = None) -> TheoremReport:
-    """The full theorem suite; checks whose hypotheses fail are gated."""
+    """The full theorem suite; checks whose hypotheses fail are gated.
+
+    Raises ValueError for max_genus < 1 or window < 0 before any check runs.
+    """
+    if max_genus < 1 or window < 0:
+        raise ValueError(f"max_genus must be at least 1 and window at least 0, got {max_genus} and {window}")
     report = TheoremReport(algebra=h.name)
 
     def gated(fn, *args, **kwargs):

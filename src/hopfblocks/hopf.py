@@ -381,7 +381,11 @@ class HopfData:
         return False, f"Drinfeld map has nullity {ker.dim}"
 
     def element_multiplicative_order(self, x: list, cap: int = 512) -> int | None:
-        """Order of x by repeated multiplication; None if the cap is reached."""
+        """Order of x by repeated multiplication; None if the cap is reached.
+
+        A test oracle for the ribbon order, which the library certifies
+        through ``operator_order`` instead.
+        """
         power = x
         for k in range(1, cap + 1):
             if self.is_unit_vector(power):
@@ -764,7 +768,7 @@ def drinfeld_double(h: HopfData) -> HopfData:
                             fpart = dual_mult.get((a, t))
                             if not fpart:
                                 continue
-                            coeff_base = F.mul(F.mul(c_d2, c_t), F.one)
+                            coeff_base = F.mul(c_d2, c_t)
                             row = mult[idx(a, b)][idx(c, d)]
                             for s, c_s in fpart.items():
                                 for y, c_y in hpart.items():

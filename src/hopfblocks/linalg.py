@@ -360,22 +360,21 @@ class KernelBasis:
             out.append(vec)
         return out
 
-    def combination(self, coords: list) -> dict:
-        """The sparse vector sum_i coords[i] * columns[i]."""
+    def combination(self, coords: dict) -> dict:
+        """The sparse vector sum_i coords[i] * columns[i], for sparse
+        coordinates (basis index -> value)."""
         F = self.field
         add, mul = F.add, F.mul
         out: dict = {}
-        for c, col in zip(coords, self.columns):
-            if F.is_zero(c):
-                continue
-            for j, v in col.items():
+        for i, c in coords.items():
+            for j, v in self.columns[i].items():
                 p = mul(c, v)
                 out[j] = add(out[j], p) if j in out else p
         return {j: v for j, v in out.items() if not F.is_zero(v)}
 
     def in_span(self, vec: list) -> bool:
         F = self.field
-        recon = self.combination([vec[c] for c in self.free_cols])
+        recon = self.combination({i: vec[c] for i, c in enumerate(self.free_cols) if not F.is_zero(vec[c])})
         return all(F.eq(recon.get(j, F.zero), x) for j, x in enumerate(vec))
 
 
@@ -975,5 +974,9 @@ def _format_poly_list(field: Field, m: list) -> list:
 
 
 def conjugation_operator(t: Matrix) -> Matrix:
-    """The operator X -> T X T^(-1) on the full matrix space (row-major vec)."""
+    """The operator X -> T X T^(-1) on the full matrix space (row-major vec).
+
+    A test oracle: the library does not call it; tests compare PGL orders
+    against the GL order of this operator.
+    """
     return t.kron(inverse(t).transpose())

@@ -1,13 +1,14 @@
 """The module category of a Hopf algebra: module constructions, intertwiner
-spaces, braiding and twist from the quasitriangular/ribbon data, Mueger
-centrality, and relative centers of bimodules.
+spaces, braiding and twist from the quasitriangular/ribbon data, and Mueger
+centrality.
 
 Intertwiner spaces are solved as stacked kernels over the algebra's
-generating set.  Two free-module fast paths avoid huge dense systems: maps
-out of the regular module are classified by the image of the unit, and maps
-out of (regular x W) by the free-module untwisting h x w -> h1 x S(h2)w.
-Fast-path bases are post-checked to intertwine on the generating set.
-Every path reads coordinates sparsely, straight from the nonzeros of a map.
+generating set.  One free-module fast path avoids huge dense systems: maps
+out of (regular x W) are classified by the free-module untwisting
+h x w -> h1 x S(h2)w, and the regular module takes it with W trivial
+(H = H x k).  Fast-path bases are post-checked to intertwine on the
+generating set.  Every path reads coordinates sparsely, straight from the
+nonzeros of a map.
 
 The adjoint module (the canonical end) is kept on the algebra, and a module
 keeps its tensor powers, so their action matrices are built once per
@@ -32,10 +33,6 @@ class RepcatError(Exception):
 
 
 class AlgebraMismatch(RepcatError):
-    pass
-
-
-class ActionsDoNotCommute(RepcatError):
     pass
 
 
@@ -238,10 +235,10 @@ def is_intertwiner(f: Matrix, source: Module, target: Module) -> bool:
 
 def hom_space(source: Module, target: Module) -> HomSpace:
     h = _same_algebra(source, target)
-    if source.is_regular:
-        return _hom_from_regular(source, target)
+    if source.is_regular:  # H = H x k
+        return _hom_from_free(source, target, trivial_module(h))
     if source.tensor_factors and source.tensor_factors[0].is_regular:
-        return _hom_from_free(source, target)
+        return _hom_from_free(source, target, source.tensor_factors[1])
     return _hom_generic(source, target)
 
 
@@ -285,37 +282,12 @@ def _hom_generic(source: Module, target: Module) -> HomSpace:
     return HomSpace(source, target, basis, ker, coords)
 
 
-def _hom_from_regular(source: Module, target: Module) -> HomSpace:
-    """Hom(H, N) = N via F -> F(1): basis F_n with columns rho_N(e_h) n."""
+def _hom_from_free(source: Module, target: Module, w_mod: Module) -> HomSpace:
+    """Hom(H x W, Y) for a source H x W with diagonal action (W = w_mod), via
+    the untwisting h x w -> h1 x S(h2) w: basis
+    F_{y,t}(h x w) = w*_t(S(h2) w) rho_Y(h1) y."""
     h = source.algebra
     F = h.field
-    basis = []
-    act_cols = [target.act(j) for j in range(h.dim)]
-    for nidx in range(target.dim):
-        f = Matrix(F, target.dim, source.dim)
-        for col in range(h.dim):
-            colvec = act_cols[col]
-            for r in range(target.dim):
-                v = colvec.rows[r].get(nidx)
-                if v is not None and not F.is_zero(v):
-                    f.rows[r][col] = v
-        basis.append(f)
-    unit_entries = h.sparse(h.unit)
-
-    def coords(f: Matrix) -> dict:
-        return _unit_block_coordinates(F, f, unit_entries, 1)
-
-    space = HomSpace(source, target, basis, None, coords)
-    _post_check_fast_basis(space)
-    return space
-
-
-def _hom_from_free(source: Module, target: Module) -> HomSpace:
-    """Hom(H x W, Y) with diagonal action on the source, via the untwisting
-    h x w -> h1 x S(h2) w: basis F_{y,t}(h x w) = w*_t(S(h2) w) rho_Y(h1) y."""
-    h = source.algebra
-    F = h.field
-    reg, w_mod = source.tensor_factors
     wd = w_mod.dim
     add, mul, is_zero = F.add, F.mul, F.is_zero
     s_rows: dict[int, list[dict]] = {}  # h2 -> rows of rho_W(S(e_h2))
@@ -445,33 +417,3 @@ def evaluation_full_rank(hom: HomSpace) -> bool:
         return True
     mat = Matrix.from_dense(F, [[cols[j][r] for j in range(len(cols))] for r in range(hom.target.dim)])
     return simultaneous_kernel([mat]).dim == 0
-
-
-# ---------------------------------------------------------------------------
-# Bimodules and relative centers
-# ---------------------------------------------------------------------------
-
-
-class Bimodule:
-    """Commuting left/right actions of an algebra presented by generators."""
-
-    def __init__(self, field: Field, dim: int, left: dict, right: dict, name: str = "bimodule"):
-        if set(left) != set(right):
-            raise ActionsDoNotCommute("left/right generator keys differ")
-        self.field = field
-        self.dim = dim
-        self.left = left
-        self.right = right
-        self.name = name
-        for key in left:
-            for key2 in left:
-                if left[key].mul(right[key2]) != right[key2].mul(left[key]):
-                    raise ActionsDoNotCommute(f"left[{key}] does not commute with right[{key2}]")
-
-    def relative_center(self) -> KernelBasis:
-        mats = [self.left[k].sub(self.right[k]) for k in self.left]
-        return simultaneous_kernel(mats)
-
-
-def relative_center(b: Bimodule) -> list[list]:
-    return b.relative_center().vectors

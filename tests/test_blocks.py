@@ -19,7 +19,6 @@ from hopfblocks.blocks import (
     nonseparating_twist_op,
     restrict_operator,
     separating_twist_op,
-    surface_block_space,
 )
 from hopfblocks.linalg import Matrix, operator_order
 from hopfblocks.repcat import adjoint_module, hom_space, regular_module, trivial_module
@@ -42,6 +41,17 @@ def test_models_agree_on_dimension():
             assert block_space(h, g, DIRECT).dim == block_space(h, g, RELATIVE_CENTER).dim
 
 
+def test_genus_one_center_block_is_center():
+    # Z(H): the (class, centralizer-irrep) pairs of S3, and all of commutative D(Z2)
+    for name, dim in (("double:S3", 8), ("double:Z2", 4)):
+        h = catalog.get(name)
+        block = block_space(h, 1, RELATIVE_CENTER)
+        assert block.dim == dim
+        for x in block.basis.vectors:
+            assert all(h.multiply(x, h.basis_vector(g)) == h.multiply(h.basis_vector(g), x)
+                       for g in h.generating_indices())
+
+
 def test_center_model_positive_genus():
     with pytest.raises(ModelRequiresPositiveGenus):
         block_space(catalog.get("double:Z2"), 0, RELATIVE_CENTER)
@@ -60,10 +70,6 @@ def test_genus_cap():
     h2 = catalog.get("double:Z2")
     with pytest.raises(GenusCapExceeded):
         block_space(h2, 2, genus_cap=1)
-
-
-def test_surface_alias():
-    assert surface_block_space is block_space
 
 
 def test_end_twist_properties():

@@ -102,6 +102,16 @@ def test_run_all_gates_sweedler_double():
     assert not report.has_failures
 
 
+@pytest.mark.parametrize("kwargs", [{"max_genus": 0}, {"window": -1}], ids=["max_genus=0", "window=-1"])
+def test_run_all_rejects_bad_arguments_before_any_check(kwargs, monkeypatch):
+    def no_check(*args, **kw):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(harness, "verify_prop_order", no_check)
+    with pytest.raises(ValueError):
+        harness.run_all(catalog.get("double:Z2"), **kwargs)
+
+
 def test_report_json_and_table():
     report = TheoremReport("X", [Check("a", "s", lhs="1", rhs="1", status="pass")])
     doc = report.to_json()

@@ -66,6 +66,24 @@ def test_kernel_rank_plus_nullity():
             assert all(QQ.is_zero(x) for x in a.apply_right(v))
 
 
+def test_kernel_combination_reads_sparse_coordinates():
+    # reduced form: a combination's entries at the free columns are its coordinates
+    rng = random.Random(11)
+    for _ in range(10):
+        a = rand_matrix(rng, QQ, 3, 7)
+        ker = simultaneous_kernel([a])
+        coords = {i: QQ.from_int(rng.randint(1, 5)) for i in rng.sample(range(ker.dim), 2)}
+        vec = ker.combination(coords)
+        assert {i: vec[c] for i, c in enumerate(ker.free_cols) if c in vec} == coords
+        dense = [vec.get(j, QQ.zero) for j in range(ker.ncols)]
+        assert all(QQ.is_zero(x) for x in a.apply_right(dense))
+        assert ker.in_span(dense)
+        pivot = next(j for j in range(ker.ncols) if j not in ker.free_cols)
+        dense[pivot] = QQ.add(dense[pivot], QQ.one)
+        assert not ker.in_span(dense)
+    assert ker.combination({}) == {}
+
+
 def test_kernel_cyclotomic():
     F = CyclotomicField(3)
     z = F.zeta()

@@ -4,8 +4,6 @@ from hopfblocks import catalog, repcat
 from hopfblocks.fields import QQ, PrimeField
 from hopfblocks.linalg import Matrix, operator_order
 from hopfblocks.repcat import (
-    ActionsDoNotCommute,
-    Bimodule,
     adjoint_module,
     braiding,
     dual_module,
@@ -16,7 +14,6 @@ from hopfblocks.repcat import (
     monodromy,
     muger_central,
     regular_module,
-    relative_center,
     tensor_module,
     tensor_power,
     trivial_module,
@@ -212,59 +209,6 @@ def test_evaluation_can_fail_for_nonsimple():
     hs = hom_space(reg, reg)
     assert hs.dim * reg.dim > reg.dim
     assert not evaluation_full_rank(hs)
-
-
-# -- relative centers --------------------------------------------------------------
-
-
-def _regular_bimodule(h):
-    gens = h.generating_indices()
-    left = {g: h.left_mult_matrix(g) for g in gens}
-    right = {g: h.right_mult_matrix(g) for g in gens}
-    return Bimodule(h.field, h.dim, left, right, name=f"{h.name} on itself")
-
-
-def test_relative_center_of_regular_bimodule_is_center():
-    h = catalog.get("double:S3")
-    z = relative_center(_regular_bimodule(h))
-    assert len(z) == 8
-    h2 = catalog.get("double:Z2")
-    assert len(relative_center(_regular_bimodule(h2))) == 4  # commutative: everything
-
-
-def test_relative_center_full_matrix_algebra():
-    # M2(Q) acting on itself: the center is the scalars
-    F = QQ
-    units = {}
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        m = Matrix(F, 2, 2)
-        m.rows[i][j] = F.one
-        units[(i, j)] = m
-
-    def lin_op(fn):
-        cols = []
-        for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            out = fn(units[(i, j)])
-            cols.append([out.entry(0, 0), out.entry(0, 1), out.entry(1, 0), out.entry(1, 1)])
-        mat = Matrix(F, 4, 4)
-        for c, col in enumerate(cols):
-            for r, v in enumerate(col):
-                if not F.is_zero(v):
-                    mat.rows[r][c] = v
-        return mat
-
-    left = {k: lin_op(lambda x, e=units[k]: e.mul(x)) for k in units}
-    right = {k: lin_op(lambda x, e=units[k]: x.mul(e)) for k in units}
-    b = Bimodule(F, 4, left, right, name="M2 on itself")
-    assert len(relative_center(b)) == 1
-
-
-def test_bimodule_noncommuting_actions_rejected():
-    F = QQ
-    a = Matrix.from_dense(F, [[0, 1], [0, 0]])
-    b = Matrix.from_dense(F, [[0, 0], [1, 0]])
-    with pytest.raises(ActionsDoNotCommute):
-        Bimodule(F, 2, {"t": a}, {"t": b})
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
