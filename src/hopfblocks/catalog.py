@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .fields import Field, FieldError, QQ, field_from_json
-from .hopf import HopfData, Matrix, StructureReport, drinfeld_double
+from .hopf import DimensionMismatch, HopfData, Matrix, StructureReport, drinfeld_double
 from .linalg import LinAlgError
 
 
@@ -522,24 +522,44 @@ def _flags_from_json(doc: dict) -> dict:
     return out
 
 
+def _tensor_entries(field: Field, dim: int, entries, arity: int) -> list[tuple[list[int], object]]:
+    """The (indices, coefficient) pairs of a sparse tensor in the file format.
+
+    Each index must be an integer in 0..dim-1, else ``DimensionMismatch``
+    (as for generator indices; a negative index would otherwise wrap to the
+    last row).  Zero coefficients are dropped, so every stored structure
+    constant is nonzero.
+    """
+    out = []
+    for *idx, c in entries:
+        if len(idx) != arity or any(type(x) is not int for x in idx):
+            raise ParseError(f"entry {[*idx, c]!r} is not {arity} integer indices and a coefficient")
+        if not all(0 <= x < dim for x in idx):
+            raise DimensionMismatch(f"entry {[*idx, c]!r} has an index outside 0..{dim - 1}")
+        v = _coeff_from_json(field, c)
+        if not field.is_zero(v):
+            out.append((idx, v))
+    return out
+
+
 def from_json(doc: dict, validate: bool = True) -> HopfData:
     try:
         field = field_from_json(doc["field"])
         dim = int(doc["dim"])
+        if dim != len(doc["basis"]):  # before allocating dim x dim products
+            raise DimensionMismatch(f"dim {dim} but {len(doc['basis'])} basis labels")
         mult = [[{} for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, c in doc["mult"]:
-            mult[i][j][k] = _coeff_from_json(field, c)
+        for (i, j, k), c in _tensor_entries(field, dim, doc["mult"], 3):
+            mult[i][j][k] = c
         comult = [dict() for _ in range(dim)]
-        for i, j, k, c in doc["comult"]:
-            comult[i][(j, k)] = _coeff_from_json(field, c)
+        for (i, j, k), c in _tensor_entries(field, dim, doc["comult"], 3):
+            comult[i][(j, k)] = c
         antipode = Matrix(field, dim, dim)
-        for i, j, c in doc["antipode"]:
-            antipode.rows[i][j] = _coeff_from_json(field, c)
+        for (i, j), c in _tensor_entries(field, dim, doc["antipode"], 2):
+            antipode.rows[i][j] = c
         r_matrix = None
         if "r_matrix" in doc:
-            r_matrix = {}
-            for i, j, c in doc["r_matrix"]:
-                r_matrix[(i, j)] = _coeff_from_json(field, c)
+            r_matrix = {(i, j): c for (i, j), c in _tensor_entries(field, dim, doc["r_matrix"], 2)}
         ribbon = None
         if "ribbon" in doc:
             ribbon = [_coeff_from_json(field, c) for c in doc["ribbon"]]
@@ -558,7 +578,8 @@ def from_json(doc: dict, validate: bool = True) -> HopfData:
             generators=[int(g) for g in doc["generators"]] if "generators" in doc else None,
             flags=_flags_from_json(doc.get("flags", {})),
         )
-    except (KeyError, IndexError, TypeError, ValueError, FieldError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, FieldError) as exc:
+        # a field of the wrong JSON type surfaces as one of these
         raise ParseError(f"malformed algebra file: {exc}") from exc
     if validate:
         report = h.validate()

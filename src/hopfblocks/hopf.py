@@ -141,6 +141,8 @@ class HopfData:
             raise DimensionMismatch("comult tensor must have dim entries")
         if antipode.nrows != dim or antipode.ncols != dim:
             raise DimensionMismatch("antipode must be dim x dim")
+        if ribbon is not None and len(ribbon) != dim:
+            raise DimensionMismatch("ribbon length disagrees with dim")
         if generators is not None and any(not 0 <= g < dim for g in generators):
             raise DimensionMismatch("generator indices must lie in 0..dim-1")
         self.name = name
@@ -207,42 +209,39 @@ class HopfData:
     def comult_of(self, x: dict) -> dict:
         """Delta(x) for a sparse element, as a sparse tensor keyed by index pairs."""
         F = self.field
+        add, mul = F.add, F.mul
         out: dict = {}
         for i, xv in x.items():
             for jk, c in self.comult[i].items():
-                self._accumulate(out, jk, F.mul(xv, c))
-        return out
+                p = mul(xv, c)
+                out[jk] = add(out[jk], p) if jk in out else p
+        return {k: v for k, v in out.items() if not F.is_zero(v)}
 
     def antipode_of(self, x: list) -> list:
         return self.antipode.apply_right(x)
 
-    def is_unit_vector(self, x: list) -> bool:
-        F = self.field
-        return all(F.eq(a, b) for a, b in zip(x, self.unit))
-
     # -- tensor-square / cube elements ---------------------------------------
-
-    def _accumulate(self, acc: dict, key, c):
-        """acc[key] += c for a sparse element or tensor, dropping zeros."""
-        F = self.field
-        s = F.add(acc.get(key, F.zero), c)
-        if F.is_zero(s):
-            acc.pop(key, None)
-        else:
-            acc[key] = s
 
     def t2_mult(self, t: dict, s: dict) -> dict:
         """Product in H x H of sparse tensors keyed by basis-index pairs."""
         F = self.field
+        add, mul = F.add, F.mul
+        mult = self.mult
         out: dict = {}
         for (i, j), c1 in t.items():
+            mult_i, mult_j = mult[i], mult[j]
             for (k, l), c2 in s.items():
-                c = F.mul(c1, c2)
-                for a, ma in self.mult[i][k].items():
-                    ca = F.mul(c, ma)
-                    for b, mb in self.mult[j][l].items():
-                        self._accumulate(out, (a, b), F.mul(ca, mb))
-        return out
+                left, right = mult_i[k], mult_j[l]
+                if not (left and right):
+                    continue
+                c = mul(c1, c2)
+                for a, ma in left.items():
+                    ca = mul(c, ma)
+                    for b, mb in right.items():
+                        p = mul(ca, mb)
+                        key = (a, b)
+                        out[key] = add(out[key], p) if key in out else p
+        return {k: v for k, v in out.items() if not F.is_zero(v)}
 
     def t2_flip(self, t: dict) -> dict:
         return {(j, i): c for (i, j), c in t.items()}
@@ -264,16 +263,15 @@ class HopfData:
     def t2_apply_leg(self, t: dict, leg: int, matrix: Matrix) -> dict:
         """Apply a linear map to one tensor leg (0 or 1)."""
         F = self.field
+        add, mul = F.add, F.mul
+        cols = matrix.transpose().rows  # cols[src] = {k: matrix[k][src]}
         out: dict = {}
         for (i, j), c in t.items():
-            src = i if leg == 0 else j
-            for k in range(self.dim):
-                m = matrix.entry(k, src)
-                if F.is_zero(m):
-                    continue
+            for k, m in cols[i if leg == 0 else j].items():
                 key = (k, j) if leg == 0 else (i, k)
-                self._accumulate(out, key, F.mul(c, m))
-        return out
+                p = mul(c, m)
+                out[key] = add(out[key], p) if key in out else p
+        return {k: v for k, v in out.items() if not F.is_zero(v)}
 
     def monodromy_element(self) -> dict:
         """R21 * R, the double-braiding element of H x H."""
@@ -380,19 +378,6 @@ class HopfData:
             return True, None
         return False, f"Drinfeld map has nullity {ker.dim}"
 
-    def element_multiplicative_order(self, x: list, cap: int = 512) -> int | None:
-        """Order of x by repeated multiplication; None if the cap is reached.
-
-        A test oracle for the ribbon order, which the library certifies
-        through ``operator_order`` instead.
-        """
-        power = x
-        for k in range(1, cap + 1):
-            if self.is_unit_vector(power):
-                return k
-            power = self.multiply(power, x)
-        return None
-
     def ribbon_order(self, cap: int | None = None) -> OrderCertificate:
         if self.ribbon is None:
             raise MissingRibbon(self.name)
@@ -435,7 +420,22 @@ class HopfData:
     # -- validation --------------------------------------------------------------
 
     def validate(self, full: bool | None = None) -> StructureReport:
+        """Check every axiom on the structure constants; nothing is sampled.
+
+        Linear axioms are checked on every basis element, associativity on
+        every triple (e_i, e_j, e_k) and the bialgebra axiom on every pair
+        (e_i, e_j).  In generator mode (``full=False``, the default for an
+        algebra of dim at least ``FULL_AXIOM_DIM_LIMIT`` with generators) e_i
+        runs over the generators, which must span the algebra.
+
+        Associativity is checked one structure-constant row at a time: for
+        each (i, j), both sides of (e_i e_j) e_k = e_i (e_j e_k) are built for
+        every k at once and compared once.  The triples are the same, in the
+        same order, and on a mismatch the witness is the least failing k:
+        the triple a per-triple loop would report first.
+        """
         F = self.field
+        add, mul = F.add, F.mul
         if full is None:
             full = self.dim < FULL_AXIOM_DIM_LIMIT or self.generators is None
         report = StructureReport(algebra=self.name, mode="full" if full else "generators")
@@ -451,7 +451,8 @@ class HopfData:
             record("generators-span", closure == self.dim, f"closure dim {closure} != {self.dim}")
 
         # every identity below is checked on sparse elements built from the
-        # structure constants; e[i] is the basis element e_i
+        # structure constants; e[i] is the basis element e_i.  Sums compared
+        # only through sparse_eq keep their zeros: a missing key reads as zero.
         e = [{i: F.one} for i in range(self.dim)]
         unit = self.sparse(self.unit)
 
@@ -464,17 +465,35 @@ class HopfData:
                 break
         record("unitality", bad is None, bad and f"unit fails on {bad}")
 
-        # associativity: sum_m mult[i][j][m] e_m e_k = sum_m mult[j][k][m] e_i e_m
+        # associativity, keyed by k * n + t for the coefficient of e_t:
+        # (e_i e_j) e_k = sum_m mult[i][j][m] mult[m][k]  and
+        # e_i (e_j e_k) = sum_m mult[j][k][m] mult[i][m], for every k at once
+        n, mult = self.dim, self.mult
+        row_of = [[(k * n + t, c) for k, mk in enumerate(mult[m]) for t, c in mk.items()]
+                  for m in range(n)]
         bad = None
         first = range(self.dim) if full else gens
         for i in first:
-            for j in range(self.dim):
-                ij = self.mult[i][j]
-                for k in range(self.dim):
-                    if not self.sparse_eq(self.product(ij, e[k]), self.product(e[i], self.mult[j][k])):
-                        bad = (labels[i], labels[j], labels[k])
-                        break
-                if bad:
+            mult_i = mult[i]
+            for j in range(n):
+                lhs: dict = {}
+                for m, a in mult_i[j].items():
+                    for key, b in row_of[m]:
+                        p = mul(a, b)
+                        lhs[key] = add(lhs[key], p) if key in lhs else p
+                rhs: dict = {}
+                for k, jk in enumerate(mult[j]):
+                    base = k * n
+                    for m, a in jk.items():
+                        for t, b in mult_i[m].items():
+                            key = base + t
+                            p = mul(a, b)
+                            rhs[key] = add(rhs[key], p) if key in rhs else p
+                if not self.sparse_eq(lhs, rhs):
+                    zero = F.zero
+                    k = min(key for key in lhs.keys() | rhs.keys()
+                            if not F.eq(lhs.get(key, zero), rhs.get(key, zero))) // n
+                    bad = (labels[i], labels[j], labels[k])
                     break
             if bad:
                 break
@@ -487,9 +506,11 @@ class HopfData:
             right: dict = {}
             for (j, k), c in self.comult[i].items():
                 for (p, q), d in self.comult[j].items():
-                    self._accumulate(left, (p, q, k), F.mul(c, d))
+                    key, v = (p, q, k), mul(c, d)
+                    left[key] = add(left[key], v) if key in left else v
                 for (p, q), d in self.comult[k].items():
-                    self._accumulate(right, (j, p, q), F.mul(c, d))
+                    key, v = (j, p, q), mul(c, d)
+                    right[key] = add(right[key], v) if key in right else v
             if not self.sparse_eq(left, right):
                 bad = labels[i]
                 break
@@ -499,8 +520,10 @@ class HopfData:
         for i in range(self.dim):
             left, right = {}, {}
             for (j, k), c in self.comult[i].items():
-                self._accumulate(left, k, F.mul(c, self.counit[j]))
-                self._accumulate(right, j, F.mul(c, self.counit[k]))
+                v = mul(c, self.counit[j])
+                left[k] = add(left[k], v) if k in left else v
+                v = mul(c, self.counit[k])
+                right[j] = add(right[j], v) if j in right else v
             if not (self.sparse_eq(left, e[i]) and self.sparse_eq(right, e[i])):
                 bad = labels[i]
                 break
@@ -521,7 +544,7 @@ class HopfData:
                     if not self.sparse_eq(lhs, rhs):
                         bad = f"Delta({labels[i]}*{labels[j]})"
                         break
-                    if not F.eq(self.counit_of(prod), F.mul(self.counit[i], self.counit[j])):
+                    if not F.eq(self.counit_of(prod), mul(self.counit[i], self.counit[j])):
                         bad = f"eps({labels[i]}*{labels[j]})"
                         break
                 if bad:
@@ -535,10 +558,12 @@ class HopfData:
             left, right = {}, {}
             for (j, k), c in self.comult[i].items():
                 for t, v in self.product(s_col[j], e[k]).items():
-                    self._accumulate(left, t, F.mul(c, v))
+                    v = mul(c, v)
+                    left[t] = add(left[t], v) if t in left else v
                 for t, v in self.product(e[j], s_col[k]).items():
-                    self._accumulate(right, t, F.mul(c, v))
-            target = {t: F.mul(self.counit[i], u) for t, u in unit.items()}
+                    v = mul(c, v)
+                    right[t] = add(right[t], v) if t in right else v
+            target = {t: mul(self.counit[i], u) for t, u in unit.items()}
             if not (self.sparse_eq(left, target) and self.sparse_eq(right, target)):
                 bad = labels[i]
                 break
@@ -560,13 +585,16 @@ class HopfData:
 
     def _validate_quasitriangular(self, record):
         F = self.field
+        add, mul = F.add, F.mul
         r = self.r_matrix
 
         # (eps x id)R = 1 = (id x eps)R
         left, right = {}, {}
         for (i, j), c in r.items():
-            self._accumulate(left, j, F.mul(c, self.counit[i]))
-            self._accumulate(right, i, F.mul(c, self.counit[j]))
+            v = mul(c, self.counit[i])
+            left[j] = add(left[j], v) if j in left else v
+            v = mul(c, self.counit[j])
+            right[i] = add(right[i], v) if i in right else v
         unit = self.sparse(self.unit)
         record("r-counit", self.sparse_eq(left, unit) and self.sparse_eq(right, unit),
                "counit legs of R are not 1")
@@ -592,25 +620,29 @@ class HopfData:
         lhs: dict = {}
         for (i, j), c in r.items():
             for (p, q), d in self.comult[i].items():
-                self._accumulate(lhs, (p, q, j), F.mul(c, d))
+                key, v = (p, q, j), mul(c, d)
+                lhs[key] = add(lhs[key], v) if key in lhs else v
         rhs: dict = {}
         for (a, b), c in r.items():
             for (a2, b2), c2 in r.items():
-                cc = F.mul(c, c2)
+                cc = mul(c, c2)
                 for t, m in self.mult[b][b2].items():
-                    self._accumulate(rhs, (a, a2, t), F.mul(cc, m))
+                    key, v = (a, a2, t), mul(cc, m)
+                    rhs[key] = add(rhs[key], v) if key in rhs else v
         record("r-hexagon-left", self.sparse_eq(lhs, rhs), "(Delta x id)R != R13 R23")
 
         lhs = {}
         for (i, j), c in r.items():
             for (p, q), d in self.comult[j].items():
-                self._accumulate(lhs, (i, p, q), F.mul(c, d))
+                key, v = (i, p, q), mul(c, d)
+                lhs[key] = add(lhs[key], v) if key in lhs else v
         rhs = {}
         for (a, b), c in r.items():  # R13
             for (a2, b2), c2 in r.items():  # R12
-                cc = F.mul(c, c2)
+                cc = mul(c, c2)
                 for t, m in self.mult[a][a2].items():
-                    self._accumulate(rhs, (t, b2, b), F.mul(cc, m))
+                    key, v = (t, b2, b), mul(cc, m)
+                    rhs[key] = add(rhs[key], v) if key in rhs else v
         record("r-hexagon-right", self.sparse_eq(lhs, rhs), "(id x Delta)R != R13 R12")
 
         # consequence: (S x S)R = R

@@ -269,31 +269,42 @@ def tensor_product(a: Matrix, b: Matrix) -> Matrix:
 def kron_sum(field: Field, nrows: int, ncols: int, terms) -> Matrix:
     """The nrows x ncols matrix sum of c * (A ⊗ B) over the (c, A, B) terms.
 
-    Every product accumulates straight into the output rows, and entries that
-    cancel are dropped once at the end; no Kronecker matrix, scaled copy or
-    partial sum is built.
+    Every product accumulates straight into the output rows; no Kronecker
+    matrix, scaled copy or partial sum is built.  Terms with a zero
+    coefficient are skipped, and matrix rows hold nonzero values only, so
+    every single product is nonzero and an entry can cancel only where two
+    products meet.  Only rows where products met are filtered for zeros.
     """
     add, mul, is_zero = field.add, field.mul, field.is_zero
     rows: list[dict] = [{} for _ in range(nrows)]
+    dirty: set[int] = set()
     for c, a, b in terms:
         if a.field != field or b.field != field:
             raise FieldMismatch("matrices over different fields")
         bn, bm = b.nrows, b.ncols
         if (a.nrows * bn, a.ncols * bm) != (nrows, ncols):
             raise LinAlgError("shape mismatch in kron_sum")
+        if is_zero(c):
+            continue
         brows = [(bi, brow) for bi, brow in enumerate(b.rows) if brow]
         for i, arow in enumerate(a.rows):
             if not arow:
                 continue
             scaled = [(j * bm, mul(c, v)) for j, v in arow.items()]
             for bi, brow in brows:
-                target = rows[i * bn + bi]
+                r = i * bn + bi
+                target = rows[r]
+                grown = len(target) + len(scaled) * len(brow)
                 for jb, ca in scaled:
                     for bj, v in brow.items():
                         col = jb + bj
                         p = mul(ca, v)
                         target[col] = add(target[col], p) if col in target else p
-    return Matrix(field, nrows, ncols, [{j: v for j, v in row.items() if not is_zero(v)} for row in rows])
+                if len(target) != grown:  # two products met in this row
+                    dirty.add(r)
+    for r in dirty:
+        rows[r] = {j: v for j, v in rows[r].items() if not is_zero(v)}
+    return Matrix(field, nrows, ncols, rows)
 
 
 def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
@@ -516,11 +527,16 @@ class _RowReducer:
     Invariant: the pivot is the least column of its row, the row is 1 there
     and 0 in every other pivot column.  Rows are sparse dicts over ``field``;
     over Q a new row is made primitive before it is normalised.
+
+    ``column_rows`` maps each non-pivot column to the pivot columns whose
+    rows are nonzero there, so a new pivot finds the rows it must be cleared
+    from without scanning every pivot row.
     """
 
     def __init__(self, field: Field):
         self.field = field
         self.pivots: dict[int, dict] = {}
+        self.column_rows: dict[int, set[int]] = {}
 
     def reduce(self, row: dict) -> dict:
         """The row minus its multiples of pivot rows: 0 in every pivot column.
@@ -550,23 +566,36 @@ class _RowReducer:
         lies in the span of the pivot rows.
         """
         F = self.field
+        zero, sub, mul, is_zero = F.zero, F.sub, F.mul, F.is_zero
         reduced = self.reduce(row)
         if not reduced:
             return reduced
         new = _primitive_row(F, reduced)
         lead = min(new)
         inv = F.inv(new[lead])
-        new = {j: F.mul(inv, v) for j, v in new.items()}
-        for prow in self.pivots.values():
-            c = prow.get(lead)
-            if c is None:
-                continue
+        new = {j: mul(inv, v) for j, v in new.items()}
+        column_rows = self.column_rows
+        rows_at_lead = column_rows.pop(lead, ())
+        for j in new:
+            if j != lead:
+                column_rows.setdefault(j, set()).add(lead)
+        # clear the new pivot column from every pivot row that is nonzero there
+        for p in rows_at_lead:
+            prow = self.pivots[p]
+            c = prow.pop(lead)  # new is 1 at lead, so prow - c * new is 0 there
             for j, v in new.items():
-                d = F.sub(prow.get(j, F.zero), F.mul(c, v))
-                if F.is_zero(d):
-                    prow.pop(j, None)
+                if j == lead:
+                    continue
+                if j in prow:
+                    d = sub(prow[j], mul(c, v))
+                    if is_zero(d):
+                        del prow[j]
+                        column_rows[j].discard(p)
+                    else:
+                        prow[j] = d
                 else:
-                    prow[j] = d
+                    prow[j] = sub(zero, mul(c, v))
+                    column_rows[j].add(p)
         self.pivots[lead] = new
         return reduced
 
@@ -971,12 +1000,3 @@ def operator_order(t: Matrix, cap: int | None = None) -> OrderCertificate:
 
 def _format_poly_list(field: Field, m: list) -> list:
     return [field.format(c) for c in m]
-
-
-def conjugation_operator(t: Matrix) -> Matrix:
-    """The operator X -> T X T^(-1) on the full matrix space (row-major vec).
-
-    A test oracle: the library does not call it; tests compare PGL orders
-    against the GL order of this operator.
-    """
-    return t.kron(inverse(t).transpose())

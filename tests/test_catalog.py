@@ -19,6 +19,7 @@ from hopfblocks.catalog import (
     symmetric_group_3,
     to_json,
 )
+from oracles import element_multiplicative_order
 
 
 def test_group_tables():
@@ -49,7 +50,7 @@ def test_double_names_and_orders():
     for name, (dim, order) in expected.items():
         d = catalog.get(name)
         assert d.dim == dim
-        assert d.element_multiplicative_order(d.ribbon) == order
+        assert element_multiplicative_order(d, d.ribbon) == order
 
 
 def test_shipped_ribbons_verified():

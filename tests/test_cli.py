@@ -206,11 +206,15 @@ def test_hom_space_too_large_exit(capsys):
     assert "HOM_SPACE_TOO_LARGE" in err
 
 
-def _corrupt_file(tmp_path, key, value):
+def _corrupt_file(tmp_path, key, value, name="group:Z2"):
+    """A copy of a catalog algebra's file with doc[key] = value, or with the
+    whole document replaced by value when key is None."""
     from hopfblocks.catalog import to_json
 
-    doc = to_json(catalog.get("group:Z2"))
-    doc[key] = value
+    doc = value
+    if key is not None:
+        doc = to_json(catalog.get(name))
+        doc[key] = value
     path = tmp_path / f"bad_{key}.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -225,9 +229,21 @@ def _corrupt_file(tmp_path, key, value):
         (["invariants"], ("generators", [-1]), "DIMENSION_MISMATCH"),
         (["theorems", "double:Z2", "--max-genus", "0"], None, "BAD_ARGUMENT"),
         (["theorems", "double:Z2", "--window", "-1"], None, "BAD_ARGUMENT"),
+        (["check"], ("field", None), "PARSE_ERROR"),
+        (["invariants"], ("field", "Q"), "PARSE_ERROR"),
+        (["check"], ("flags", [1]), "PARSE_ERROR"),
+        # (-1, -1) would wrap to (1, 1), the entry it replaces
+        (["check"], ("mult", [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [-1, -1, 0, "1"]]),
+         "DIMENSION_MISMATCH"),
+        (["invariants"], ("antipode", [[0, 0, "1"], [-1, -1, "1"]]), "DIMENSION_MISMATCH"),
+        (["check"], ("comult", [[0, 0, 0, "1"], [1, 1, 2, "1"]]), "DIMENSION_MISMATCH"),
+        (["check"], ("r_matrix", [[0, 2, "1"]]), "DIMENSION_MISMATCH"),
     ],
     ids=["check-field-kind", "invariants-field-kind", "check-generator-index",
-         "invariants-generator-index", "theorems-max-genus-0", "theorems-window-negative"],
+         "invariants-generator-index", "theorems-max-genus-0", "theorems-window-negative",
+         "check-field-null", "invariants-field-string", "check-flags-list",
+         "check-mult-negative-index", "invariants-antipode-negative-index",
+         "check-comult-index-too-large", "check-r-matrix-index-too-large"],
 )
 def test_bad_input_exits_usage_with_stable_code(argv, corrupt, code_name, tmp_path, capsys):
     if corrupt is not None:
@@ -236,3 +252,55 @@ def test_bad_input_exits_usage_with_stable_code(argv, corrupt, code_name, tmp_pa
     assert code == 2
     assert f"error[{code_name}]" in err
     assert "Traceback" not in err
+
+
+# wrong JSON types, out-of-range or non-integer indices, and lengths that
+# disagree with dim, each in one field of the double:Z2 file
+CORRUPTIONS = [
+    (None, [1, 2]), (None, "x"),
+    ("field", None), ("field", [1]), ("field", {"kind": "Fp", "p": 4}), ("field", {"kind": "cyclotomic", "n": 0}),
+    ("flags", [1]), ("flags", {"simple_modules": [{"name": "m", "dim": 1, "action": [1]}]}),
+    ("dim", -1), ("dim", 0), ("dim", 5), ("dim", "x"),
+    ("mult", [[0, 0, 9, "1"]]), ("mult", [[0, 0, "1"]]), ("mult", [[0.5, 0, 0, "1"]]), ("mult", [[True, 0, 0, "1"]]),
+    ("mult", [[0, 0, 0, "1/0"]]), ("mult", 7),
+    ("comult", [[0, -1, 0, "1"]]), ("antipode", [[0, 4, "1"]]), ("r_matrix", [[0, -2, "1"]]), ("r_matrix", "x"),
+    ("ribbon", ["1"]), ("ribbon", ["1"] * 9), ("ribbon", 3),
+    ("unit", None), ("counit", ["x"] * 4), ("basis", 4), ("generators", [-1]), ("generators", 3),
+]
+SUBCOMMANDS = [["check"], ["invariants"], ["blocks", "--genus", "1"], ["dehn", "--curve", "nonsep:1"],
+               ["theorems", "--max-genus", "1", "--window", "1"]]
+
+
+def _assert_contract(argv, code, err):
+    assert code in (0, 1, 2, 3), argv
+    assert code != 1 or argv[0] == "theorems", argv
+    assert "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("key, value", CORRUPTIONS, ids=[f"{k}={json.dumps(v)}" for k, v in CORRUPTIONS])
+def test_corrupted_files_exit_usage_on_every_subcommand(key, value, tmp_path, capsys):
+    path = _corrupt_file(tmp_path, key, value, name="double:Z2")
+    for sub in SUBCOMMANDS:
+        argv = [sub[0], path, *sub[1:]]
+        code, _, err = run(argv, capsys)
+        _assert_contract(argv, code, err)
+        assert code == 2, (argv, err)
+
+
+BAD_FLAGS = [
+    ["blocks", "double:Z2", "--genus", "-1"], ["blocks", "double:Z2", "--genus", "9"],
+    ["blocks", "double:Z2", "--genus", "1", "--genus-cap", "-3"],
+    ["blocks", "double:Z2", "--genus", "1", "--model", "center", "--genus-cap", "0"],
+    ["dehn", "double:Z2", "--curve", "nonsep:0"], ["dehn", "double:Z2", "--curve", "nonsep:-1"],
+    ["dehn", "double:Z2", "--genus", "-2", "--curve", "nonsep:1"], ["dehn", "double:Z2", "--curve", "sep:-1,2"],
+    ["dehn", "double:Z2", "--curve", "sep:0,0"], ["dehn", "group:Z2", "--curve", "bpair"],
+    ["dehn", "double:Z2", "--curve", "nonsep:1", "--cap", "-1"], ["invariants", "double:Z2", "--cap", "-4"],
+    ["theorems", "double:Z2", "--max-genus", "1", "--genus-cap", "0"],
+    ["theorems", "double:Z2", "--max-genus", "1", "--cap", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS, ids=[" ".join(a) for a in BAD_FLAGS])
+def test_bad_flags_never_exit_discrepancy(argv, capsys):
+    code, _, err = run(argv, capsys)
+    _assert_contract(argv, code, err)

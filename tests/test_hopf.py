@@ -1,13 +1,17 @@
+import copy
+import random
+
 import pytest
 
 from hopfblocks import catalog
-from hopfblocks.fields import QQ
+from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.hopf import (
     AntipodeNotInvertible,
     Matrix,
     MissingRibbon,
     drinfeld_double,
 )
+from oracles import element_multiplicative_order
 
 ALL_CATALOG = [
     "group:Z2",
@@ -144,6 +148,62 @@ def test_broken_structure_constant_fails_with_witness(name, part):
     assert [(c.name, c.witness) for c in report.failures()] == BROKEN_CONSTANTS[name, part]
 
 
+def _associative_at(h, i, j, k):
+    one = h.field.one
+    return h.sparse_eq(h.product(h.mult[i][j], {k: one}), h.product({i: one}, h.mult[j][k]))
+
+
+def first_nonassociative_triple(h, full):
+    """Oracle: the per-triple associativity loop, in the order of ``validate``."""
+    for i in range(h.dim) if full else h.generating_indices():
+        for j in range(h.dim):
+            for k in range(h.dim):
+                if not _associative_at(h, i, j, k):
+                    return i, j, k
+    return None
+
+
+def _associativity_witness(h, full):
+    check = next(c for c in h.validate(full=full).checks if c.name == "associativity")
+    return check.witness
+
+
+def _expected_witness(h, triple):
+    return triple and "({}, {}, {})".format(*(h.basis_labels[x] for x in triple))
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7), CyclotomicField(3)], ids=["Q", "F7", "Qzeta3"])
+def test_associativity_witness_is_first_failing_triple(F):
+    pristine = [catalog.group_algebra(catalog.symmetric_group_3(), F),
+                catalog.double_of_group(catalog.cyclic_group(3), F)]
+    rng = random.Random(29)
+    failed = 0
+    for _ in range(12):
+        base = rng.choice(pristine)
+        h = copy.deepcopy(base, {id(F): F})
+        i, j, k = (rng.randrange(h.dim) for _ in range(3))
+        h.mult[i][j][k] = F.add(h.mult[i][j].get(k, F.zero), F.from_int(rng.choice([1, 2, -1])))
+        if F.is_zero(h.mult[i][j][k]):
+            del h.mult[i][j][k]
+        for full in (True, False):
+            triple = first_nonassociative_triple(h, full)
+            failed += triple is not None
+            assert _associativity_witness(h, full) == _expected_witness(h, triple)
+    assert failed >= 12  # most corruptions break associativity
+
+
+def test_associativity_witness_is_least_failing_k():
+    # doubling (12)*(12) = e breaks (e_i e_j) e_k = e_i (e_j e_k) first at
+    # i = j = (12), where k = e and k = (12) still hold and every later k fails
+    h = _fresh("group:S3")
+    h.mult[1][1] = {0: QQ.from_int(2)}
+    i, j, k = first_nonassociative_triple(h, True)
+    failing = [x for x in range(h.dim) if not _associative_at(h, i, j, x)]
+    assert (i, j) == (1, 1) and len(failing) > 1 and failing[0] == k > 0
+    for full in (True, False):
+        assert _associativity_witness(h, full) == "((12), (12), (13))"
+
+
 def test_sweedler_axioms_pass():
     report = catalog.get("sweedler").validate()
     assert report.passed
@@ -211,7 +271,7 @@ def test_ribbon_orders_by_repeated_multiplication():
     expected = {"double:Z2": 2, "double:Z3": 3, "double:S3": 6}
     for name, n in expected.items():
         h = catalog.get(name)
-        assert h.element_multiplicative_order(h.ribbon) == n
+        assert element_multiplicative_order(h, h.ribbon) == n
 
 
 def test_ribbon_order_certificates():

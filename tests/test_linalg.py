@@ -11,7 +11,6 @@ from hopfblocks.linalg import (
     NotInvertible,
     _RowReducer,
     _unity_candidates,
-    conjugation_operator,
     inverse,
     kernel,
     kron_sum,
@@ -187,6 +186,27 @@ def reducer_kernel(F, n, mats):
     return free, [columns[f] for f in free]
 
 
+@FIELDS
+def test_row_reducer_column_index_matches_pivots(F):
+    """After every add, ``column_rows`` is the index rebuilt from ``pivots``
+    and the pivot rows keep the reduced row echelon form."""
+    rng = random.Random(23)
+    for _ in range(25):
+        n = rng.randint(2, 14)
+        red = _RowReducer(F)
+        for _ in range(rng.randint(1, n + 4)):
+            support = rng.sample(range(n), rng.randint(1, min(5, n)))
+            red.add({j: F.random_element(rng) for j in support})
+            rebuilt: dict = {}
+            for p, prow in red.pivots.items():
+                assert min(prow) == p and F.eq(prow[p], F.one)
+                assert all(j == p or j not in red.pivots for j in prow)
+                for j in prow:
+                    if j != p:
+                        rebuilt.setdefault(j, set()).add(p)
+            assert {j: rows for j, rows in red.column_rows.items() if rows} == rebuilt
+
+
 def random_two_term_system(F, rng, n):
     """Stacked rows of at most two nonzeros over n columns: links consistent
     with a hidden solution p, links that most likely close inconsistent
@@ -332,7 +352,9 @@ def test_kron_sum_matches_entrywise_oracle(F):
     c0, a0, b0 = terms[0]
     b1 = Matrix(F, 3, 2, [{0: F.one}] + [dict(row) for row in b0.rows[1:]])
     partial = [(c0, a0, b0), (F.neg(c0), a0, b1)]
-    for case in (terms, terms + partial[1:], partial):
+    zero_term = [(F.zero, a0, b0)]  # adds nothing, not even zero entries
+    doubled = [(c0, a0, b0), (c0, a0, b0)]  # every product meets another, none cancel
+    for case in (terms, terms + partial[1:], partial, zero_term, zero_term + terms[1:2], doubled):
         expected = kron_sum_oracle(F, case)
         got = kron_sum(F, 6, 6, case)
         assert got == expected
@@ -475,6 +497,12 @@ def test_order_prime_field_cap():
     F = PrimeField(7)
     cert = operator_order(Matrix.diagonal(F, [3, 5]), cap=2)
     assert cert.gl_order.kind == "unknown" and cert.gl_order.cap == 2
+
+
+def conjugation_operator(t: Matrix) -> Matrix:
+    """Oracle: the operator X -> T X T^(-1) on the full matrix space
+    (row-major vec), whose GL order is the PGL order of T."""
+    return t.kron(inverse(t).transpose())
 
 
 def test_pgl_equals_gl_of_conjugation_operator():
