@@ -19,13 +19,18 @@ these by restriction, for twists supported in the handlebody, so
 The twist about the i-th handle meridian acts in the direct model by
 precomposition with (left multiplication by the ribbon element) in slot i;
 in the relative-center model by the ribbon action on the ambient module.
+The separating twist that splits g = g' + g'' acts on the genus-g direct
+block by precomposition with I x theta on A^(g') x A^(g''): the block is
+Hom(A^(g') x A^(g''), k) = Hom(A^(g'), (A^(g''))*), and for factorizable H
+the Drinfeld map identifies A* with A, so this is postcomposition with the
+twist on Hom(A^(g'), A^(g'')), up to conjugation.
 
 A block's basis is the sparse ``KernelBasis`` of its invariance constraints.
 ``restrict_operator`` pushes each sparse basis column through the ambient
 operator and certifies the result completely: every image must equal the
 re-expansion of its coordinates in the basis (B.R = Op.B), and operators on
-hom spaces (separating twists, bounding pairs) are checked the same way on
-every basis map.  Block spaces, separating twists and the end twist are
+hom spaces (bounding pairs) are checked the same way on every basis map.
+Block spaces, the end twist and every twist operator are built once and
 cached on the algebra (``HopfData._cache``), never in module globals.
 """
 
@@ -45,7 +50,9 @@ from .linalg import (
     tensor_product,
 )
 from .repcat import (
+    GENERIC_HOM_UNKNOWN_LIMIT,
     HomSpace,
+    HomSpaceTooLarge,
     Module,
     adjoint_module,
     hom_space,
@@ -236,45 +243,46 @@ class MCGOperator:
 
 
 def nonseparating_twist_op(block: BlockSpace, handle: int, cap: int | None = None) -> MCGOperator:
-    """Twist about the meridian of the given handle (1-based) on a direct-model block."""
+    """Twist about the meridian of the given handle (1-based) on a direct-model
+    block; cached on the algebra per (genus, handle, cap)."""
     h = block.algebra
     g = block.genus
     if block.model != DIRECT:
         raise BlocksError("nonseparating_twist_op expects a direct-model block")
     if not (1 <= handle <= g):
         raise HandleOutOfRange(f"handle {handle} not in 1..{g}")
-    lv = end_twist(h)
-    F = h.field
-    factor_dims = [h.dim] * g
-    op = None
-    for i, d in enumerate(factor_dims, start=1):
-        piece = lv if i == handle else Matrix.identity(F, d)
-        op = piece if op is None else tensor_product(op, piece)
-    mat = restrict_operator(block, op)
-    cert = operator_order(mat, cap=cap)
-    return MCGOperator(f"nonseparating(handle={handle})", block, mat, cert)
+    key = ("nonseparating", g, handle, cap)
+    if key not in h._cache:
+        lv = end_twist(h)
+        F = h.field
+        op = None
+        for i in range(1, g + 1):
+            piece = lv if i == handle else Matrix.identity(F, h.dim)
+            op = piece if op is None else tensor_product(op, piece)
+        mat = restrict_operator(block, op)
+        h._cache[key] = MCGOperator(f"nonseparating(handle={handle})", block, mat, operator_order(mat, cap=cap))
+    return h._cache[key]
 
 
 def center_twist_op(block: BlockSpace, cap: int | None = None) -> MCGOperator:
     """The meridian twist on a relative-center block: the ribbon action on the
     ambient module restricted to the center (precomposition with the twist of
-    the generator under Hom(G, N) = N)."""
+    the generator under Hom(G, N) = N).  Cached on the algebra per (genus, cap)."""
     h = block.algebra
     if block.model != RELATIVE_CENTER:
         raise BlocksError("center_twist_op expects a relative-center block")
-    if h.ribbon is None:
-        raise MissingRibbon(h.name)
-    ambient_op = block.ambient.act_element(h.ribbon)
-    mat = restrict_operator(block, ambient_op)
-    cert = operator_order(mat, cap=cap)
-    return MCGOperator("nonseparating(center-model)", block, mat, cert)
+    key = ("center_twist", block.genus, cap)
+    if key not in h._cache:
+        mat = restrict_operator(block, twist(block.ambient))
+        h._cache[key] = MCGOperator("nonseparating(center-model)", block, mat, operator_order(mat, cap=cap))
+    return h._cache[key]
 
 
 @dataclass
 class SeparatingTwist:
     genus_left: int
     genus_right: int
-    hom: HomSpace
+    block: BlockSpace
     matrix: Matrix
     certificate: OrderCertificate
     twist_left_order: OrderCertificate
@@ -282,7 +290,7 @@ class SeparatingTwist:
 
     @property
     def dim(self) -> int:
-        return self.hom.dim
+        return self.block.dim
 
     def to_json(self):
         return {
@@ -297,8 +305,16 @@ class SeparatingTwist:
 def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
                         cap: int | None = None) -> SeparatingTwist:
     """Twist about the standard separating meridian splitting handles
-    {1..g'} from {g'+1..g}: postcomposition with the twist of the right end
-    power on Hom(A^(g'), A^(g'')).
+    {1..g'} from {g'+1..g}, g = g' + g''.
+
+    It is I x theta on A^(g') x A^(g''), restricted to the genus-g direct
+    block (taken with genus cap g).  That block is Hom(A^(g'), (A^(g''))*),
+    and the Drinfeld map of a factorizable algebra identifies A* with A, so
+    the operator is conjugate to postcomposition with the twist on
+    Hom(A^(g'), A^(g'')): dimension and certificates are those of that
+    operator.  Raises ``HomSpaceTooLarge`` when dim^g exceeds
+    ``GENERIC_HOM_UNKNOWN_LIMIT``, ``MissingRibbon`` without a ribbon
+    element, and ``BlocksError`` when the algebra is not factorizable.
 
     The result is cached on the algebra.
     """
@@ -310,17 +326,27 @@ def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
     a = adjoint_module(h)
     left = tensor_power(a, genus_left)
     right = tensor_power(a, genus_right)
-    hom = hom_space(left, right)
-    theta_right = twist(right)
+    unknowns = left.dim * right.dim
+    if unknowns > GENERIC_HOM_UNKNOWN_LIMIT:
+        raise HomSpaceTooLarge(
+            f"{unknowns} unknowns for Hom({left.name}, {right.name}); "
+            "no free-module fast path applies"
+        )
+    if h.ribbon is None:
+        raise MissingRibbon(h.name)
+    if h.r_matrix is None or not h.is_factorizable()[0]:
+        raise BlocksError(f"{h.name} is not factorizable: separating twists need A* = A through the Drinfeld map")
+    genus = genus_left + genus_right
+    block = block_space(h, genus, DIRECT, genus_cap=genus)
     theta_left = twist(left)
-    out = _hom_operator(hom, theta_right.mul, "separating twist")
-    cert = operator_order(out, cap=cap)
+    theta_right = twist(right)
+    mat = restrict_operator(block, tensor_product(Matrix.identity(h.field, left.dim), theta_right))
     result = SeparatingTwist(
         genus_left,
         genus_right,
-        hom,
-        out,
-        cert,
+        block,
+        mat,
+        operator_order(mat, cap=cap),
         operator_order(theta_left, cap=cap),
         operator_order(theta_right, cap=cap),
     )

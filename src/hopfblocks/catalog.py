@@ -544,6 +544,8 @@ def _tensor_entries(field: Field, dim: int, entries, arity: int) -> list[tuple[l
 
 def from_json(doc: dict, validate: bool = True) -> HopfData:
     try:
+        if not isinstance(doc["name"], str):
+            raise ParseError(f"name {doc['name']!r} is not a string")
         field = field_from_json(doc["field"])
         dim = int(doc["dim"])
         if dim != len(doc["basis"]):  # before allocating dim x dim products

@@ -274,6 +274,9 @@ def _field_self_test() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cap is not None and args.cap < 1:
+        _error("BAD_ARGUMENT", "--cap must be at least 1")
+        return EXIT_USAGE
     try:
         if args.field_check:
             _field_self_test()

@@ -155,6 +155,7 @@ class RationalField(Field):
         self.sub = operator.sub
         self.mul = operator.mul
         self.neg = operator.neg
+        self.eq = operator.eq  # == compares int and Fraction by value
 
     @staticmethod
     def is_zero(a) -> bool:

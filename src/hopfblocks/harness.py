@@ -27,7 +27,7 @@ from .repcat import (
     monodromy,
     muger_central,
     regular_module,
-    tensor_module,
+    tensor_power,
     trivial_module,
     twist,
 )
@@ -160,8 +160,9 @@ def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
     reg = regular_module(h)
     reg_cert = operator_order(twist(reg), cap=cap)
     a = adjoint_module(h)
-    sample = [trivial_module(h), reg, a, tensor_module(a, a)]
-    sample_orders = [operator_order(twist(m), cap=cap).gl_order for m in sample]
+    sample = [trivial_module(h), reg, a, tensor_power(a, 2)]
+    sample_orders = [reg_cert.gl_order if m is reg else operator_order(twist(m), cap=cap).gl_order
+                     for m in sample]
     ok = _verdict_eq(ribbon_cert.gl_order, reg_cert.gl_order)
     detail = ""
     if ribbon_cert.gl_order.kind == "finite":

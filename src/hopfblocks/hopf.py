@@ -379,9 +379,13 @@ class HopfData:
         return False, f"Drinfeld map has nullity {ker.dim}"
 
     def ribbon_order(self, cap: int | None = None) -> OrderCertificate:
+        """Order of left multiplication by the ribbon element, kept per cap."""
         if self.ribbon is None:
             raise MissingRibbon(self.name)
-        return operator_order(self.left_mult_of(self.ribbon), cap=cap)
+        key = ("ribbon_order", cap)
+        if key not in self._cache:
+            self._cache[key] = operator_order(self.left_mult_of(self.ribbon), cap=cap)
+        return self._cache[key]
 
     def jacobson_radical_dim(self) -> int:
         """Nullity of the trace form of the regular representation (char 0)."""

@@ -976,7 +976,10 @@ def operator_order(t: Matrix, cap: int | None = None) -> OrderCertificate:
     the conjugation operator (computed in F[x,y]/(m,m), see module docs).
 
     Over F_p both orders are found by direct iteration up to ``cap``.
+    Raises ValueError for a cap below 1.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     F = t.field
     m = minimal_polynomial(t)
     if F.is_zero(m[0]):

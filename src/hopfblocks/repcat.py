@@ -10,9 +10,11 @@ h x w -> h1 x S(h2)w, and the regular module takes it with W trivial
 generating set.  Every path reads coordinates sparsely, straight from the
 nonzeros of a map.
 
-The adjoint module (the canonical end) is kept on the algebra, and a module
-keeps its tensor powers, so their action matrices are built once per
-algebra.
+The adjoint and regular modules are kept on the algebra, and a module keeps
+its tensor powers and its twist, so their action matrices are built once
+per algebra.  A tensor module acts by an element x through Delta(x), one
+Kronecker sum, without building the action of every basis element in the
+support of x.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class Module:
     """A finite-dimensional left module given by one action matrix per basis index.
 
     Action matrices are built on first use and kept, and so are the module's
-    tensor powers (``tensor_power``).
+    tensor powers (``tensor_power``) and its twist (``twist``).
     """
 
     def __init__(self, algebra: HopfData, dim: int, name: str, action_builder, *,
@@ -60,6 +62,7 @@ class Module:
         self.is_regular = is_regular
         self.tensor_factors = tensor_factors
         self._powers: list[Module] = [self]  # _powers[k - 1] is the k-th tensor power
+        self._twist: Matrix | None = None
 
     def act(self, i: int) -> Matrix:
         if i not in self._action:
@@ -67,7 +70,14 @@ class Module:
         return self._action[i]
 
     def act_element(self, x: list) -> Matrix:
-        F = self.algebra.field
+        """rho(x); on M x N, sum c rho_M(a) x rho_N(b) over the terms c a x b
+        of Delta(x)."""
+        h = self.algebra
+        F = h.field
+        if self.tensor_factors:
+            m, n = self.tensor_factors
+            terms = [(c, m.act(a), n.act(b)) for (a, b), c in h.comult_of(h.sparse(x)).items()]
+            return kron_sum(F, self.dim, self.dim, terms)
         terms = [(c, self.act(i)) for i, c in enumerate(x) if not F.is_zero(c)]
         return linear_combination(F, self.dim, self.dim, terms)
 
@@ -109,7 +119,11 @@ def trivial_module(h: HopfData) -> Module:
 
 
 def regular_module(h: HopfData) -> Module:
-    return Module(h, h.dim, "regular", h.left_mult_matrix, is_regular=True)
+    """The algebra on itself by left multiplication; one instance per
+    algebra, kept in ``HopfData._cache``."""
+    if "regular" not in h._cache:
+        h._cache["regular"] = Module(h, h.dim, "regular", h.left_mult_matrix, is_regular=True)
+    return h._cache["regular"]
 
 
 def dual_module(m: Module) -> Module:
@@ -392,11 +406,13 @@ def monodromy(m: Module, n: Module) -> Matrix:
 
 
 def twist(m: Module) -> Matrix:
-    """The ribbon twist on M: the action of the ribbon element."""
+    """The ribbon twist on M: the action of the ribbon element, kept on M."""
     h = m.algebra
     if h.ribbon is None:
         raise MissingRibbon(h.name)
-    return m.act_element(h.ribbon)
+    if m._twist is None:
+        m._twist = m.act_element(h.ribbon)
+    return m._twist
 
 
 def muger_central(m: Module) -> bool:

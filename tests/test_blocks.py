@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from hopfblocks import catalog
+from hopfblocks import blocks, catalog, cli, repcat
 from hopfblocks.blocks import (
     BlocksError,
     DIRECT,
@@ -20,8 +20,10 @@ from hopfblocks.blocks import (
     restrict_operator,
     separating_twist_op,
 )
+from hopfblocks.fields import CyclotomicField, PrimeField
 from hopfblocks.linalg import Matrix, operator_order
-from hopfblocks.repcat import adjoint_module, hom_space, regular_module, trivial_module
+from hopfblocks.repcat import GENERIC_HOM_UNKNOWN_LIMIT, adjoint_module, hom_space, regular_module, trivial_module
+from oracles import separating_twist_by_hom
 
 
 def test_genus_zero_dim_one():
@@ -265,3 +267,69 @@ def test_genus_three_double_s3():
     op = nonseparating_twist_op(direct, 1)
     assert op.certificate.pgl_order == h.ribbon_order().gl_order
     assert op.certificate.pgl_order.n == 6
+
+
+SEPARATING_ORACLE_ALGEBRAS = {
+    "double:Z2": lambda: catalog.get("double:Z2"),
+    "double:Z3": lambda: catalog.get("double:Z3"),
+    "double:S3": lambda: catalog.get("double:S3"),
+    "D(Z3)/Q(zeta12)": lambda: catalog.double_of_group(catalog.cyclic_group(3), CyclotomicField(12)),
+    "D(S3)/F7": lambda: catalog.double_of_group(catalog.symmetric_group_3(), PrimeField(7)),
+}
+
+
+@pytest.mark.parametrize("name", list(SEPARATING_ORACLE_ALGEBRAS))
+def test_separating_block_route_matches_hom_route(name):
+    # the direct-block operator is conjugate to postcomposition with the twist
+    # on Hom(A^g', A^g''): same dimension, certificates (evidence included)
+    # and triviality at every split that fits the guard
+    h = SEPARATING_ORACLE_ALGEBRAS[name]()
+    splits = [(a, b) for a, b in ((1, 1), (1, 2), (2, 1)) if h.dim ** (a + b) <= GENERIC_HOM_UNKNOWN_LIMIT]
+    assert (1, 1) in splits
+    for a, b in splits:
+        sep = separating_twist_op(h, a, b)
+        hom, mat, cert = separating_twist_by_hom(h, a, b)
+        assert sep.dim == hom.dim, (a, b)
+        assert sep.certificate.to_json() == cert.to_json(), (a, b)
+        assert sep.matrix.is_identity() == mat.is_identity(), (a, b)
+
+
+def test_theorems_builds_each_twist_operator_once(tmp_path, monkeypatch, capsys):
+    # a fresh D(S3), so no operator is cached from another test
+    path = tmp_path / "ds3.json"
+    catalog.save(catalog.double_of_group(catalog.symmetric_group_3()), path)
+
+    def no_hom_space(*args):
+        raise AssertionError("theorems solved a hom space")
+
+    restricted = []
+    original = blocks.restrict_operator
+
+    def counting(block, op):
+        restricted.append((block.model, block.genus))
+        return original(block, op)
+
+    monkeypatch.setattr(repcat, "hom_space", no_hom_space)
+    monkeypatch.setattr(blocks, "hom_space", no_hom_space)
+    monkeypatch.setattr(blocks, "restrict_operator", counting)
+    assert cli.main(["theorems", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # meridians: handle 1 at genus 1, handles 1 and 2 at genus 2; the
+    # separating (1,1) twist on the genus-2 direct block; center model at 1, 2
+    assert sorted(restricted) == sorted([(DIRECT, 1), (DIRECT, 2), (DIRECT, 2), (DIRECT, 2),
+                                         (RELATIVE_CENTER, 1), (RELATIVE_CENTER, 2)])
+
+
+def test_twist_operators_are_cached_per_cap():
+    h = catalog.double_of_group(catalog.cyclic_group(2))
+    block = block_space(h, 2)
+    op = nonseparating_twist_op(block, 1)
+    assert nonseparating_twist_op(block, 1) is op
+    other = nonseparating_twist_op(block, 1, cap=50)
+    assert other is not op
+    assert nonseparating_twist_op(block, 1, cap=50) is other
+    center = block_space(h, 2, RELATIVE_CENTER)
+    assert center_twist_op(center) is center_twist_op(center)
+    assert center_twist_op(center) is not center_twist_op(center, cap=50)
+    assert h.ribbon_order() is h.ribbon_order()
+    assert h.ribbon_order() is not h.ribbon_order(cap=50)

@@ -200,6 +200,20 @@ def test_bad_curve_numbers(spec, capsys):
     assert "BAD_CURVE" in err
 
 
+def test_separating_needs_factorizable_exit(tmp_path, capsys):
+    # k[Z2] with R = 1 x 1 and v = 1 is ribbon but not factorizable: its
+    # Drinfeld map has rank 1, so A* and A are not identified
+    h = catalog.group_algebra(catalog.cyclic_group(2))
+    h.r_matrix = catalog.trivial_r_matrix(h)
+    h.ribbon = list(h.unit)
+    path = tmp_path / "z2_triangular.json"
+    catalog.save(h, path)
+    code, _, err = run(["dehn", str(path), "--curve", "sep:1,1"], capsys)
+    assert code == 2
+    assert "error[BLOCKS]" in err
+    assert "Traceback" not in err
+
+
 def test_hom_space_too_large_exit(capsys):
     code, _, err = run(["dehn", "double:S3", "--curve", "sep:1,2"], capsys)
     assert code == 2
@@ -266,6 +280,7 @@ CORRUPTIONS = [
     ("comult", [[0, -1, 0, "1"]]), ("antipode", [[0, 4, "1"]]), ("r_matrix", [[0, -2, "1"]]), ("r_matrix", "x"),
     ("ribbon", ["1"]), ("ribbon", ["1"] * 9), ("ribbon", 3),
     ("unit", None), ("counit", ["x"] * 4), ("basis", 4), ("generators", [-1]), ("generators", 3),
+    ("name", None), ("name", 3),
 ]
 SUBCOMMANDS = [["check"], ["invariants"], ["blocks", "--genus", "1"], ["dehn", "--curve", "nonsep:1"],
                ["theorems", "--max-genus", "1", "--window", "1"]]
@@ -287,6 +302,16 @@ def test_corrupted_files_exit_usage_on_every_subcommand(key, value, tmp_path, ca
         assert code == 2, (argv, err)
 
 
+@pytest.fixture(scope="module")
+def ds3_f7_file(tmp_path_factory):
+    from hopfblocks.fields import PrimeField
+
+    path = tmp_path_factory.mktemp("f7") / "ds3_f7.json"
+    catalog.save(catalog.double_of_group(catalog.symmetric_group_3(), PrimeField(7)), path)
+    return str(path)
+
+
+# "@ds3_f7" is the path of D(S3) over F_7, where --cap bounds the order search
 BAD_FLAGS = [
     ["blocks", "double:Z2", "--genus", "-1"], ["blocks", "double:Z2", "--genus", "9"],
     ["blocks", "double:Z2", "--genus", "1", "--genus-cap", "-3"],
@@ -297,10 +322,22 @@ BAD_FLAGS = [
     ["dehn", "double:Z2", "--curve", "nonsep:1", "--cap", "-1"], ["invariants", "double:Z2", "--cap", "-4"],
     ["theorems", "double:Z2", "--max-genus", "1", "--genus-cap", "0"],
     ["theorems", "double:Z2", "--max-genus", "1", "--cap", "-1"],
+    ["invariants", "@ds3_f7", "--cap", "-1"], ["invariants", "@ds3_f7", "--cap", "0"],
+    ["dehn", "@ds3_f7", "--curve", "nonsep:1", "--cap", "0"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_FLAGS, ids=[" ".join(a) for a in BAD_FLAGS])
-def test_bad_flags_never_exit_discrepancy(argv, capsys):
+def test_bad_flags_never_exit_discrepancy(argv, ds3_f7_file, capsys):
+    argv = [ds3_f7_file if a == "@ds3_f7" else a for a in argv]
     code, _, err = run(argv, capsys)
     _assert_contract(argv, code, err)
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_is_bad_argument_on_every_subcommand(cap, ds3_f7_file, capsys):
+    for sub in SUBCOMMANDS + [["catalog-list"]]:
+        argv = [sub[0], *([ds3_f7_file] if sub[0] != "catalog-list" else []), *sub[1:], "--cap", cap]
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert "error[BAD_ARGUMENT]" in err, argv

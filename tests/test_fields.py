@@ -22,6 +22,14 @@ def test_rational_basics():
         QQ.inv(0)
 
 
+def test_rational_eq_matches_normalized_compare():
+    # QQ.eq is plain ==, which compares int and Fraction by value
+    values = [0, 1, -2, 3, Fraction(0), Fraction(2, 1), Fraction(-2, 1), Fraction(1, 2), Fraction(3, 1), Fraction(6, 2)]
+    for a in values:
+        for b in values:
+            assert QQ.eq(a, b) == (QQ.normalize(a) == QQ.normalize(b)), (a, b)
+
+
 def test_cyclotomic_phi3_relation():
     F = CyclotomicField(3)
     z = F.zeta()

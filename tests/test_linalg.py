@@ -499,6 +499,15 @@ def test_order_prime_field_cap():
     assert cert.gl_order.kind == "unknown" and cert.gl_order.cap == 2
 
 
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_order_rejects_cap_below_one(F):
+    t = Matrix.diagonal(F, [3, 5])
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            operator_order(t, cap=cap)
+    assert operator_order(t, cap=1).gl_order.kind == ("unknown" if F.kind == "Fp" else "infinite")
+
+
 def conjugation_operator(t: Matrix) -> Matrix:
     """Oracle: the operator X -> T X T^(-1) on the full matrix space
     (row-major vec), whose GL order is the PGL order of T."""

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from hopfblocks import catalog, repcat
-from hopfblocks.fields import QQ, PrimeField
-from hopfblocks.linalg import Matrix, operator_order
+from hopfblocks.fields import QQ, CyclotomicField, PrimeField
+from hopfblocks.linalg import Matrix, linear_combination, operator_order
 from hopfblocks.repcat import (
     adjoint_module,
     braiding,
@@ -27,6 +29,20 @@ def test_module_actions_respect_algebra():
         for m in (trivial_module(h), regular_module(h), adjoint_module(h),
                   dual_module(regular_module(h))):
             assert m.action_respects_algebra(), (name, m.name)
+
+
+@pytest.mark.parametrize("F", [QQ, CyclotomicField(3), PrimeField(7)], ids=["Q", "Qzeta3", "F7"])
+def test_tensor_act_element_matches_basis_combination(F):
+    # act_element on a tensor module goes through Delta(x); the oracle sums
+    # the actions of the basis elements in the support of x
+    rng = random.Random(7)
+    for h in (catalog.group_algebra(catalog.symmetric_group_3(), F), catalog.sweedler(F)):
+        a = adjoint_module(h)
+        for m in (tensor_power(a, 2), tensor_power(a, 3), tensor_module(regular_module(h), a)):
+            for _ in range(3):
+                x = [F.random_element(rng) for _ in range(h.dim)]
+                terms = [(c, m.act(i)) for i, c in enumerate(x) if not F.is_zero(c)]
+                assert m.act_element(x) == linear_combination(F, m.dim, m.dim, terms), (h.name, m.name)
 
 
 def test_tensor_with_trivial_is_identity_on_actions():
