@@ -23,13 +23,16 @@ The separating twist that splits g = g' + g'' acts on the genus-g direct
 block by precomposition with I x theta on A^(g') x A^(g''): the block is
 Hom(A^(g') x A^(g''), k) = Hom(A^(g'), (A^(g''))*), and for factorizable H
 the Drinfeld map identifies A* with A, so this is postcomposition with the
-twist on Hom(A^(g'), A^(g'')), up to conjugation.
+twist on Hom(A^(g'), A^(g'')), up to conjugation.  The bounding pair acts
+on Hom(H x A, H) = Hom_k(A, H) (free-module coordinates f -> f(1 x -)),
+where it is one Kronecker sum over Delta(v^-1); no hom space is solved.
 
 A block's basis is the sparse ``KernelBasis`` of its invariance constraints.
 ``restrict_operator`` pushes each sparse basis column through the ambient
 operator and certifies the result completely: every image must equal the
-re-expansion of its coordinates in the basis (B.R = Op.B), and operators on
-hom spaces (bounding pairs) are checked the same way on every basis map.
+re-expansion of its coordinates in the basis (B.R = Op.B).  The bounding
+pair is certified by its condition: the twist of H intertwines on every
+generator.
 Block spaces, the end twist and every twist operator are built once and
 cached on the algebra (``HopfData._cache``), never in module globals.
 """
@@ -43,7 +46,6 @@ from .linalg import (
     KernelBasis,
     Matrix,
     OrderCertificate,
-    inverse,
     kron_sum,
     operator_order,
     simultaneous_kernel,
@@ -51,11 +53,10 @@ from .linalg import (
 )
 from .repcat import (
     GENERIC_HOM_UNKNOWN_LIMIT,
-    HomSpace,
     HomSpaceTooLarge,
     Module,
     adjoint_module,
-    hom_space,
+    is_intertwiner,
     regular_module,
     tensor_module,
     tensor_power,
@@ -328,10 +329,7 @@ def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
     right = tensor_power(a, genus_right)
     unknowns = left.dim * right.dim
     if unknowns > GENERIC_HOM_UNKNOWN_LIMIT:
-        raise HomSpaceTooLarge(
-            f"{unknowns} unknowns for Hom({left.name}, {right.name}); "
-            "no free-module fast path applies"
-        )
+        raise HomSpaceTooLarge(f"{unknowns} unknowns for Hom({left.name}, {right.name})")
     if h.ribbon is None:
         raise MissingRibbon(h.name)
     if h.r_matrix is None or not h.is_factorizable()[0]:
@@ -341,45 +339,38 @@ def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
     theta_left = twist(left)
     theta_right = twist(right)
     mat = restrict_operator(block, tensor_product(Matrix.identity(h.field, left.dim), theta_right))
-    result = SeparatingTwist(
-        genus_left,
-        genus_right,
-        block,
-        mat,
-        operator_order(mat, cap=cap),
-        operator_order(theta_left, cap=cap),
-        operator_order(theta_right, cap=cap),
-    )
+    left_order = operator_order(theta_left, cap=cap)
+    # for g' = g'' both are the one twist kept on the power: certify it once
+    right_order = left_order if theta_right is theta_left else operator_order(theta_right, cap=cap)
+    result = SeparatingTwist(genus_left, genus_right, block, mat, operator_order(mat, cap=cap),
+                             left_order, right_order)
     h._cache[key] = result
     return result
 
 
-def bounding_pair_op(h: HopfData, x: Module, y: Module) -> tuple[HomSpace, Matrix]:
-    """The bounding-pair action f -> twist(Y) . f . (twist(X)^-1 x id) on
-    Hom(X x A, Y)."""
+def bounding_pair_op(h: HopfData) -> Matrix:
+    """The bounding-pair action f -> theta_H . f . (theta_H^-1 x id) on
+    Hom(H x A, H), H the regular module and A the canonical end.
+
+    The matrix is taken in the free-module coordinates
+    Hom(H x A, H) = Hom_k(A, H), f -> C = f(1 x -), row-major (index
+    y * dim A + t).  An intertwiner satisfies
+    f(x x w) = sum rho(x1) f(1 x S(x2) w), so the operator sends C to
+    theta_H . sum c L_a C rho_A(S(b)) over the terms c a x b of
+    Delta(v^-1): one Kronecker sum.  It maps intertwiners to intertwiners
+    exactly when theta_H is one, which is checked on every generator.
+    """
     if h.ribbon is None:
         raise MissingRibbon(h.name)
+    reg = regular_module(h)
+    theta = twist(reg)
+    if not is_intertwiner(theta, reg, reg):
+        raise BlocksError("bounding pair left the hom space")
     a = adjoint_module(h)
-    source = tensor_module(x, a)
-    hom = hom_space(source, y)
-    theta_y = twist(y)
-    theta_x_inv = inverse(twist(x))
-    pre = tensor_product(theta_x_inv, Matrix.identity(h.field, a.dim))
-    return hom, _hom_operator(hom, lambda f: theta_y.mul(f).mul(pre), "bounding pair")
-
-
-def _hom_operator(hom: HomSpace, op, what: str) -> Matrix:
-    """The matrix of f -> op(f) on a hom space, in its basis.
-
-    Every image is compared exactly with the combination of the basis that
-    its coordinates name, so an operator that leaves the hom space raises.
-    """
-    out = Matrix(hom.source.algebra.field, hom.dim, hom.dim)
-    for j, f in enumerate(hom.basis):
-        image = op(f)
-        coords = hom.coordinates(image)
-        if hom.combination(coords) != image:
-            raise BlocksError(f"{what} left the hom space")
-        for k, c in coords.items():
-            out.rows[k][j] = c
-    return out
+    v_inv = h.sparse(h.element_inverse(h.ribbon))
+    terms = [
+        (c, theta.mul(reg.act(x1)), a.act_element(h.antipode_of(h.basis_vector(x2))).transpose())
+        for (x1, x2), c in h.comult_of(v_inv).items()
+    ]
+    n = h.dim * a.dim
+    return kron_sum(h.field, n, n, terms)

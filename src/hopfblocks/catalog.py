@@ -522,6 +522,14 @@ def _flags_from_json(doc: dict) -> dict:
     return out
 
 
+def _json_int(x, what: str) -> int:
+    """x itself when it is a JSON integer (not a bool, float or string), else
+    ``ParseError``."""
+    if type(x) is not int:
+        raise ParseError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def _tensor_entries(field: Field, dim: int, entries, arity: int) -> list[tuple[list[int], object]]:
     """The (indices, coefficient) pairs of a sparse tensor in the file format.
 
@@ -547,7 +555,7 @@ def from_json(doc: dict, validate: bool = True) -> HopfData:
         if not isinstance(doc["name"], str):
             raise ParseError(f"name {doc['name']!r} is not a string")
         field = field_from_json(doc["field"])
-        dim = int(doc["dim"])
+        dim = _json_int(doc["dim"], "dim")
         if dim != len(doc["basis"]):  # before allocating dim x dim products
             raise DimensionMismatch(f"dim {dim} but {len(doc['basis'])} basis labels")
         mult = [[{} for _ in range(dim)] for _ in range(dim)]
@@ -577,7 +585,7 @@ def from_json(doc: dict, validate: bool = True) -> HopfData:
             antipode=antipode,
             r_matrix=r_matrix,
             ribbon=ribbon,
-            generators=[int(g) for g in doc["generators"]] if "generators" in doc else None,
+            generators=[_json_int(g, "generator") for g in doc["generators"]] if "generators" in doc else None,
             flags=_flags_from_json(doc.get("flags", {})),
         )
     except (AttributeError, KeyError, IndexError, TypeError, ValueError, FieldError) as exc:

@@ -135,14 +135,13 @@ def cmd_dehn(args) -> int:
         sep = blk.separating_twist_op(h, g1, g2, cap=args.cap)
         doc = {"report_version": 1, "algebra": h.name, "genus": g1 + g2, **sep.to_json()}
     elif curve == "bpair":
-        reg = repcat.regular_module(h)
-        hom, mat = blk.bounding_pair_op(h, reg, reg)
+        mat = blk.bounding_pair_op(h)
         cert = operator_order(mat, cap=args.cap)
         doc = {
             "report_version": 1,
             "algebra": h.name,
             "kind": "bounding-pair(regular, regular)",
-            "block_dim": hom.dim,
+            "block_dim": mat.nrows,
             "acts_trivially": mat.is_identity(),
             "certificate": cert.to_json(),
         }

@@ -232,7 +232,7 @@ def verify_separating(h: HopfData, g_left: int, g_right: int, cap: int | None = 
         Check(
             name=name,
             statement=statement,
-            lhs=f"operator: {sep.certificate.pgl_order} (hom dim {sep.dim})",
+            lhs=f"operator: {sep.certificate.pgl_order} (block dim {sep.dim})",
             rhs=f"min({sep.twist_left_order.gl_order}, {sep.twist_right_order.gl_order}) = {expected}",
             status="pass" if ok else "fail",
         ),

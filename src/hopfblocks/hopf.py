@@ -372,11 +372,12 @@ class HopfData:
         return m
 
     def is_factorizable(self) -> tuple[bool, str | None]:
-        m = self.drinfeld_map_matrix()
-        ker = simultaneous_kernel([m])
-        if ker.dim == 0:
-            return True, None
-        return False, f"Drinfeld map has nullity {ker.dim}"
+        """Whether the Drinfeld map is invertible, with a witness if not;
+        the verdict is kept on the algebra."""
+        if "factorizable" not in self._cache:
+            nullity = simultaneous_kernel([self.drinfeld_map_matrix()]).dim
+            self._cache["factorizable"] = (nullity == 0, f"Drinfeld map has nullity {nullity}" if nullity else None)
+        return self._cache["factorizable"]
 
     def ribbon_order(self, cap: int | None = None) -> OrderCertificate:
         """Order of left multiplication by the ribbon element, kept per cap."""
@@ -430,7 +431,9 @@ class HopfData:
         every triple (e_i, e_j, e_k) and the bialgebra axiom on every pair
         (e_i, e_j).  In generator mode (``full=False``, the default for an
         algebra of dim at least ``FULL_AXIOM_DIM_LIMIT`` with generators) e_i
-        runs over the generators, which must span the algebra.
+        runs over the generators.  Declared generators must span the
+        algebra in either mode, since every constraint system is built on
+        them (``generating_indices``).
 
         Associativity is checked one structure-constant row at a time: for
         each (i, j), both sides of (e_i e_j) e_k = e_i (e_j e_k) are built for
@@ -450,7 +453,7 @@ class HopfData:
 
         labels = self.basis_labels
         gens = self.generating_indices()
-        if not full:
+        if self.generators is not None:
             closure = self.span_closure_dim(gens)
             record("generators-span", closure == self.dim, f"closure dim {closure} != {self.dim}")
 

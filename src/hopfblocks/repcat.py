@@ -2,13 +2,12 @@
 spaces, braiding and twist from the quasitriangular/ribbon data, and Mueger
 centrality.
 
-Intertwiner spaces are solved as stacked kernels over the algebra's
-generating set.  One free-module fast path avoids huge dense systems: maps
-out of (regular x W) are classified by the free-module untwisting
-h x w -> h1 x S(h2)w, and the regular module takes it with W trivial
-(H = H x k).  Fast-path bases are post-checked to intertwine on the
-generating set.  Every path reads coordinates sparsely, straight from the
-nonzeros of a map.
+Intertwiner spaces are solved one way only: as the stacked kernel of the
+intertwining constraints over the algebra's generating set, on the
+row-major entries of a map.  The basis is the sparse ``KernelBasis``, and
+a map's coordinates are its entries at the free columns.  No command
+solves a hom space: block spaces and twist operators live in ``blocks``,
+and ``hom_space`` is the independent route that the test oracles use.
 
 The adjoint and regular modules are kept on the algebra, and a module keeps
 its tensor powers and its twist, so their action matrices are built once
@@ -208,15 +207,26 @@ def flagged_simple_modules(h: HopfData) -> list[Module]:
 
 
 class HomSpace:
-    """A basis of the space of intertwiners source -> target."""
+    """A basis of the space of intertwiners source -> target.
 
-    def __init__(self, source: Module, target: Module, basis: list[Matrix],
-                 kernel: KernelBasis | None, coords_fn):
+    The basis is the ``KernelBasis`` of the intertwining constraints on the
+    row-major entries of a map (unknown r * source.dim + c is the entry
+    (r, c)); a map's coordinates are its entries at the free columns.
+    """
+
+    def __init__(self, source: Module, target: Module, kernel: KernelBasis):
+        F = source.algebra.field
         self.source = source
         self.target = target
-        self.basis = basis
         self.kernel = kernel
-        self._coords_fn = coords_fn
+        self.basis = []
+        for col in kernel.columns:
+            f = Matrix(F, target.dim, source.dim)
+            for idx, v in col.items():
+                r, c = divmod(idx, source.dim)
+                f.rows[r][c] = v
+            self.basis.append(f)
+        self._free_entries = [divmod(idx, source.dim) for idx in kernel.free_cols]
 
     @property
     def dim(self) -> int:
@@ -225,7 +235,13 @@ class HomSpace:
     def coordinates(self, f: Matrix) -> dict:
         """Coordinates of an intertwiner f in this basis, sparse (basis index
         -> nonzero value); f must lie in the span."""
-        return self._coords_fn(f)
+        F = self.source.algebra.field
+        out = {}
+        for k, (r, c) in enumerate(self._free_entries):
+            v = f.rows[r].get(c)
+            if v is not None and not F.is_zero(v):
+                out[k] = v
+        return out
 
     def combination(self, coords: dict) -> Matrix:
         """The map sum_k coords[k] * basis[k]."""
@@ -248,124 +264,23 @@ def is_intertwiner(f: Matrix, source: Module, target: Module) -> bool:
 
 
 def hom_space(source: Module, target: Module) -> HomSpace:
+    """Hom_H(source, target) as the kernel of f rho_S(g) = rho_T(g) f over the
+    generators g; raises ``HomSpaceTooLarge`` above
+    ``GENERIC_HOM_UNKNOWN_LIMIT`` unknowns."""
     h = _same_algebra(source, target)
-    if source.is_regular:  # H = H x k
-        return _hom_from_free(source, target, trivial_module(h))
-    if source.tensor_factors and source.tensor_factors[0].is_regular:
-        return _hom_from_free(source, target, source.tensor_factors[1])
-    return _hom_generic(source, target)
-
-
-def _hom_generic(source: Module, target: Module) -> HomSpace:
-    h = source.algebra
     F = h.field
     unknowns = source.dim * target.dim
     if unknowns > GENERIC_HOM_UNKNOWN_LIMIT:
-        raise HomSpaceTooLarge(
-            f"{unknowns} unknowns for Hom({source.name}, {target.name}); "
-            "no free-module fast path applies"
-        )
+        raise HomSpaceTooLarge(f"{unknowns} unknowns for Hom({source.name}, {target.name})")
     ident_s = Matrix.identity(F, source.dim)
     ident_t = Matrix.identity(F, target.dim)
     minus = F.neg(F.one)
-    # f rho_S(g) = rho_T(g) f on the row-major unknowns of f
     mats = [
         kron_sum(F, unknowns, unknowns,
                  [(F.one, target.act(g), ident_s), (minus, ident_t, source.act(g).transpose())])
         for g in h.generating_indices()
     ]
-    ker = simultaneous_kernel(mats)
-    # unknown r * source.dim + c is the entry (r, c) of the map
-    basis = []
-    for col in ker.columns:
-        f = Matrix(F, target.dim, source.dim)
-        for idx, v in col.items():
-            r, c = divmod(idx, source.dim)
-            f.rows[r][c] = v
-        basis.append(f)
-    free_entries = [divmod(idx, source.dim) for idx in ker.free_cols]
-
-    def coords(f: Matrix) -> dict:
-        out = {}
-        for k, (r, c) in enumerate(free_entries):
-            v = f.rows[r].get(c)
-            if v is not None and not F.is_zero(v):
-                out[k] = v
-        return out
-
-    return HomSpace(source, target, basis, ker, coords)
-
-
-def _hom_from_free(source: Module, target: Module, w_mod: Module) -> HomSpace:
-    """Hom(H x W, Y) for a source H x W with diagonal action (W = w_mod), via
-    the untwisting h x w -> h1 x S(h2) w: basis
-    F_{y,t}(h x w) = w*_t(S(h2) w) rho_Y(h1) y."""
-    h = source.algebra
-    F = h.field
-    wd = w_mod.dim
-    add, mul, is_zero = F.add, F.mul, F.is_zero
-    s_rows: dict[int, list[dict]] = {}  # h2 -> rows of rho_W(S(e_h2))
-    y_cols: dict[int, list[dict]] = {}  # h1 -> columns of rho_Y(e_h1)
-    terms = []  # (hidx * wd, c, y_cols[h1], s_rows[h2]) for each term c e_h1 x e_h2 of Delta(e_hidx)
-    for hidx in range(h.dim):
-        for (h1, h2), c in h.comult[hidx].items():
-            if h2 not in s_rows:
-                s_rows[h2] = w_mod.act_element(h.antipode_of(h.basis_vector(h2))).rows
-            if h1 not in y_cols:
-                y_cols[h1] = target.act(h1).transpose().rows
-            terms.append((hidx * wd, c, y_cols[h1], s_rows[h2]))
-    basis = []
-    for y in range(target.dim):
-        for t in range(wd):
-            rows: list[dict] = [{} for _ in range(target.dim)]
-            for base, c, ycols, srows in terms:
-                srow = srows[t]
-                if not srow:
-                    continue
-                for r, a in ycols[y].items():
-                    ca = mul(c, a)
-                    row = rows[r]
-                    for widx, sv in srow.items():
-                        col = base + widx
-                        p = mul(ca, sv)
-                        row[col] = add(row[col], p) if col in row else p
-            rows = [{j: v for j, v in row.items() if not is_zero(v)} for row in rows]
-            basis.append(Matrix(F, target.dim, source.dim, rows))
-    unit_entries = h.sparse(h.unit)
-
-    def coords(f: Matrix) -> dict:
-        # c_{y,t} = (f applied to 1 x e_t)[y]: Delta(1) = 1 x 1 makes the
-        # untwisting act trivially at the unit
-        return _unit_block_coordinates(F, f, unit_entries, wd)
-
-    space = HomSpace(source, target, basis, None, coords)
-    _post_check_fast_basis(space)
-    return space
-
-
-def _unit_block_coordinates(F: Field, f: Matrix, unit_entries: dict, wd: int) -> dict:
-    """Entry y * wd + t is (f applied to 1 x e_t)[y], for f on H x W with W of
-    dimension wd (wd = 1: f applied to 1), read from the nonzeros of f in the
-    columns hidx * wd + t of the unit's support."""
-    out: dict = {}
-    for y, row in enumerate(f.rows):
-        for col, v in row.items():
-            hidx, t = divmod(col, wd)
-            uv = unit_entries.get(hidx)
-            if uv is not None:
-                key = y * wd + t
-                p = F.mul(v, uv)
-                out[key] = F.add(out[key], p) if key in out else p
-    return {k: v for k, v in out.items() if not F.is_zero(v)}
-
-
-def _post_check_fast_basis(space: HomSpace, sample: int = 2) -> None:
-    for f in space.basis[:sample] + space.basis[-sample:]:
-        if not is_intertwiner(f, space.source, space.target):
-            raise RepcatError(
-                f"fast-path basis for Hom({space.source.name}, {space.target.name}) "
-                "failed the intertwiner post-check"
-            )
+    return HomSpace(source, target, simultaneous_kernel(mats))
 
 
 # ---------------------------------------------------------------------------

@@ -46,3 +46,42 @@ def separating_twist_by_hom(h, genus_left: int, genus_right: int, cap: int | Non
         for k, c in coords.items():
             out.rows[k][j] = c
     return hom, out, operator_order(out, cap=cap)
+
+
+def bounding_pair_by_hom(h):
+    """The bounding pair f -> theta_H . f . (theta_H^-1 x id) on the solved
+    hom space Hom(H x A, H), one basis map at a time.
+
+    The oracle for ``blocks.bounding_pair_op``, which never solves the hom
+    space.  Every image must re-expand in the basis.  The matrix is then
+    moved to that function's free-module coordinates C = f(1 x -), entry
+    y * dim A + t: with P and Q the coordinates of the basis maps and of
+    their images, the operator is Q P^-1.
+    """
+    from hopfblocks.linalg import Matrix, inverse, tensor_product
+    from hopfblocks.repcat import adjoint_module, hom_space, regular_module, tensor_module, twist
+
+    F = h.field
+    reg = regular_module(h)
+    a = adjoint_module(h)
+    hom = hom_space(tensor_module(reg, a), reg)
+    n = reg.dim * a.dim
+    assert hom.dim == n, "Hom(H x A, H) is not free of rank dim A"
+    theta = twist(reg)
+    pre = tensor_product(inverse(theta), Matrix.identity(F, a.dim))
+    unit = h.sparse(h.unit)
+    p, q = Matrix(F, n, n), Matrix(F, n, n)
+    for j, f in enumerate(hom.basis):
+        image = theta.mul(f).mul(pre)
+        assert hom.combination(hom.coordinates(image)) == image, "the bounding pair left the hom space"
+        for coords, g in ((p, f), (q, image)):
+            # (g applied to 1 x e_t)[y] = sum_x unit[x] g[y][x * dim A + t]
+            for y, row in enumerate(g.rows):
+                for col, v in row.items():
+                    x, t = divmod(col, a.dim)
+                    if x in unit:
+                        r = y * a.dim + t
+                        coords.rows[r][j] = F.add(coords.rows[r].get(j, F.zero), F.mul(unit[x], v))
+    for coords in (p, q):
+        coords.rows = [{j: v for j, v in row.items() if not F.is_zero(v)} for row in coords.rows]
+    return q.mul(inverse(p))

@@ -21,9 +21,10 @@ from hopfblocks.blocks import (
     separating_twist_op,
 )
 from hopfblocks.fields import CyclotomicField, PrimeField
+from hopfblocks.hopf import MissingRibbon
 from hopfblocks.linalg import Matrix, operator_order
 from hopfblocks.repcat import GENERIC_HOM_UNKNOWN_LIMIT, adjoint_module, hom_space, regular_module, trivial_module
-from oracles import separating_twist_by_hom
+from oracles import bounding_pair_by_hom, separating_twist_by_hom
 
 
 def test_genus_zero_dim_one():
@@ -164,30 +165,61 @@ def test_separating_1_2_small():
     assert sep.certificate.pgl_order.n == 1
 
 
-def test_bounding_pair_trivial_labels():
-    h = catalog.get("double:Z3")
-    t = trivial_module(h)
-    hom, op = bounding_pair_op(h, t, t)
-    assert op.is_identity()
-
-
 def test_bounding_pair_regular_commutative_trivial():
     h = catalog.get("double:Z2")
-    reg = regular_module(h)
-    hom, op = bounding_pair_op(h, reg, reg)
-    assert op.is_identity()
+    assert bounding_pair_op(h).is_identity()
 
 
 def test_bounding_pair_detects_noncommutativity():
     h = catalog.get("double:S3")
-    reg = regular_module(h)
-    hom, op = bounding_pair_op(h, reg, reg)
-    assert hom.dim == 1296
+    op = bounding_pair_op(h)
+    assert op.nrows == op.ncols == 1296
     assert not op.is_identity()
+    assert operator_order(op).gl_order.n == 6
     # the identity-induced vector is fixed iff the end double-braids trivially
     from hopfblocks.repcat import monodromy
 
-    assert not monodromy(adjoint_module(h), reg).is_identity()
+    assert not monodromy(adjoint_module(h), regular_module(h)).is_identity()
+
+
+BOUNDING_PAIR_ORACLE_ALGEBRAS = {
+    "double:Z2": lambda: catalog.get("double:Z2"),
+    "double:Z3": lambda: catalog.get("double:Z3"),
+    "D(Z3)/Q(zeta12)": lambda: catalog.double_of_group(catalog.cyclic_group(3), CyclotomicField(12)),
+    "D(Z2)/F7": lambda: catalog.double_of_group(catalog.cyclic_group(2), PrimeField(7)),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDING_PAIR_ORACLE_ALGEBRAS))
+def test_bounding_pair_matches_hom_route(name):
+    # free-module coordinates against the solved Hom(H x A, H), entrywise
+    h = BOUNDING_PAIR_ORACLE_ALGEBRAS[name]()
+    assert bounding_pair_op(h) == bounding_pair_by_hom(h)
+
+
+def test_bounding_pair_solves_no_hom_space(monkeypatch, capsys):
+    def no_hom_space(*args):
+        raise AssertionError("bpair solved a hom space")
+
+    monkeypatch.setattr(repcat, "hom_space", no_hom_space)
+    assert cli.main(["dehn", "double:S3", "--curve", "bpair"]) == 0
+    assert "1296" in capsys.readouterr().out
+
+
+def test_bounding_pair_needs_a_central_twist():
+    # a fresh D(S3) whose "ribbon" is the non-central grouplike (12), so
+    # theta_H is no module map and f -> theta_H f (theta_H^-1 x id) leaves
+    # the hom space
+    h = catalog.double_of_group(catalog.symmetric_group_3())
+    F = h.field
+    h.ribbon = [F.one if label.endswith(".(12)") else F.zero for label in h.basis_labels]
+    with pytest.raises(BlocksError, match="bounding pair left the hom space"):
+        bounding_pair_op(h)
+
+
+def test_bounding_pair_needs_a_ribbon():
+    with pytest.raises(MissingRibbon):
+        bounding_pair_op(catalog.get("double:sweedler"))
 
 
 def test_block_dimension_positive():
@@ -310,7 +342,6 @@ def test_theorems_builds_each_twist_operator_once(tmp_path, monkeypatch, capsys)
         return original(block, op)
 
     monkeypatch.setattr(repcat, "hom_space", no_hom_space)
-    monkeypatch.setattr(blocks, "hom_space", no_hom_space)
     monkeypatch.setattr(blocks, "restrict_operator", counting)
     assert cli.main(["theorems", str(path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -318,6 +349,15 @@ def test_theorems_builds_each_twist_operator_once(tmp_path, monkeypatch, capsys)
     # separating (1,1) twist on the genus-2 direct block; center model at 1, 2
     assert sorted(restricted) == sorted([(DIRECT, 1), (DIRECT, 2), (DIRECT, 2), (DIRECT, 2),
                                          (RELATIVE_CENTER, 1), (RELATIVE_CENTER, 2)])
+
+
+def test_equal_split_certifies_its_twist_once():
+    h = catalog.get("double:S3")
+    sep = separating_twist_op(h, 1, 1)
+    assert sep.twist_left_order is sep.twist_right_order
+    assert sep.twist_left_order.gl_order.n == sep.certificate.pgl_order.n == 3
+    other = separating_twist_op(catalog.get("double:Z2"), 1, 2)
+    assert other.twist_left_order is not other.twist_right_order
 
 
 def test_twist_operators_are_cached_per_cap():

@@ -252,12 +252,17 @@ def _corrupt_file(tmp_path, key, value, name="group:Z2"):
         (["invariants"], ("antipode", [[0, 0, "1"], [-1, -1, "1"]]), "DIMENSION_MISMATCH"),
         (["check"], ("comult", [[0, 0, 0, "1"], [1, 1, 2, "1"]]), "DIMENSION_MISMATCH"),
         (["check"], ("r_matrix", [[0, 2, "1"]]), "DIMENSION_MISMATCH"),
+        (["check"], ("generators", [1.5]), "PARSE_ERROR"),
+        (["invariants"], ("generators", [True]), "PARSE_ERROR"),
+        (["check"], ("dim", 4.7), "PARSE_ERROR"),
+        (["invariants"], ("dim", "4"), "PARSE_ERROR"),
     ],
     ids=["check-field-kind", "invariants-field-kind", "check-generator-index",
          "invariants-generator-index", "theorems-max-genus-0", "theorems-window-negative",
          "check-field-null", "invariants-field-string", "check-flags-list",
          "check-mult-negative-index", "invariants-antipode-negative-index",
-         "check-comult-index-too-large", "check-r-matrix-index-too-large"],
+         "check-comult-index-too-large", "check-r-matrix-index-too-large",
+         "check-generator-float", "invariants-generator-bool", "check-dim-float", "invariants-dim-string"],
 )
 def test_bad_input_exits_usage_with_stable_code(argv, corrupt, code_name, tmp_path, capsys):
     if corrupt is not None:
@@ -266,6 +271,27 @@ def test_bad_input_exits_usage_with_stable_code(argv, corrupt, code_name, tmp_pa
     assert code == 2
     assert f"error[{code_name}]" in err
     assert "Traceback" not in err
+
+
+def test_generators_that_do_not_span_fail_validation(tmp_path, capsys):
+    # k[S3] is checked in full mode, but its constraint systems are built on
+    # the declared generators: (12) alone spans only k[Z2], whose genus-1
+    # block has dim 4, not the 3 classes of S3
+    path = _corrupt_file(tmp_path, "generators", [1], name="group:S3")
+    code, out, _ = run(["check", path, "--format", "json"], capsys)
+    assert code == 3
+    checks = json.loads(out)["checks"]
+    assert checks[0] == {"name": "generators-span", "passed": False, "witness": "closure dim 2 != 6"}
+    code, _, err = run(["blocks", path, "--genus", "1"], capsys)
+    assert code == 3 and "VALIDATION_FAILED" in err
+
+
+def test_full_mode_reports_declared_generators_span(capsys):
+    code, out, _ = run(["check", "group:S3", "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["mode"] == "full"
+    assert report["checks"][0] == {"name": "generators-span", "passed": True}
 
 
 # wrong JSON types, out-of-range or non-integer indices, and lengths that
@@ -280,6 +306,7 @@ CORRUPTIONS = [
     ("comult", [[0, -1, 0, "1"]]), ("antipode", [[0, 4, "1"]]), ("r_matrix", [[0, -2, "1"]]), ("r_matrix", "x"),
     ("ribbon", ["1"]), ("ribbon", ["1"] * 9), ("ribbon", 3),
     ("unit", None), ("counit", ["x"] * 4), ("basis", 4), ("generators", [-1]), ("generators", 3),
+    ("generators", [1.5]), ("generators", [True]), ("dim", 4.7), ("dim", "4"),
     ("name", None), ("name", 3),
 ]
 SUBCOMMANDS = [["check"], ["invariants"], ["blocks", "--genus", "1"], ["dehn", "--curve", "nonsep:1"],

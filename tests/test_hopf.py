@@ -253,6 +253,25 @@ def test_doubles_factorizable():
         assert ok, witness
 
 
+def test_factorizable_verdict_is_solved_once(monkeypatch):
+    # the theorem suite asks for the verdict once per gated check
+    from hopfblocks import harness
+    from hopfblocks.hopf import HopfData
+
+    h = catalog.double_of_group(catalog.cyclic_group(3))
+    solved = []
+    original = HopfData.drinfeld_map_matrix
+
+    def counting(self):
+        solved.append(self)
+        return original(self)
+
+    monkeypatch.setattr(HopfData, "drinfeld_map_matrix", counting)
+    assert not harness.run_all(h, max_genus=1).has_failures
+    assert solved == [h]
+    assert h.is_factorizable() == (True, None)
+
+
 def test_trivial_r_not_factorizable():
     h = catalog.group_algebra(catalog.cyclic_group(2))
     h.r_matrix = catalog.trivial_r_matrix(h)

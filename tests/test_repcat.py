@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hopfblocks import catalog, repcat
+from hopfblocks import catalog
 from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.linalg import Matrix, linear_combination, operator_order
 from hopfblocks.repcat import (
@@ -104,31 +104,17 @@ def test_hom_trivial_to_adjoint_nonzero_all_catalog():
         assert hom_space(trivial_module(h), adjoint_module(h)).dim >= 1, name
 
 
-def test_hom_fast_path_matches_generic():
-    h = catalog.get("sweedler")
-    reg = regular_module(h)
-    a = adjoint_module(h)
-    fast = hom_space(reg, a)
-    generic = repcat._hom_generic(reg, a)
-    assert fast.dim == generic.dim
-    for f in fast.basis:
-        assert is_intertwiner(f, reg, a)
-        vec = [f.entry(r, c) for r in range(a.dim) for c in range(reg.dim)]
-        assert generic.kernel.in_span(vec)
-
-
-def test_hom_free_fast_path_matches_generic():
-    h = catalog.get("group:Z3")
-    reg = regular_module(h)
-    a = adjoint_module(h)
-    src = tensor_module(reg, a)
-    fast = hom_space(src, reg)
-    generic = repcat._hom_generic(src, reg)
-    assert fast.dim == generic.dim == a.dim * reg.dim
-    for f in fast.basis[:4]:
-        assert is_intertwiner(f, src, reg)
-        vec = [f.entry(r, c) for r in range(reg.dim) for c in range(src.dim)]
-        assert generic.kernel.in_span(vec)
+def test_hom_out_of_free_modules_has_free_rank():
+    # Hom(H, N) = N and Hom(H x W, N) = Hom_k(W, N) (free-module
+    # identification): the solved spaces have those dimensions and their
+    # basis maps intertwine
+    for name in ("sweedler", "group:Z3"):
+        h = catalog.get(name)
+        reg, a = regular_module(h), adjoint_module(h)
+        for source, target, rank in ((reg, a, a.dim), (tensor_module(reg, a), reg, a.dim * reg.dim)):
+            hs = hom_space(source, target)
+            assert hs.dim == rank, (name, source.name)
+            assert all(is_intertwiner(f, source, target) for f in hs.basis), (name, source.name)
 
 
 def test_hom_basis_matrices_are_intertwiners():
@@ -236,10 +222,8 @@ def test_hom_coordinates_of_basis_are_unit_vectors(algebra, field):
     spaces = {
         "regular": hom_space(reg, a),
         "free": hom_space(tensor_module(reg, a), reg),
-        "generic": hom_space(a, tensor_module(a, a)),
+        "tensor": hom_space(a, tensor_module(a, a)),
     }
-    assert spaces["regular"].kernel is None and spaces["free"].kernel is None
-    assert spaces["generic"].kernel is not None
     F = h.field
     for path, hs in spaces.items():
         assert hs.dim > 1, path
