@@ -4,7 +4,7 @@ import pytest
 
 from hopfblocks import catalog
 from hopfblocks.fields import QQ, CyclotomicField, PrimeField
-from hopfblocks.linalg import Matrix, linear_combination, operator_order
+from hopfblocks.linalg import Matrix, kernel, linear_combination, operator_order
 from hopfblocks.repcat import (
     adjoint_module,
     braiding,
@@ -104,17 +104,45 @@ def test_hom_trivial_to_adjoint_nonzero_all_catalog():
         assert hom_space(trivial_module(h), adjoint_module(h)).dim >= 1, name
 
 
-def test_hom_out_of_free_modules_has_free_rank():
-    # Hom(H, N) = N and Hom(H x W, N) = Hom_k(W, N) (free-module
-    # identification): the solved spaces have those dimensions and their
-    # basis maps intertwine
-    for name in ("sweedler", "group:Z3"):
-        h = catalog.get(name)
-        reg, a = regular_module(h), adjoint_module(h)
-        for source, target, rank in ((reg, a, a.dim), (tensor_module(reg, a), reg, a.dim * reg.dim)):
-            hs = hom_space(source, target)
-            assert hs.dim == rank, (name, source.name)
-            assert all(is_intertwiner(f, source, target) for f in hs.basis), (name, source.name)
+def _independent(F, vectors) -> bool:
+    # the columns of the matrix built from the vectors have no kernel
+    if not vectors:
+        return True
+    cols = Matrix.from_dense(F, [list(row) for row in zip(*vectors)])
+    return not kernel(cols)
+
+
+def test_hom_fast_path_matches_generic():
+    # Hom(H, N) = N by f -> f(1): the solved basis has dim N and its images
+    # of the unit are independent, so they span N
+    h = catalog.get("sweedler")
+    reg = regular_module(h)
+    a = adjoint_module(h)
+    hs = hom_space(reg, a)
+    assert hs.dim == a.dim
+    for f in hs.basis:
+        assert is_intertwiner(f, reg, a)
+    assert _independent(h.field, [f.apply_right(h.unit) for f in hs.basis])
+
+
+def test_hom_free_fast_path_matches_generic():
+    # Hom(H x W, N) = Hom_k(W, N) by restriction to 1 x W: the solved basis
+    # has rank dim W * dim N and the restrictions are independent
+    h = catalog.get("group:Z3")
+    F = h.field
+    reg = regular_module(h)
+    a = adjoint_module(h)
+    src = tensor_module(reg, a)
+    hs = hom_space(src, reg)
+    assert hs.dim == a.dim * reg.dim
+    for f in hs.basis[:4]:
+        assert is_intertwiner(f, src, reg)
+    unit_in = Matrix.from_dense(F, [[u] for u in h.unit]).kron(Matrix.identity(F, a.dim))
+    restrictions = []
+    for f in hs.basis:
+        g = f.mul(unit_in)
+        restrictions.append([g.entry(r, c) for r in range(reg.dim) for c in range(a.dim)])
+    assert _independent(F, restrictions)
 
 
 def test_hom_basis_matrices_are_intertwiners():
