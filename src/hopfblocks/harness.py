@@ -109,7 +109,7 @@ class TheoremReport:
 
 
 def _timed(check: Check, t0: float) -> Check:
-    check.runtime = time.time() - t0
+    check.runtime = time.perf_counter() - t0
     return check
 
 
@@ -151,7 +151,7 @@ def _verdict_min(a: OrderVerdict, b: OrderVerdict) -> OrderVerdict:
 def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
     """Order of the ribbon element equals the order of the twist on a
     projective generator, and bounds the twist order of every module."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     name = "ribbon-element-order"
     statement = ("order of the generalized ribbon element = order of the twist on the regular module, "
                  "and the twist order of each sampled module divides it")
@@ -190,7 +190,7 @@ def verify_nonseparating(h: HopfData, g_max: int, cap: int | None = None,
     ribbon = h.ribbon_order(cap=cap)
     checks = []
     for g in range(1, g_max + 1):
-        t0 = time.time()
+        t0 = time.perf_counter()
         name = f"nonseparating-twist-order(g={g})"
         try:
             block = block_space(h, g, DIRECT, genus_cap=genus_cap)
@@ -221,7 +221,7 @@ def verify_nonseparating(h: HopfData, g_max: int, cap: int | None = None,
 
 def verify_separating(h: HopfData, g_left: int, g_right: int, cap: int | None = None) -> Check:
     """Separating twist order = min of the twist orders of the two end powers."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     name = f"separating-twist-order({g_left},{g_right})"
     statement = "PGL order of the separating twist = min of the twist orders of the end powers"
     require_ribbon_factorizable(h, name, statement)
@@ -244,7 +244,7 @@ def verify_johnson(h: HopfData, cap: int | None = None) -> Check:
     """Separating twists act trivially iff the end twist is trivial and the
     end's self double braiding is trivial; cross-checked on the genus-2
     separating operator."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     name = "johnson-kernel-criterion"
     statement = "separating twists act trivially iff end twist and end self-monodromy are trivial"
     require_ribbon_factorizable(h, name, statement)
@@ -271,7 +271,7 @@ def verify_torelli(h: HopfData) -> Check:
     """The end is transparent (trivial monodromy with a generator) iff the
     algebra is commutative; when commutative, the end is a sum of trivial
     modules."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     name = "torelli-criterion"
     statement = "the end is in the Mueger center iff the algebra is commutative"
     if h.r_matrix is None:
@@ -309,7 +309,7 @@ def verify_zg(h: HopfData, genus: int, window: int, cap: int | None = None,
               genus_cap: int | None = None) -> Check:
     """The lattice of commuting meridian twists acts with kernel exactly the
     multiples of the ribbon twist order (all-or-nothing per coordinate)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     name = f"commuting-twist-lattice(g={genus}, window={window})"
     statement = "lattice points acting trivially are exactly the multiples of the ribbon order"
     require_ribbon_factorizable(h, name, statement)
@@ -374,7 +374,7 @@ def _lattice_point_trivial(powers: list[dict], pt: tuple) -> bool:
 def verify_excision(h: HopfData, genus: int, cap: int | None = None,
                     genus_cap: int | None = None) -> Check:
     """Direct and relative-center models agree in dimension and twist order."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     name = f"excision-consistency(g={genus})"
     statement = "direct and relative-center block models agree (dimension and twist certificate)"
     require_ribbon_factorizable(h, name, statement)
@@ -412,7 +412,7 @@ def run_all(h: HopfData, max_genus: int = 2, window: int = 4, cap: int | None = 
     report = TheoremReport(algebra=h.name)
 
     def gated(fn, *args, **kwargs):
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             result = fn(*args, **kwargs)
             if isinstance(result, list):
@@ -426,7 +426,7 @@ def run_all(h: HopfData, max_genus: int = 2, window: int = 4, cap: int | None = 
                     statement=exc.statement,
                     status="gated",
                     detail=str(exc),
-                    runtime=time.time() - t0,
+                    runtime=time.perf_counter() - t0,
                     reason=exc.code,
                 )
             )

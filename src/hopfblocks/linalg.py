@@ -20,11 +20,15 @@ through their operators and read coordinates at the free columns, so no
 dense vector of the ambient length is built on the way.  ``vectors``
 densifies on demand for small kernels and tests.
 
-Order certification never materializes the conjugation operator on the full
-matrix space: the GL procedure only consumes the conjugation operator's
-minimal polynomial, which is computed as the minimal polynomial of x/y in
-F[x,y]/(m(x), m(y)) where m is the minimal polynomial of the operator (the
-matrix space is a faithful module over that commutative algebra).
+Order certification reads everything off m = minpoly(T) through one
+residue sequence, x^k mod m (``_power_residues``); no power of T and no
+conjugation operator on the full matrix space is built.  Over F_p, T^k is
+the scalar c exactly when x^k mod m is the constant c, so both orders come
+from walking the residues up to the cap.  In characteristic 0 the PGL order
+is the GL order of the conjugation operator X -> T X T^(-1), whose minimal
+polynomial is that of x/y in F[x,y]/(m(x), m(y)) (the matrix space is a
+faithful module over that commutative algebra); its powers are the
+rank-one grids (x^k mod m) (y^(-k) mod m).
 """
 
 from __future__ import annotations
@@ -829,136 +833,68 @@ def _unity_order(field: Field, m: list) -> OrderVerdict:
     return finite(order)
 
 
-class _QuotientPair:
-    """The commutative algebra F[x,y]/(m(x), m(y)), elements as d x d coefficient grids."""
+def _power_residues(field: Field, m: list, step: int = 1):
+    """x^(step * k) mod m for k = 0, 1, 2, ..., as length-deg(m) coefficient lists.
 
-    def __init__(self, field: Field, m: list):
-        self.field = field
-        self.m = m
-        self.d = P.pdeg(m)
-        d, F = self.d, field
-        red = []
-        prev = [F.neg(c) for c in m[:d]]  # x^d mod m
-        red.append(list(prev))
-        for _ in range(1, d):
-            shifted = [F.zero] + prev[:-1]
-            top = prev[-1]
-            row = [F.add(shifted[i], F.mul(top, red[0][i])) for i in range(d)]
-            red.append(row)
-            prev = row
-        self.red = red
-
-    def one(self):
-        F, d = self.field, self.d
-        g = [[F.zero] * d for _ in range(d)]
-        g[0][0] = F.one
-        return g
-
-    def _reduce_axis(self, grid, axis: int):
-        F, d = self.field, self.d
-        size = len(grid) if axis == 0 else len(grid[0])
-        if size <= d:
-            return grid
-        if axis == 0:
-            for i in range(len(grid) - 1, d - 1, -1):
-                row = grid[i]
-                for t, x in enumerate(row):
-                    if not F.is_zero(x):
-                        rr = self.red[i - d]
-                        for s in range(d):
-                            if not F.is_zero(rr[s]):
-                                grid[s][t] = F.add(grid[s][t], F.mul(x, rr[s]))
-                grid[i] = None
-            return [r for r in grid if r is not None]
-        for row in grid:
-            for j in range(len(row) - 1, d - 1, -1):
-                x = row[j]
-                if not F.is_zero(x):
-                    rr = self.red[j - d]
-                    for s in range(d):
-                        if not F.is_zero(rr[s]):
-                            row[s] = F.add(row[s], F.mul(x, rr[s]))
-        return [row[:d] for row in grid]
-
-    def mul(self, a, b):
-        F, d = self.field, self.d
-        out = [[F.zero] * (2 * d - 1) for _ in range(2 * d - 1)]
-        for i, arow in enumerate(a):
-            for j, av in enumerate(arow):
-                if F.is_zero(av):
-                    continue
-                for k, brow in enumerate(b):
-                    for l, bv in enumerate(brow):
-                        if not F.is_zero(bv):
-                            out[i + k][j + l] = F.add(out[i + k][j + l], F.mul(av, bv))
-        out = self._reduce_axis(out, 0)
-        out = self._reduce_axis(out, 1)
-        return out
-
-    def flatten(self, g):
-        return [g[i][j] for i in range(self.d) for j in range(self.d)]
-
-
-def _poly_invmod(field: Field, a: list, mod: list) -> list:
-    """Inverse of a modulo mod in F[x] (requires gcd(a, mod) constant)."""
-    r0, r1 = P.pmonic(field, mod), P.ptrim(field, a)
-    s0: list = []
-    s1 = [field.one]
-    while P.pdeg(r1) > 0:
-        q, r = P.pdivmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, P.psub(field, s0, P.pmul(field, q, s1))
-        if not r1:
-            raise LinAlgError("element not invertible in quotient")
-    c = field.inv(r1[0])
-    inv = P.pscale(field, s1, c)
-    _, inv = P.pdivmod(field, inv, P.pmonic(field, mod))
-    return inv
+    m is monic of degree d >= 1 with m(0) != 0, so x is a unit modulo m.  Each
+    step is a shift by one place; the coefficient leaving the range folds back
+    through x^d = -(m_0 + ... + m_(d-1) x^(d-1)) upwards, or through
+    x^(-1) = -(m_1 + ... + m_d x^(d-1)) / m_0 downwards.
+    """
+    F = field
+    d = P.pdeg(m)
+    if step == 1:
+        fold = m[:d]
+    else:
+        c = F.inv(m[0])
+        fold = [F.mul(c, v) for v in m[1:]]
+    r = [F.one] + [F.zero] * (d - 1)
+    while True:
+        yield r
+        if step == 1:
+            out, r = r[-1], [F.zero] + r[:-1]
+        else:
+            out, r = r[0], r[1:] + [F.zero]
+        if not F.is_zero(out):
+            r = [F.sub(a, F.mul(out, v)) for a, v in zip(r, fold)]
 
 
 def _ratio_minimal_polynomial(field: Field, m: list) -> list:
-    """Minimal polynomial of x * y^(-1) in F[x,y]/(m(x), m(y)).
+    """Minimal polynomial of x * y^(-1) in F[x,y]/(m(x), m(y)) for monic m.
 
     This equals the minimal polynomial of the conjugation operator
     X -> T X T^(-1) on the full matrix space when m = minpoly(T): that space
     is a faithful module over the algebra, so element and operator share
-    their minimal polynomial.
+    their minimal polynomial.  The k-th power is the rank-one grid
+    (x^k mod m) (y^(-k) mod m) on the basis x^i y^j.
     """
-    d = P.pdeg(m)
-    if d <= 1:
+    if P.pdeg(m) <= 1:
         return [field.neg(field.one), field.one]  # scalar operator: x - 1
-    C = _QuotientPair(field, P.pmonic(field, m))
-    y_poly = [field.zero, field.one]
-    yinv = _poly_invmod(field, y_poly, m)
-    u = [[field.zero] * d for _ in range(d)]
-    for j, c in enumerate(yinv):
-        if not field.is_zero(c) and j < d:
-            u[1][j] = c  # x^1 * (y-inverse coefficients)
-    def stream():
-        w = C.one()
-        while True:
-            yield C.flatten(w)
-            w = C.mul(w, u)
-    return _sequence_annihilator(field, stream())
+    grids = ([field.mul(a, b) for a in xs for b in ys] for xs, ys in
+             zip(_power_residues(field, m), _power_residues(field, m, step=-1)))
+    return _sequence_annihilator(field, grids)
 
 
-def _order_by_iteration(t: Matrix, cap: int) -> tuple[OrderVerdict, OrderVerdict]:
-    ident = Matrix.identity(t.field, t.nrows)
-    power = t
-    gl = None
+def _order_by_iteration(field: Field, m: list, cap: int) -> tuple[OrderVerdict, OrderVerdict]:
+    """GL and PGL orders up to ``cap`` of an operator with monic minimal
+    polynomial m.
+
+    x^k mod m has degree below deg m, so T^k = c I exactly when that residue
+    is the constant c, and T^k = I exactly when the constant is 1.
+    """
+    F = field
+    if P.pdeg(m) == 0:  # the 0 x 0 operator is the identity
+        return finite(1), finite(1)
     pgl = None
-    for k in range(1, cap + 1):
-        if pgl is None and power.scalar_value() is not None:
-            pgl = finite(k)
-        if power == ident:
-            gl = finite(k)
-            break
-        power = power.mul(t)
-    if gl is None:
-        gl = unknown(cap)
-    if pgl is None:
-        pgl = unknown(cap) if gl.kind == "unknown" else gl
-    return gl, pgl
+    residues = _power_residues(F, m)
+    next(residues)
+    for k, r in zip(range(1, cap + 1), residues):
+        if all(F.is_zero(c) for c in r[1:]):
+            if pgl is None:
+                pgl = finite(k)
+            if F.eq(r[0], F.one):
+                return finite(k), pgl
+    return unknown(cap), pgl or unknown(cap)
 
 
 DEFAULT_FP_ORDER_CAP = 10_000
@@ -975,7 +911,8 @@ def operator_order(t: Matrix, cap: int | None = None) -> OrderCertificate:
     The PGL verdict applies the same procedure to the minimal polynomial of
     the conjugation operator (computed in F[x,y]/(m,m), see module docs).
 
-    Over F_p both orders are found by direct iteration up to ``cap``.
+    Over F_p both orders are read off the residues x^k mod m for k up to
+    ``cap``; past it the verdict is Unknown(cap).
     Raises ValueError for a cap below 1.
     """
     if cap is not None and cap < 1:
@@ -986,7 +923,7 @@ def operator_order(t: Matrix, cap: int | None = None) -> OrderCertificate:
         raise NotInvertible("operator is singular (minimal polynomial has root 0)")
     evidence = {"minpoly": _format_poly_list(F, m)}
     if F.kind == "Fp":
-        gl, pgl = _order_by_iteration(t, cap or DEFAULT_FP_ORDER_CAP)
+        gl, pgl = _order_by_iteration(F, m, cap or DEFAULT_FP_ORDER_CAP)
         sf = P.is_squarefree(F, m)
         return OrderCertificate(gl, pgl, sf, evidence)
     sf = P.is_squarefree(F, m)

@@ -248,9 +248,6 @@ class HomSpace:
         terms = [(c, self.basis[k]) for k, c in coords.items()]
         return linear_combination(self.source.algebra.field, self.target.dim, self.source.dim, terms)
 
-    def contains_matrix(self, f: Matrix) -> bool:
-        return self.combination(self.coordinates(f)) == f
-
     def __repr__(self):
         return f"HomSpace({self.source.name} -> {self.target.name}, dim={self.dim})"
 
@@ -334,17 +331,3 @@ def muger_central(m: Module) -> bool:
     """Trivial double braiding with the regular module (a projective generator)."""
     h = m.algebra
     return monodromy(m, regular_module(h)).is_identity()
-
-
-def evaluation_full_rank(hom: HomSpace) -> bool:
-    """The assembled evaluation Hom(M,N) x M -> N has rank dim Hom * dim M."""
-    F = hom.source.algebra.field
-    cols = []
-    for f in hom.basis:
-        dense = f.to_dense()
-        for c in range(hom.source.dim):
-            cols.append([dense[r][c] for r in range(hom.target.dim)])
-    if not cols:
-        return True
-    mat = Matrix.from_dense(F, [[cols[j][r] for j in range(len(cols))] for r in range(hom.target.dim)])
-    return simultaneous_kernel([mat]).dim == 0

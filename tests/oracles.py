@@ -24,6 +24,53 @@ def element_multiplicative_order(h, x: list, cap: int = 512) -> int | None:
     return None
 
 
+def order_by_matrix_powers(t, cap: int):
+    """GL and PGL orders of t over F_p by multiplying out T, T^2, ... up to cap.
+
+    The oracle for ``linalg._order_by_iteration``, which reads both orders
+    off the residues x^k mod minpoly(T) instead.
+    """
+    from hopfblocks.linalg import Matrix, finite, unknown
+
+    ident = Matrix.identity(t.field, t.nrows)
+    power = t
+    gl = None
+    pgl = None
+    for k in range(1, cap + 1):
+        if pgl is None and power.scalar_value() is not None:
+            pgl = finite(k)
+        if power == ident:
+            gl = finite(k)
+            break
+        power = power.mul(t)
+    if gl is None:
+        gl = unknown(cap)
+    if pgl is None:
+        pgl = unknown(cap) if gl.kind == "unknown" else gl
+    return gl, pgl
+
+
+def contains_matrix(hom, f) -> bool:
+    """f lies in the span of the hom space's basis."""
+    return hom.combination(hom.coordinates(f)) == f
+
+
+def evaluation_full_rank(hom) -> bool:
+    """The assembled evaluation Hom(M,N) x M -> N has rank dim Hom * dim M."""
+    from hopfblocks.linalg import Matrix, simultaneous_kernel
+
+    F = hom.source.algebra.field
+    cols = []
+    for f in hom.basis:
+        dense = f.to_dense()
+        for c in range(hom.source.dim):
+            cols.append([dense[r][c] for r in range(hom.target.dim)])
+    if not cols:
+        return True
+    mat = Matrix.from_dense(F, [[cols[j][r] for j in range(len(cols))] for r in range(hom.target.dim)])
+    return simultaneous_kernel([mat]).dim == 0
+
+
 def separating_twist_by_hom(h, genus_left: int, genus_right: int, cap: int | None = None):
     """The separating twist as postcomposition with the twist of the right
     end power on Hom(A^(g'), A^(g'')), one basis map at a time.

@@ -11,6 +11,7 @@ from hopfblocks.linalg import (
     NotInvertible,
     _RowReducer,
     _unity_candidates,
+    finite,
     inverse,
     kernel,
     kron_sum,
@@ -22,6 +23,7 @@ from hopfblocks.linalg import (
     tensor_product,
 )
 from hopfblocks import polys as P
+from oracles import order_by_matrix_powers
 
 
 def mat(data, field=QQ):
@@ -508,6 +510,28 @@ def test_order_rejects_cap_below_one(F):
     assert operator_order(t, cap=1).gl_order.kind == ("unknown" if F.kind == "Fp" else "infinite")
 
 
+@FIELDS
+def test_order_of_empty_operator(F):
+    cert = operator_order(Matrix.zeros(F, 0, 0))
+    assert cert.gl_order == finite(1) and cert.pgl_order == finite(1)
+
+
+def test_fp_orders_match_matrix_powers():
+    rng = random.Random(41)
+    for _ in range(60):
+        F = PrimeField(rng.choice((2, 3, 5, 7, 11)))
+        n = rng.randint(1, 6)
+        if rng.random() < 0.3:
+            t = Matrix.diagonal(F, [F.random_element(rng, zero_ok=False)] * n)
+        else:
+            t = rand_matrix(rng, F, n, n)
+            while F.is_zero(minimal_polynomial(t)[0]):
+                t = rand_matrix(rng, F, n, n)
+        for cap in (1, 2, 5, 10000):
+            cert = operator_order(t, cap=cap)
+            assert (cert.gl_order, cert.pgl_order) == order_by_matrix_powers(t, cap), (t.to_dense(), cap)
+
+
 def conjugation_operator(t: Matrix) -> Matrix:
     """Oracle: the operator X -> T X T^(-1) on the full matrix space
     (row-major vec), whose GL order is the PGL order of T."""
@@ -516,18 +540,25 @@ def conjugation_operator(t: Matrix) -> Matrix:
 
 def test_pgl_equals_gl_of_conjugation_operator():
     rng = random.Random(17)
+    z3 = CyclotomicField(3)
+    z12 = CyclotomicField(12)
     samples = [
         mat([[0, 2], [1, 0]]),
         Matrix.diagonal(QQ, [1, -1]),
         Matrix.diagonal(QQ, [2, 2]),
         mat([[0, -1], [1, 0]]),
         mat([[Fraction(1, 2), 0], [0, 2]]),
+        Matrix.diagonal(z3, [z3.zeta(), z3.pow(z3.zeta(), 2)]),
+        Matrix.from_dense(z3, [[z3.zero, z3.zeta()], [z3.one, z3.zero]]),  # companion of x^2 - zeta3
+        Matrix.diagonal(z12, [z12.pow(z12.zeta(), 4), z12.pow(z12.zeta(), 3)]),
+        Matrix.diagonal(z12, [z12.zeta(), z12.one, z12.pow(z12.zeta(), 6)]),
     ]
     for t in samples:
         cert = operator_order(t)
         conj = conjugation_operator(t)
         conj_cert = operator_order(conj)
         assert cert.pgl_order == conj_cert.gl_order
+        assert cert.evidence["conjugation_minpoly"] == conj_cert.evidence["minpoly"]
 
 
 def test_pgl_divides_gl_when_both_finite():
