@@ -39,8 +39,6 @@ cached on the algebra (``HopfData._cache``), never in module globals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .hopf import HopfData, MissingRibbon
 from .linalg import (
     KernelBasis,
@@ -92,14 +90,17 @@ def default_genus_cap(h: HopfData) -> int:
     return 1
 
 
-@dataclass
 class BlockSpace:
-    algebra: HopfData
-    genus: int
-    model: str
-    basis: KernelBasis
-    ambient: Module
-    covectors: bool  # True for the direct model (basis elements pair with the ambient)
+    __slots__ = ("algebra", "genus", "model", "basis", "ambient", "covectors")
+
+    def __init__(self, algebra: HopfData, genus: int, model: str, basis: KernelBasis, ambient: Module,
+                 covectors: bool):
+        self.algebra = algebra
+        self.genus = genus
+        self.model = model
+        self.basis = basis
+        self.ambient = ambient
+        self.covectors = covectors  # True for the direct model (basis elements pair with the ambient)
 
     @property
     def dim(self) -> int:
@@ -226,12 +227,14 @@ def end_twist(h: HopfData) -> Matrix:
     return h._cache["end_twist"]
 
 
-@dataclass
 class MCGOperator:
-    kind: str
-    block: BlockSpace
-    matrix: Matrix
-    certificate: OrderCertificate
+    __slots__ = ("kind", "block", "matrix", "certificate")
+
+    def __init__(self, kind: str, block: BlockSpace, matrix: Matrix, certificate: OrderCertificate):
+        self.kind = kind
+        self.block = block
+        self.matrix = matrix
+        self.certificate = certificate
 
     def to_json(self):
         return {
@@ -279,15 +282,20 @@ def center_twist_op(block: BlockSpace, cap: int | None = None) -> MCGOperator:
     return h._cache[key]
 
 
-@dataclass
 class SeparatingTwist:
-    genus_left: int
-    genus_right: int
-    block: BlockSpace
-    matrix: Matrix
-    certificate: OrderCertificate
-    twist_left_order: OrderCertificate
-    twist_right_order: OrderCertificate
+    __slots__ = ("genus_left", "genus_right", "block", "matrix", "certificate", "twist_left_order",
+                 "twist_right_order")
+
+    def __init__(self, genus_left: int, genus_right: int, block: BlockSpace, matrix: Matrix,
+                 certificate: OrderCertificate, twist_left_order: OrderCertificate,
+                 twist_right_order: OrderCertificate):
+        self.genus_left = genus_left
+        self.genus_right = genus_right
+        self.block = block
+        self.matrix = matrix
+        self.certificate = certificate
+        self.twist_left_order = twist_left_order
+        self.twist_right_order = twist_right_order
 
     @property
     def dim(self) -> int:

@@ -427,11 +427,6 @@ def catalog_names() -> list[str]:
     ]
 
 
-def trivial_r_matrix(h: HopfData) -> dict:
-    """R = 1 x 1, quasitriangular for commutative cocommutative algebras."""
-    return h.t2_unit()
-
-
 # ---------------------------------------------------------------------------
 # JSON format
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import blocks as blk
@@ -276,10 +277,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.cap is not None and args.cap < 1:
         _error("BAD_ARGUMENT", "--cap must be at least 1")
         return EXIT_USAGE
+    if args.genus_cap is not None and args.genus_cap < 0:
+        _error("BAD_ARGUMENT", "--genus-cap must be at least 0")
+        return EXIT_USAGE
     try:
         if args.field_check:
             _field_self_test()
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the interpreter's
+        # final flush of what is still buffered is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _error("IO_ERROR", "stdout was closed before the report was written")
+        return EXIT_USAGE
     except ValidationFailed as exc:
         _error("VALIDATION_FAILED", str(exc))
         print(json.dumps(exc.report.to_json(), indent=1, sort_keys=True), file=sys.stderr)

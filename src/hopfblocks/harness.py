@@ -9,7 +9,6 @@ and records them; gated checks (hypotheses not satisfied) and skipped checks
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
 
 from .blocks import (
     DIRECT,
@@ -47,16 +46,19 @@ class PreconditionError(Exception):
         super().__init__(f"{code}: {detail}")
 
 
-@dataclass
 class Check:
-    name: str
-    statement: str
-    lhs: str = ""
-    rhs: str = ""
-    status: str = "pass"  # pass | fail | skipped | gated
-    detail: str = ""
-    runtime: float = 0.0
-    reason: str = ""  # code of a gated or skipped check, shown in the table; not in the JSON report
+    __slots__ = ("name", "statement", "lhs", "rhs", "status", "detail", "runtime", "reason")
+
+    def __init__(self, name: str, statement: str, lhs: str = "", rhs: str = "", status: str = "pass",
+                 detail: str = "", runtime: float = 0.0, reason: str = ""):
+        self.name = name
+        self.statement = statement
+        self.lhs = lhs
+        self.rhs = rhs
+        self.status = status  # pass | fail | skipped | gated
+        self.detail = detail
+        self.runtime = runtime
+        self.reason = reason  # code of a gated or skipped check, shown in the table; not in the JSON report
 
     @property
     def passed(self) -> bool:
@@ -74,10 +76,12 @@ class Check:
         }
 
 
-@dataclass
 class TheoremReport:
-    algebra: str
-    checks: list[Check] = dc_field(default_factory=list)
+    __slots__ = ("algebra", "checks")
+
+    def __init__(self, algebra: str, checks: list[Check] | None = None):
+        self.algebra = algebra
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

@@ -22,8 +22,6 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .fields import Field
 from .linalg import (
     LinAlgError,
@@ -63,11 +61,13 @@ class IntegralSpaceNotOneDimensional(HopfError):
     pass
 
 
-@dataclass
 class AxiomCheck:
-    name: str
-    passed: bool
-    witness: str | None = None
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: str | None = None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
 
     def to_json(self):
         out = {"name": self.name, "passed": self.passed}
@@ -76,15 +76,20 @@ class AxiomCheck:
         return out
 
 
-@dataclass
 class StructureReport:
-    algebra: str
-    checks: list[AxiomCheck] = dc_field(default_factory=list)
-    is_commutative: bool | None = None
-    commutative_witness: str | None = None
-    is_unimodular: bool | None = None
-    is_factorizable: bool | None = None
-    mode: str = "full"
+    __slots__ = ("algebra", "checks", "is_commutative", "commutative_witness", "is_unimodular",
+                 "is_factorizable", "mode")
+
+    def __init__(self, algebra: str, checks: list[AxiomCheck] | None = None, is_commutative: bool | None = None,
+                 commutative_witness: str | None = None, is_unimodular: bool | None = None,
+                 is_factorizable: bool | None = None, mode: str = "full"):
+        self.algebra = algebra
+        self.checks = [] if checks is None else checks
+        self.is_commutative = is_commutative
+        self.commutative_witness = commutative_witness
+        self.is_unimodular = is_unimodular
+        self.is_factorizable = is_factorizable
+        self.mode = mode
 
     @property
     def passed(self) -> bool:
@@ -387,18 +392,6 @@ class HopfData:
         if key not in self._cache:
             self._cache[key] = operator_order(self.left_mult_of(self.ribbon), cap=cap)
         return self._cache[key]
-
-    def jacobson_radical_dim(self) -> int:
-        """Nullity of the trace form of the regular representation (char 0)."""
-        F = self.field
-        gram = Matrix(F, self.dim, self.dim)
-        lms = [self.left_mult_matrix(i) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                t = lms[i].mul(lms[j]).trace()
-                if not F.is_zero(t):
-                    gram.rows[i][j] = t
-        return simultaneous_kernel([gram]).dim
 
     def span_closure_dim(self, indices: list[int]) -> int:
         """Dimension of the unital subalgebra generated by the given basis elements."""

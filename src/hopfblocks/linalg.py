@@ -33,7 +33,7 @@ rank-one grids (x^k mod m) (y^(-k) mod m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -231,14 +231,6 @@ class Matrix:
             k >>= 1
         return result
 
-    def trace(self):
-        F = self.field
-        return F.sum(self.rows[i].get(i, F.zero) for i in range(min(self.nrows, self.ncols)))
-
-    def is_zero_matrix(self) -> bool:
-        F = self.field
-        return all(all(F.is_zero(v) for v in row.values()) for row in self.rows)
-
     def is_identity(self) -> bool:
         if not self.is_square():
             return False
@@ -336,7 +328,6 @@ def linear_combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class KernelBasis:
     """Kernel basis in reduced form, stored as sparse columns.
 
@@ -355,10 +346,13 @@ class KernelBasis:
     in the span has coordinates v[free_cols[i]].
     """
 
-    field: Field
-    columns: list[dict]
-    free_cols: list[int]
-    ncols: int
+    __slots__ = ("field", "columns", "free_cols", "ncols")
+
+    def __init__(self, field: Field, columns: list[dict], free_cols: list[int], ncols: int):
+        self.field = field
+        self.columns = columns
+        self.free_cols = free_cols
+        self.ncols = ncols
 
     @property
     def dim(self) -> int:
@@ -386,11 +380,6 @@ class KernelBasis:
                 p = mul(c, v)
                 out[j] = add(out[j], p) if j in out else p
         return {j: v for j, v in out.items() if not F.is_zero(v)}
-
-    def in_span(self, vec: list) -> bool:
-        F = self.field
-        recon = self.combination({i: vec[c] for i, c in enumerate(self.free_cols) if not F.is_zero(vec[c])})
-        return all(F.eq(recon.get(j, F.zero), x) for j, x in enumerate(vec))
 
 
 def kernel(a: Matrix) -> list[list]:
@@ -716,12 +705,14 @@ def minimal_polynomial(t: Matrix) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
-    kind: str  # "finite" | "infinite" | "unknown"
-    n: int | None = None
-    reason: str | None = None  # NotSemisimple | RootNotUnity for infinite
-    cap: int | None = None
+class OrderVerdict(namedtuple("OrderVerdict", "kind n reason cap", defaults=(None, None, None))):
+    """An order in GL or PGL, immutable and equal by value.
+
+    ``kind`` is "finite" (order ``n``), "infinite" (``reason``
+    NotSemisimple or RootNotUnity) or "unknown" (no order up to ``cap``).
+    """
+
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:
@@ -757,12 +748,16 @@ def unknown(cap: int) -> OrderVerdict:
     return OrderVerdict("unknown", cap=cap)
 
 
-@dataclass(frozen=True)
-class OrderCertificate:
-    gl_order: OrderVerdict
-    pgl_order: OrderVerdict
-    minpoly_squarefree: bool
-    evidence: dict = dc_field(default_factory=dict)
+class OrderCertificate(namedtuple("OrderCertificate", "gl_order pgl_order minpoly_squarefree evidence")):
+    """GL and PGL orders of one operator; immutable, since certificates are
+    shared through the algebra's cache.  ``evidence`` defaults to a fresh
+    dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, gl_order: OrderVerdict, pgl_order: OrderVerdict, minpoly_squarefree: bool,
+                evidence: dict | None = None):
+        return super().__new__(cls, gl_order, pgl_order, minpoly_squarefree, {} if evidence is None else evidence)
 
     def to_json(self):
         return {

@@ -1,13 +1,51 @@
 """Independent oracles that the tests compare the library against.
 
 They compute the same quantities as the library by a different route, so
-they live here rather than in ``hopfblocks``, which never calls them.
+they live here rather than in ``hopfblocks``, which never calls them.  So
+do the predicates that only the tests ask of library objects (``in_span``,
+``is_zero_matrix``).
 """
 
 
 def is_unit_vector(h, x: list) -> bool:
     F = h.field
     return all(F.eq(a, b) for a, b in zip(x, h.unit, strict=True))
+
+
+def in_span(ker, vec: list) -> bool:
+    """The dense vector vec lies in the span of the kernel basis: it equals
+    the combination of the basis read off its free-column coordinates."""
+    F = ker.field
+    recon = ker.combination({i: vec[c] for i, c in enumerate(ker.free_cols) if not F.is_zero(vec[c])})
+    return all(F.eq(recon.get(j, F.zero), x) for j, x in enumerate(vec))
+
+
+def is_zero_matrix(m) -> bool:
+    F = m.field
+    return all(all(F.is_zero(v) for v in row.values()) for row in m.rows)
+
+
+def trace(m):
+    F = m.field
+    return F.sum(m.rows[i].get(i, F.zero) for i in range(min(m.nrows, m.ncols)))
+
+
+def jacobson_radical_dim(h) -> int:
+    """Nullity of the trace form of the regular representation (char 0).
+
+    The semisimplicity oracle: positive exactly for non-semisimple algebras.
+    """
+    from hopfblocks.linalg import Matrix, simultaneous_kernel
+
+    F = h.field
+    gram = Matrix(F, h.dim, h.dim)
+    lms = [h.left_mult_matrix(i) for i in range(h.dim)]
+    for i in range(h.dim):
+        for j in range(h.dim):
+            t = trace(lms[i].mul(lms[j]))
+            if not F.is_zero(t):
+                gram.rows[i][j] = t
+    return simultaneous_kernel([gram]).dim
 
 
 def element_multiplicative_order(h, x: list, cap: int = 512) -> int | None:

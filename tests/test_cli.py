@@ -169,6 +169,55 @@ def test_cli_import_leaves_out_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_code_introspection():
+    # dataclasses pulls in inspect, ast, dis and tokenize; comparing sys.modules
+    # before and after the import ignores whatever site preloads
+    src = str(Path(hopfblocks.__file__).resolve().parent.parent)
+    probe = ("import sys; before = set(sys.modules); import hopfblocks.cli; "
+             "print(*set(sys.modules) - before)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    added = set(out.stdout.split())
+    assert "hopfblocks.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_result_classes_keep_value_semantics():
+    from hopfblocks.hopf import StructureReport
+    from hopfblocks.linalg import OrderCertificate, finite, infinite, unknown
+
+    assert finite(6) == finite(6) and hash(finite(6)) == hash(finite(6))
+    assert finite(6) != finite(3) and finite(6) != unknown(6) and infinite("NotSemisimple") != finite(6)
+    assert len({finite(6), finite(6), unknown(6)}) == 2
+    cert = OrderCertificate(finite(6), finite(3), True)
+    assert cert == OrderCertificate(finite(6), finite(3), True, {})
+    for obj, attr in ((finite(6), "n"), (finite(6), "kind"), (cert, "gl_order"), (cert, "evidence")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    other = OrderCertificate(finite(6), finite(3), True)
+    other.evidence["minpoly"] = "x - 1"
+    assert cert.evidence == {}
+    for cls in (TheoremReport, StructureReport):
+        a, b = cls("x"), cls("x")
+        assert a.checks == [] and a.checks is not b.checks
+    assert StructureReport("x").mode == "full"
+
+
+def test_closed_stdout_exits_usage_without_traceback():
+    src = str(Path(hopfblocks.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "hopfblocks.cli", "theorems", "double:Z2", "--max-genus", "1",
+                              "--format", "json"], env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 2
+    assert "error[IO_ERROR]" in out.stderr
+    assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
+
+
 def test_exit_discrepancy(monkeypatch, capsys):
     failing = TheoremReport("X", [Check("c", "s", status="fail")])
     monkeypatch.setattr(harness, "run_all", lambda *a, **k: failing)
@@ -204,7 +253,7 @@ def test_separating_needs_factorizable_exit(tmp_path, capsys):
     # k[Z2] with R = 1 x 1 and v = 1 is ribbon but not factorizable: its
     # Drinfeld map has rank 1, so A* and A are not identified
     h = catalog.group_algebra(catalog.cyclic_group(2))
-    h.r_matrix = catalog.trivial_r_matrix(h)
+    h.r_matrix = h.t2_unit()
     h.ribbon = list(h.unit)
     path = tmp_path / "z2_triangular.json"
     catalog.save(h, path)
@@ -342,6 +391,8 @@ def ds3_f7_file(tmp_path_factory):
 BAD_FLAGS = [
     ["blocks", "double:Z2", "--genus", "-1"], ["blocks", "double:Z2", "--genus", "9"],
     ["blocks", "double:Z2", "--genus", "1", "--genus-cap", "-3"],
+    ["theorems", "double:Z2", "--max-genus", "1", "--genus-cap", "-1"],
+    ["dehn", "double:Z2", "--curve", "nonsep:1", "--genus-cap", "-1"],
     ["blocks", "double:Z2", "--genus", "1", "--model", "center", "--genus-cap", "0"],
     ["dehn", "double:Z2", "--curve", "nonsep:0"], ["dehn", "double:Z2", "--curve", "nonsep:-1"],
     ["dehn", "double:Z2", "--genus", "-2", "--curve", "nonsep:1"], ["dehn", "double:Z2", "--curve", "sep:-1,2"],
@@ -368,3 +419,14 @@ def test_cap_below_one_is_bad_argument_on_every_subcommand(cap, ds3_f7_file, cap
         code, _, err = run(argv, capsys)
         assert code == 2, argv
         assert "error[BAD_ARGUMENT]" in err, argv
+
+
+def test_negative_genus_cap_is_bad_argument_on_every_subcommand(ds3_f7_file, capsys):
+    for sub in SUBCOMMANDS + [["catalog-list"]]:
+        argv = [sub[0], *([ds3_f7_file] if sub[0] != "catalog-list" else []), *sub[1:], "--genus-cap", "-1"]
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert "error[BAD_ARGUMENT]" in err, argv
+    # genus 0 needs no cap above 0
+    code, out, _ = run(["blocks", "double:Z2", "--genus", "0", "--genus-cap", "0"], capsys)
+    assert code == 0 and "dim 1" in out

@@ -11,7 +11,7 @@ from hopfblocks.hopf import (
     MissingRibbon,
     drinfeld_double,
 )
-from oracles import element_multiplicative_order
+from oracles import element_multiplicative_order, jacobson_radical_dim
 
 ALL_CATALOG = [
     "group:Z2",
@@ -274,7 +274,7 @@ def test_factorizable_verdict_is_solved_once(monkeypatch):
 
 def test_trivial_r_not_factorizable():
     h = catalog.group_algebra(catalog.cyclic_group(2))
-    h.r_matrix = catalog.trivial_r_matrix(h)
+    h.r_matrix = h.t2_unit()  # R = 1 x 1
     report = h.validate()
     assert report.passed  # 1x1 R is a valid (triangular) quasitriangular structure
     ok, witness = h.is_factorizable()
@@ -344,16 +344,16 @@ def test_double_sweedler_shape():
     assert d.dim == 16
     assert not d.is_commutative()[0]
     assert d.is_factorizable()[0]
-    assert d.jacobson_radical_dim() > 0  # non-semisimple
+    assert jacobson_radical_dim(d) > 0  # non-semisimple
 
 
 def test_group_algebras_semisimple():
     for name in ("group:Z2", "group:Z3", "group:S3"):
-        assert catalog.get(name).jacobson_radical_dim() == 0
+        assert jacobson_radical_dim(catalog.get(name)) == 0
 
 
 def test_sweedler_not_semisimple():
-    assert catalog.get("sweedler").jacobson_radical_dim() > 0
+    assert jacobson_radical_dim(catalog.get("sweedler")) > 0
 
 
 def test_double_requires_invertible_antipode():
