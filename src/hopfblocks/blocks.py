@@ -137,24 +137,40 @@ def block_space(h: HopfData, genus: int, model: str = DIRECT, genus_cap: int | N
     return h._cache[key]
 
 
+def _transposed_adjoint(h: HopfData) -> Module:
+    """g -> rho_A(g)^T on the canonical end A, kept in ``HopfData._cache``.
+
+    Not a module (transposing reverses products), but its tensor powers
+    are built from the coproduct like a module's, and
+    (X x Y)^T = X^T x Y^T makes their matrices rho(g)^T on A^(g): each is
+    one Kronecker sum, and no power is transposed after the fact.
+    """
+    if "adjoint_transposed" not in h._cache:
+        a = adjoint_module(h)
+        h._cache["adjoint_transposed"] = Module(h, h.dim, "adjoint^T", lambda i: a.act(i).transpose())
+    return h._cache["adjoint_transposed"]
+
+
 def _direct_block(h: HopfData, genus: int) -> BlockSpace:
     F = h.field
-    power = tensor_power(adjoint_module(h), genus)
+    power_t = tensor_power(_transposed_adjoint(h), genus)
     mats = []
     for g in h.generating_indices():
         # covectors f with f . rho(g) = eps(g) f: the rows of rho(g)^T - eps(g) I
-        diff = power.act(g).transpose()
+        diff = power_t.act(g)
         eps = h.counit[g]
         if not F.is_zero(eps):
-            for i, row in enumerate(diff.rows):
+            rows = [dict(row) for row in diff.rows]  # the action is kept on power_t
+            for i, row in enumerate(rows):
                 d = F.sub(row.get(i, F.zero), eps)
                 if F.is_zero(d):
                     del row[i]
                 else:
                     row[i] = d
+            diff = Matrix(F, diff.nrows, diff.ncols, rows)
         mats.append(diff)
     basis = simultaneous_kernel(mats)
-    return BlockSpace(h, genus, DIRECT, basis, power, covectors=True)
+    return BlockSpace(h, genus, DIRECT, basis, tensor_power(adjoint_module(h), genus), covectors=True)
 
 
 def _center_block(h: HopfData, genus: int) -> BlockSpace:

@@ -394,24 +394,25 @@ class HopfData:
         return self._cache[key]
 
     def span_closure_dim(self, indices: list[int]) -> int:
-        """Dimension of the unital subalgebra generated by the given basis elements."""
+        """Dimension of the unital subalgebra generated by the given basis elements.
+
+        That subalgebra is the span of the words in the generators, and the
+        word s_1 s_2 ... s_k is s_1 (s_2 (... (s_k 1))), so it is the least
+        subspace holding 1 and closed under y -> s y for each generator s:
+        left multiplications by the generators suffice.
+        """
         red = _RowReducer(self.field)
         unit = self.sparse(self.unit)
         red.add(unit)
-        frontier = []
-        for i in indices:
-            v = {i: self.field.one}
-            if red.add(v):
-                frontier.append(v)
-        basis = [unit] + frontier
+        gens = [{i: self.field.one} for i in indices]
+        frontier = [unit]
         while frontier:
             new_frontier = []
-            for x in list(basis):
-                for y in frontier:
-                    for prod in (self.product(x, y), self.product(y, x)):
-                        if red.add(prod):
-                            new_frontier.append(prod)
-            basis.extend(new_frontier)
+            for y in frontier:
+                for s in gens:
+                    prod = self.product(s, y)
+                    if red.add(prod):
+                        new_frontier.append(prod)
             frontier = new_frontier
         return len(red.pivots)
 

@@ -20,6 +20,12 @@ through their operators and read coordinates at the free columns, so no
 dense vector of the ambient length is built on the way.  ``vectors``
 densifies on demand for small kernels and tests.
 
+A minimal polynomial is certified one row at a time on sparse row vectors
+(``minimal_polynomial``): row j of m(T) is e_j m(T) by Horner, one
+vector-times-matrix product per step, and a nonzero row extends m by the
+annihilator of that row.  No matrix product and no m(T) is formed, and
+every row is checked, so the certificate is complete.
+
 Order certification reads everything off m = minpoly(T) through one
 residue sequence, x^k mod m (``_power_residues``); no power of T and no
 conjugation operator on the full matrix space is built.  Over F_p, T^k is
@@ -172,20 +178,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise LinAlgError("shape mismatch in mul")
         F = self.field
-        add, mul, is_zero = F.add, F.mul, F.is_zero
-        out = Matrix(F, self.nrows, other.ncols)
-        orows = other.rows
-        for i, row in enumerate(self.rows):
-            acc: dict = {}
-            for k, a in row.items():
-                for j, b in orows[k].items():
-                    prod = mul(a, b)
-                    if j in acc:
-                        acc[j] = add(acc[j], prod)
-                    else:
-                        acc[j] = prod
-            out.rows[i] = {j: v for j, v in acc.items() if not is_zero(v)}
-        return out
+        return Matrix(F, self.nrows, other.ncols, [_times_matrix(F, row, other.rows) for row in self.rows])
 
     __matmul__ = mul
     __mul__ = mul
@@ -216,20 +209,6 @@ class Matrix:
                     acc = F.add(acc, F.mul(a, x))
             out.append(acc)
         return out
-
-    def power(self, k: int) -> "Matrix":
-        if not self.is_square():
-            raise LinAlgError("power of a non-square matrix")
-        if k < 0:
-            return inverse(self).power(-k)
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base)
-            base = base.mul(base) if k > 1 else base
-            k >>= 1
-        return result
 
     def is_identity(self) -> bool:
         if not self.is_square():
@@ -627,77 +606,71 @@ def inverse(a: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _sequence_annihilator(field: Field, vec_iter) -> list:
-    """Monic polynomial of least degree annihilating the stream v, Tv, T^2 v, ...
+def _sequence_annihilator(field: Field, n: int, vecs) -> list:
+    """Monic polynomial of least degree annihilating the stream w, wT, wT^2, ...
+    of some operator T.
 
-    ``vec_iter`` yields the successive vectors; term j is consumed only until
-    the first linear dependence appears.  Row j fed to the reducer is
-    (w_j | e_j), so the columns from n on of a reduced row record which
-    combination of w_0..w_j it is; the first row with no column below n is
-    the dependence.
+    ``vecs`` yields the successive vectors as sparse dicts with keys below
+    ``n``; term j is consumed only until the first linear dependence
+    appears.  Row j fed to the reducer is (w_j | e_j), so the columns from n
+    on of a reduced row record which combination of w_0..w_j it is; the
+    first row with no column below n is the dependence.
     """
     F = field
     red = _RowReducer(F)
-    for j, w in enumerate(vec_iter):
-        n = len(w)
-        row = dict(enumerate(w))
-        row[n + j] = F.one
-        reduced = red.add(row)
+    for j, w in enumerate(vecs):
+        reduced = red.add({**w, n + j: F.one})
         if min(reduced) >= n:
             inv = F.inv(reduced[n + j])
             return [F.mul(inv, reduced.get(n + t, F.zero)) for t in range(j + 1)]
     raise LinAlgError("annihilator stream exhausted without dependence")
 
 
-def _krylov_stream(t: Matrix, v: list):
-    w = list(v)
+def _times_matrix(field: Field, vec: dict, rows: list[dict], out: dict | None = None) -> dict:
+    """out + vec T, sparse, for the matrix T with the given rows; out is
+    consumed."""
+    add, mul = field.add, field.mul
+    out = {} if out is None else out
+    for k, a in vec.items():
+        for j, b in rows[k].items():
+            p = mul(a, b)
+            out[j] = add(out[j], p) if j in out else p
+    return {j: v for j, v in out.items() if not field.is_zero(v)}
+
+
+def _row_orbit(field: Field, r: dict, rows: list[dict]):
+    """The stream r, rT, rT^2, ... for the matrix T with the given rows."""
     while True:
-        yield w
-        w = t.apply_right(w)
-
-
-def _evaluate_poly_at_matrix(m: list, t: Matrix) -> Matrix:
-    F = t.field
-    ident = Matrix.identity(F, t.nrows)
-    acc = ident.scale(m[-1])
-    for c in reversed(m[:-1]):
-        acc = t.mul(acc)
-        if not F.is_zero(c):
-            acc = acc.add(ident.scale(c))
-    return acc
+        yield r
+        r = _times_matrix(field, r, rows)
 
 
 def minimal_polynomial(t: Matrix) -> list:
     """Monic minimal polynomial of a square matrix, low degree first.
 
-    Starts from the annihilator of one generic vector and repeatedly replaces
-    m by its minimal multiple annihilating a witness column of m(T); each
-    extension stays a divisor of the true minimal polynomial, and the loop
-    ends exactly when m(T) = 0.
+    Certified one row at a time, on sparse row vectors; m(T) is never
+    formed.  Starting from m = 1, row j of m(T), r = e_j m(T), is computed
+    by Horner on e_j, one vector-times-matrix product per step.  When r is
+    nonzero, m becomes m q, q the annihilator of r under x -> x T.  m
+    divides the true minimal polynomial m_T throughout, and so does each
+    extension, since r (m_T / m)(T) = e_j m_T(T) = 0.  Once every row of
+    m(T) is zero, m = m_T; the loop stops early when deg m = n, by
+    Cayley-Hamilton.
     """
     if not t.is_square():
         raise LinAlgError("minimal polynomial of non-square matrix")
     F = t.field
-    n = t.nrows
-    if n == 0:
-        return [F.one]
-    w0 = [F.one] * n
-    m = _sequence_annihilator(F, _krylov_stream(t, w0))
-    while True:
-        residue = _evaluate_poly_at_matrix(m, t)
-        witness = None
-        for i, row in enumerate(residue.rows):
-            for j, v in row.items():
-                if not F.is_zero(v):
-                    witness = j
-                    break
-            if witness is not None:
-                break
-        if witness is None:
-            return m
-        col = [residue.rows[i].get(witness, F.zero) for i in range(n)]
-        q = _sequence_annihilator(F, _krylov_stream(t, col))
-        m = P.pmul(F, m, q)
+    n, rows = t.nrows, t.rows
+    m = [F.one]
+    for j in range(n):
+        if P.pdeg(m) == n:
+            break
+        r = {j: F.one}
+        for c in reversed(m[:-1]):
+            r = _times_matrix(F, r, rows, {j: c})
+        if r:
+            m = P.pmul(F, m, _sequence_annihilator(F, n, _row_orbit(F, r, rows)))
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -863,11 +836,13 @@ def _ratio_minimal_polynomial(field: Field, m: list) -> list:
     their minimal polynomial.  The k-th power is the rank-one grid
     (x^k mod m) (y^(-k) mod m) on the basis x^i y^j.
     """
-    if P.pdeg(m) <= 1:
+    d = P.pdeg(m)
+    if d <= 1:
         return [field.neg(field.one), field.one]  # scalar operator: x - 1
-    grids = ([field.mul(a, b) for a in xs for b in ys] for xs, ys in
-             zip(_power_residues(field, m), _power_residues(field, m, step=-1)))
-    return _sequence_annihilator(field, grids)
+    grids = ({i * d + k: field.mul(a, b) for i, a in enumerate(xs) if not field.is_zero(a)
+              for k, b in enumerate(ys) if not field.is_zero(b)}
+             for xs, ys in zip(_power_residues(field, m), _power_residues(field, m, step=-1)))
+    return _sequence_annihilator(field, d * d, grids)
 
 
 def _order_by_iteration(field: Field, m: list, cap: int) -> tuple[OrderVerdict, OrderVerdict]:

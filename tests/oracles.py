@@ -170,3 +170,151 @@ def bounding_pair_by_hom(h):
     for coords in (p, q):
         coords.rows = [{j: v for j, v in row.items() if not F.is_zero(v)} for row in coords.rows]
     return q.mul(inverse(p))
+
+
+def matrix_power(t, k: int):
+    """T^k for k >= 1 by repeated multiplication."""
+    power = t
+    for _ in range(k - 1):
+        power = power.mul(t)
+    return power
+
+
+def _dense_sequence_annihilator(field, vec_iter) -> list:
+    """Monic polynomial of least degree annihilating the stream v, Tv, T^2 v, ...
+
+    ``vec_iter`` yields the successive vectors; term j is consumed only until
+    the first linear dependence appears.  Row j fed to the reducer is
+    (w_j | e_j), so the columns from n on of a reduced row record which
+    combination of w_0..w_j it is; the first row with no column below n is
+    the dependence.
+    """
+    from hopfblocks.linalg import LinAlgError, _RowReducer
+
+    F = field
+    red = _RowReducer(F)
+    for j, w in enumerate(vec_iter):
+        n = len(w)
+        row = dict(enumerate(w))
+        row[n + j] = F.one
+        reduced = red.add(row)
+        if min(reduced) >= n:
+            inv = F.inv(reduced[n + j])
+            return [F.mul(inv, reduced.get(n + t, F.zero)) for t in range(j + 1)]
+    raise LinAlgError("annihilator stream exhausted without dependence")
+
+
+def _krylov_stream(t, v: list):
+    w = list(v)
+    while True:
+        yield w
+        w = t.apply_right(w)
+
+
+def _evaluate_poly_at_matrix(m: list, t):
+    from hopfblocks.linalg import Matrix
+
+    F = t.field
+    ident = Matrix.identity(F, t.nrows)
+    acc = ident.scale(m[-1])
+    for c in reversed(m[:-1]):
+        acc = t.mul(acc)
+        if not F.is_zero(c):
+            acc = acc.add(ident.scale(c))
+    return acc
+
+
+def minimal_polynomial_by_evaluation(t) -> list:
+    """Monic minimal polynomial of a square matrix, low degree first.
+
+    Starts from the annihilator of one generic vector and repeatedly replaces
+    m by its minimal multiple annihilating a witness column of m(T); each
+    extension stays a divisor of the true minimal polynomial, and the loop
+    ends exactly when m(T) = 0.
+
+    The full-evaluation oracle for ``linalg.minimal_polynomial``, which
+    certifies m(T) = 0 one sparse row at a time and never forms m(T).
+    """
+    from hopfblocks import polys as P
+    from hopfblocks.linalg import LinAlgError
+
+    if not t.is_square():
+        raise LinAlgError("minimal polynomial of non-square matrix")
+    F = t.field
+    n = t.nrows
+    if n == 0:
+        return [F.one]
+    w0 = [F.one] * n
+    m = _dense_sequence_annihilator(F, _krylov_stream(t, w0))
+    while True:
+        residue = _evaluate_poly_at_matrix(m, t)
+        witness = None
+        for i, row in enumerate(residue.rows):
+            for j, v in row.items():
+                if not F.is_zero(v):
+                    witness = j
+                    break
+            if witness is not None:
+                break
+        if witness is None:
+            return m
+        col = [residue.rows[i].get(witness, F.zero) for i in range(n)]
+        q = _dense_sequence_annihilator(F, _krylov_stream(t, col))
+        m = P.pmul(F, m, q)
+
+
+def two_sided_span_closure_dim(h, indices: list[int]) -> int:
+    """Dimension of the unital subalgebra generated by the given basis
+    elements, closing the span under products on both sides with every
+    element found so far.
+
+    The oracle for ``HopfData.span_closure_dim``, which closes span{1}
+    under left multiplication by the generators only.
+    """
+    from hopfblocks.linalg import _RowReducer
+
+    red = _RowReducer(h.field)
+    unit = h.sparse(h.unit)
+    red.add(unit)
+    frontier = []
+    for i in indices:
+        v = {i: h.field.one}
+        if red.add(v):
+            frontier.append(v)
+    basis = [unit] + frontier
+    while frontier:
+        new_frontier = []
+        for x in list(basis):
+            for y in frontier:
+                for prod in (h.product(x, y), h.product(y, x)):
+                    if red.add(prod):
+                        new_frontier.append(prod)
+        basis.extend(new_frontier)
+        frontier = new_frontier
+    return len(red.pivots)
+
+
+def direct_block_by_transpose(h, genus: int):
+    """The kernel basis of the genus-g direct block, from the transpose of
+    each generator's action on the tensor power of the adjoint module.
+
+    The oracle for ``blocks._direct_block``, which builds the transposed
+    actions directly as tensor powers of the transposed adjoint action.
+    """
+    from hopfblocks.linalg import simultaneous_kernel
+    from hopfblocks.repcat import adjoint_module, tensor_power
+
+    F = h.field
+    power = tensor_power(adjoint_module(h), genus)
+    mats = []
+    for g in h.generating_indices():
+        diff = power.act(g).transpose()
+        eps = h.counit[g]
+        for i, row in enumerate(diff.rows):
+            d = F.sub(row.get(i, F.zero), eps)
+            if F.is_zero(d):
+                row.pop(i, None)
+            else:
+                row[i] = d
+        mats.append(diff)
+    return simultaneous_kernel(mats)

@@ -20,11 +20,11 @@ from hopfblocks.blocks import (
     restrict_operator,
     separating_twist_op,
 )
-from hopfblocks.fields import CyclotomicField, PrimeField
+from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.hopf import MissingRibbon
 from hopfblocks.linalg import Matrix, operator_order
 from hopfblocks.repcat import GENERIC_HOM_UNKNOWN_LIMIT, adjoint_module, hom_space, regular_module, trivial_module
-from oracles import bounding_pair_by_hom, separating_twist_by_hom
+from oracles import bounding_pair_by_hom, direct_block_by_transpose, matrix_power, separating_twist_by_hom
 
 
 def test_genus_zero_dim_one():
@@ -42,6 +42,19 @@ def test_models_agree_on_dimension():
         h = catalog.get(name)
         for g in (1, 2):
             assert block_space(h, g, DIRECT).dim == block_space(h, g, RELATIVE_CENTER).dim
+
+
+@pytest.mark.parametrize("field", ["Q", "zeta12"])
+def test_direct_block_matches_transposed_route(field):
+    # the constraints built as tensor powers of the transposed adjoint action
+    # give the same reduced basis as transposing each power's action
+    group = catalog.symmetric_group_3() if field == "Q" else catalog.cyclic_group(3)
+    h = catalog.double_of_group(group, QQ if field == "Q" else CyclotomicField(12))
+    for genus in (1, 2):
+        got = block_space(h, genus, DIRECT, genus_cap=2).basis
+        want = direct_block_by_transpose(h, genus)
+        assert got.free_cols == want.free_cols, genus
+        assert got.columns == want.columns, genus
 
 
 def test_genus_one_center_block_is_center():
@@ -240,7 +253,7 @@ def test_separating_powers_match_end_twist_powers():
         theta = twist(adjoint_module(h))
         order = sep.twist_left_order.gl_order.n
         for p in range(1, order + 1):
-            assert sep.matrix.power(p).is_identity() == theta.power(p).is_identity(), (name, p)
+            assert matrix_power(sep.matrix, p).is_identity() == matrix_power(theta, p).is_identity(), (name, p)
 
 
 def test_block_operator_certificate_consistency():
@@ -248,10 +261,10 @@ def test_block_operator_certificate_consistency():
     h = catalog.get("double:Z3")
     op = nonseparating_twist_op(block_space(h, 1), 1)
     n = op.certificate.gl_order.n
-    assert op.matrix.power(n).is_identity()
+    assert matrix_power(op.matrix, n).is_identity()
     for d in range(1, n):
         if n % d == 0:
-            assert not op.matrix.power(d).is_identity()
+            assert not matrix_power(op.matrix, d).is_identity()
 
 
 @pytest.mark.parametrize("model", [DIRECT, RELATIVE_CENTER])

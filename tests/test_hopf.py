@@ -11,7 +11,7 @@ from hopfblocks.hopf import (
     MissingRibbon,
     drinfeld_double,
 )
-from oracles import element_multiplicative_order, jacobson_radical_dim
+from oracles import element_multiplicative_order, jacobson_radical_dim, two_sided_span_closure_dim
 
 ALL_CATALOG = [
     "group:Z2",
@@ -375,6 +375,19 @@ def test_generators_really_generate():
         h = catalog.get(name)
         if h.generators is not None:
             assert h.span_closure_dim(h.generators) == h.dim
+
+
+@pytest.mark.parametrize("name", ALL_CATALOG)
+def test_span_closure_matches_two_sided_oracle(name):
+    # left multiplication by the generators reaches the same subalgebra as
+    # two-sided products of everything found, on the declared generators,
+    # every generator subset that drops one, each single generator, and
+    # (for algebras without declared generators) a few basis subsets
+    h = catalog.get(name)
+    gens = h.generators if h.generators is not None else list(range(1, min(h.dim, 4)))
+    subsets = [gens] + [gens[:k] + gens[k + 1:] for k in range(len(gens))] + [[g] for g in gens]
+    for s in subsets:
+        assert h.span_closure_dim(s) == two_sided_span_closure_dim(h, s), (name, s)
 
 
 def test_drinfeld_element_of_group_double():

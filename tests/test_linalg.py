@@ -22,8 +22,15 @@ from hopfblocks.linalg import (
     solve_unique,
     tensor_product,
 )
+from hopfblocks import linalg
 from hopfblocks import polys as P
-from oracles import in_span, is_zero_matrix, order_by_matrix_powers
+from oracles import (
+    in_span,
+    is_zero_matrix,
+    matrix_power,
+    minimal_polynomial_by_evaluation,
+    order_by_matrix_powers,
+)
 
 
 def mat(data, field=QQ):
@@ -443,6 +450,98 @@ def test_minpoly_matches_power_dependence_oracle(F):
         assert same_vector(F, minimal_polynomial(t), power_dependence_oracle(t))
 
 
+def scaled_permutation(rng, F, n):
+    """c P for a signed permutation matrix P of random cycles of length at
+    most 6, c = zeta over Q(zeta3) and 2 otherwise: the minimal polynomial
+    stays of small degree however large n is."""
+    c = F.zeta() if F.kind == "cyclotomic" else F.from_int(2)
+    order = list(range(n))
+    rng.shuffle(order)
+    perm = [0] * n
+    at = 0
+    while at < n:
+        cycle = order[at:at + rng.randint(1, 6)]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+        at += len(cycle)
+    return Matrix(F, n, n, [{perm[i]: rng.choice((c, F.neg(c)))} for i in range(n)])
+
+
+def block_diagonal(F, blocks):
+    n = sum(b.nrows for b in blocks)
+    out = Matrix(F, n, n)
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b.rows):
+            out.rows[at + i] = {at + j: v for j, v in row.items()}
+        at += b.nrows
+    return out
+
+
+def jordan_block(F, eigenvalue, size):
+    return lift(F, [[eigenvalue if i == j else int(j == i + 1) for j in range(size)] for i in range(size)])
+
+
+def rand_sparse_matrix(rng, F, n, density):
+    return Matrix(F, n, n, [{j: F.random_element(rng, zero_ok=False) for j in range(n) if rng.random() < density}
+                            for _ in range(n)])
+
+
+def eigenvector_first(F):
+    """Row 0 is an eigenvector (annihilator x - 2), so the row-by-row
+    certificate must extend its annihilator twice to reach degree 5."""
+    return block_diagonal(F, [lift(F, [[2]]), lift(F, [[3, 1], [0, 5]]), lift(F, [[0, 1], [-1, 0]])])
+
+
+def minpoly_cases(F):
+    rng = random.Random(29)
+    return [
+        *(scaled_permutation(rng, F, n) for n in (3, 12, 60, 200)),
+        eigenvector_first(F),
+        block_diagonal(F, [lift(F, [[1]]), scaled_permutation(rng, F, 7), lift(F, [[1]])]),
+        # not squarefree
+        block_diagonal(F, [jordan_block(F, 2, 3), jordan_block(F, 2, 2), jordan_block(F, -1, 1)]),
+        jordan_block(F, 0, 4),
+        block_diagonal(F, [jordan_block(F, 1, 2), jordan_block(F, 3, 3)]),
+        # scalars, 0 x 0 and 1 x 1
+        Matrix.diagonal(F, [F.from_int(3)] * 5),
+        Matrix.zeros(F, 4, 4),
+        Matrix(F, 0, 0),
+        lift(F, [[4]]),
+        lift(F, [[0]]),
+        *(rand_sparse_matrix(rng, F, n, 0.15) for n in (8, 12, 16)),
+        *(rand_matrix(rng, F, n, n) for n in (2, 4, 6)),
+    ]
+
+
+@FIELDS
+def test_minpoly_matches_full_evaluation_oracle(F):
+    for t in minpoly_cases(F):
+        assert same_vector(F, minimal_polynomial(t), minimal_polynomial_by_evaluation(t)), t
+
+
+@FIELDS
+def test_minpoly_extends_past_row_zero(F):
+    t = eigenvector_first(F)
+    row_zero = linalg._sequence_annihilator(F, t.nrows, linalg._row_orbit(F, {0: F.one}, t.rows))
+    assert same_vector(F, row_zero, [F.from_int(-2), F.one])
+    assert P.pdeg(minimal_polynomial(t)) == 5
+
+
+@FIELDS
+def test_minpoly_forms_no_matrix_product(F, monkeypatch):
+    cases = minpoly_cases(F)
+    wants = [minimal_polynomial(t) for t in cases]
+
+    def forbidden(self, other):
+        raise AssertionError("minimal_polynomial multiplied two matrices")
+
+    for name in ("mul", "__mul__", "__matmul__"):
+        monkeypatch.setattr(Matrix, name, forbidden)
+    for t, want in zip(cases, wants):
+        assert same_vector(F, minimal_polynomial(t), want)
+
+
 # -- operator orders -----------------------------------------------------------
 
 
@@ -575,10 +674,10 @@ def test_finite_order_certificate_is_sharp():
     for t in samples:
         cert = operator_order(t)
         n = cert.gl_order.n
-        assert t.power(n).is_identity()
+        assert matrix_power(t, n).is_identity()
         for d in range(1, n):
             if n % d == 0:
-                assert not t.power(d).is_identity()
+                assert not matrix_power(t, d).is_identity()
 
 
 def test_poly_helpers():
