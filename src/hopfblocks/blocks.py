@@ -48,6 +48,7 @@ from .linalg import (
     operator_order,
     simultaneous_kernel,
     tensor_product,
+    _times_matrix,
 )
 from .repcat import (
     GENERIC_HOM_UNKNOWN_LIMIT,
@@ -203,18 +204,13 @@ def restrict_operator(block: BlockSpace, ambient_op: Matrix) -> Matrix:
     """
     h = block.algebra
     F = h.field
-    add, mul = F.add, F.mul
     basis = block.basis
     rows = (ambient_op if block.covectors else ambient_op.transpose()).rows
     free_index = {c: k for k, c in enumerate(basis.free_cols)}
     out = Matrix(F, basis.dim, basis.dim)
     for j, col in enumerate(basis.columns):
-        img: dict = {}
-        for i, x in col.items():
-            for t, a in rows[i].items():
-                p = mul(x, a)
-                img[t] = add(img[t], p) if t in img else p
-        coords = {free_index[t]: v for t, v in img.items() if t in free_index and not F.is_zero(v)}
+        img = _times_matrix(F, col, rows)
+        coords = {free_index[t]: v for t, v in img.items() if t in free_index}
         for k, v in coords.items():
             out.rows[k][j] = v
         if not h.sparse_eq(basis.combination(coords), img):

@@ -204,8 +204,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--format", choices=["json", "table"], default=dft("table"))
     parser.add_argument("--full-axioms", action="store_true", default=dft(False),
                         help="force full axiom checking")
-    parser.add_argument("--field-check", action="store_true", default=dft(False),
-                        help="run field arithmetic self-tests first")
     parser.add_argument("--cap", type=int, default=dft(None),
                         help="iteration cap for order searches")
     parser.add_argument("--genus-cap", type=int, default=dft(None),
@@ -256,21 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _field_self_test() -> None:
-    import random
-
-    from .fields import QQ, CyclotomicField, PrimeField
-
-    rng = random.Random(0)
-    for field in (QQ, CyclotomicField(3), PrimeField(7)):
-        for _ in range(25):
-            a, b, c = (field.random_element(rng) for _ in range(3))
-            assert field.eq(field.add(a, b), field.add(b, a))
-            assert field.eq(field.mul(a, field.add(b, c)), field.add(field.mul(a, b), field.mul(a, c)))
-            x = field.random_element(rng, zero_ok=False)
-            assert field.eq(field.mul(x, field.inv(x)), field.one)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -281,8 +264,6 @@ def main(argv: list[str] | None = None) -> int:
         _error("BAD_ARGUMENT", "--genus-cap must be at least 0")
         return EXIT_USAGE
     try:
-        if args.field_check:
-            _field_self_test()
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -10,12 +10,20 @@ Raw values are plain Python data so that hot loops pay no wrapper cost:
 
 Equality of raw values is plain ``==`` after ``normalize``; every nonzero value
 has an exact inverse.  No floating point anywhere.
+
+A field keeps only its representation.  The polynomial algorithms behind
+Q(zeta_n) -- Phi_n itself, division with remainder, the extended Euclidean
+inverse and the residues x^k mod Phi_n that fold products back -- come from
+``polys``.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import islice
+
+from .polys import cyclotomic_polynomial, pdivmod, pinvmod, power_residues
 
 
 class FieldError(Exception):
@@ -58,40 +66,6 @@ def is_prime(n: int) -> bool:
             return False
         p += 2
     return True
-
-
-def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials; the quotient must be integral."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c, r = divmod(num[i + len(den) - 1], den[-1])
-        if r != 0:
-            raise ArithmeticError("non-exact integer polynomial division")
-        q[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
-
-
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial over Z."""
-    if n in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[n]
-    # (x^n - 1) divided by the product of Phi_d for proper divisors d of n.
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _int_poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
-    result = tuple(poly)
-    _CYCLOTOMIC_CACHE[n] = result
-    return result
 
 
 class Field:
@@ -264,8 +238,9 @@ class PrimeField(Field):
 class CyclotomicField(Field):
     """Q(zeta_n): residues modulo Phi_n, coefficient tuples of length phi(n).
 
-    Products are reduced eagerly so representatives stay at degree < phi(n);
-    inverses come from the extended Euclidean algorithm against Phi_n.
+    Products are reduced eagerly so representatives stay at degree < phi(n),
+    through a table of x^(d+j) mod Phi_n; inverses are ``polys.pinvmod``
+    against Phi_n over Q.
     """
 
     kind = "cyclotomic"
@@ -279,17 +254,9 @@ class CyclotomicField(Field):
         d = self.phi
         self.zero = (Fraction(0),) * d
         self.one = (Fraction(1),) + (Fraction(0),) * (d - 1)
-        # reduction[j] = x^(d+j) mod Phi_n, enough for degree-(2d-2) products
-        reduction: list[tuple[Fraction, ...]] = []
-        prev = [-c for c in self.modulus[:d]]  # x^d mod Phi_n (monic modulus)
-        reduction.append(tuple(prev))
-        for _ in range(1, d):
-            shifted = [Fraction(0)] + prev[:-1]
-            top = prev[-1]
-            row = [shifted[i] + top * reduction[0][i] for i in range(d)]
-            reduction.append(tuple(row))
-            prev = row
-        self._reduction = reduction
+        # _reduction[j] = x^(d+j) mod Phi_n, enough for degree-(2d-2) products
+        residues = power_residues(QQ, self.modulus)
+        self._reduction = [tuple(r) for r in islice(residues, d, 2 * d - 1)]
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -321,37 +288,11 @@ class CyclotomicField(Field):
     def inv(self, a):
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
-        # extended Euclid in Q[x]: s*a + t*Phi_n = gcd = const
-        r0 = list(self.modulus)
-        r1 = [Fraction(x) for x in a]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0: list[Fraction] = []
-        s1 = [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            if not r1:
-                raise FieldError("element not invertible modulo Phi_n")
-        c = r1[0]
-        inv_coeffs = [x / c for x in s1]
-        inv_coeffs += [Fraction(0)] * (self.phi - len(inv_coeffs))
-        return self._reduce_list(inv_coeffs)
+        return self._residue(pinvmod(QQ, a, self.modulus))
 
-    def _reduce_list(self, coeffs: list[Fraction]):
-        d = self.phi
-        work = [Fraction(x) for x in coeffs]
-        if len(work) > 2 * d - 1:
-            _, work = _frac_poly_divmod(work, list(self.modulus))
-        out = list(work[:d]) + [Fraction(0)] * max(0, d - len(work))
-        for j in range(d, len(work)):
-            c = work[j]
-            if c:
-                row = self._reduction[j - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return tuple(out)
+    def _residue(self, coeffs):
+        """The raw value of a coefficient list of length at most phi(n)."""
+        return tuple(Fraction(x) for x in coeffs) + self.zero[len(coeffs):]
 
     def is_zero(self, a) -> bool:
         return not any(a)
@@ -376,9 +317,8 @@ class CyclotomicField(Field):
         if isinstance(s, (list, tuple)):
             coeffs = [Fraction(str(c)) for c in s]
             if len(coeffs) > self.phi:
-                return self._reduce_list(coeffs)
-            coeffs += [Fraction(0)] * (self.phi - len(coeffs))
-            return tuple(coeffs)
+                coeffs = pdivmod(QQ, coeffs, self.modulus)[1]
+            return self._residue(coeffs)
         return self.from_fraction(Fraction(str(s)))
 
     def format(self, a) -> list[str]:
@@ -392,48 +332,6 @@ class CyclotomicField(Field):
 
     def to_json(self) -> dict:
         return {"kind": "cyclotomic", "n": self.n}
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dn = len(den)
-    if dn == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - dn + 1)
-    lead = den[-1]
-    for i in range(len(num) - dn, -1, -1):
-        c = num[i + dn - 1] / lead
-        q[i] = c
-        if c:
-            for j in range(dn):
-                num[i + j] -= c * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 QQ = RationalField()

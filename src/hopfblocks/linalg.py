@@ -27,7 +27,7 @@ annihilator of that row.  No matrix product and no m(T) is formed, and
 every row is checked, so the certificate is complete.
 
 Order certification reads everything off m = minpoly(T) through one
-residue sequence, x^k mod m (``_power_residues``); no power of T and no
+residue sequence, x^k mod m (``polys.power_residues``); no power of T and no
 conjugation operator on the full matrix space is built.  Over F_p, T^k is
 the scalar c exactly when x^k mod m is the constant c, so both orders come
 from walking the residues up to the cap.  In characteristic 0 the PGL order
@@ -351,14 +351,7 @@ class KernelBasis:
     def combination(self, coords: dict) -> dict:
         """The sparse vector sum_i coords[i] * columns[i], for sparse
         coordinates (basis index -> value)."""
-        F = self.field
-        add, mul = F.add, F.mul
-        out: dict = {}
-        for i, c in coords.items():
-            for j, v in self.columns[i].items():
-                p = mul(c, v)
-                out[j] = add(out[j], p) if j in out else p
-        return {j: v for j, v in out.items() if not F.is_zero(v)}
+        return _times_matrix(self.field, coords, self.columns)
 
 
 def kernel(a: Matrix) -> list[list]:
@@ -801,32 +794,6 @@ def _unity_order(field: Field, m: list) -> OrderVerdict:
     return finite(order)
 
 
-def _power_residues(field: Field, m: list, step: int = 1):
-    """x^(step * k) mod m for k = 0, 1, 2, ..., as length-deg(m) coefficient lists.
-
-    m is monic of degree d >= 1 with m(0) != 0, so x is a unit modulo m.  Each
-    step is a shift by one place; the coefficient leaving the range folds back
-    through x^d = -(m_0 + ... + m_(d-1) x^(d-1)) upwards, or through
-    x^(-1) = -(m_1 + ... + m_d x^(d-1)) / m_0 downwards.
-    """
-    F = field
-    d = P.pdeg(m)
-    if step == 1:
-        fold = m[:d]
-    else:
-        c = F.inv(m[0])
-        fold = [F.mul(c, v) for v in m[1:]]
-    r = [F.one] + [F.zero] * (d - 1)
-    while True:
-        yield r
-        if step == 1:
-            out, r = r[-1], [F.zero] + r[:-1]
-        else:
-            out, r = r[0], r[1:] + [F.zero]
-        if not F.is_zero(out):
-            r = [F.sub(a, F.mul(out, v)) for a, v in zip(r, fold)]
-
-
 def _ratio_minimal_polynomial(field: Field, m: list) -> list:
     """Minimal polynomial of x * y^(-1) in F[x,y]/(m(x), m(y)) for monic m.
 
@@ -841,7 +808,7 @@ def _ratio_minimal_polynomial(field: Field, m: list) -> list:
         return [field.neg(field.one), field.one]  # scalar operator: x - 1
     grids = ({i * d + k: field.mul(a, b) for i, a in enumerate(xs) if not field.is_zero(a)
               for k, b in enumerate(ys) if not field.is_zero(b)}
-             for xs, ys in zip(_power_residues(field, m), _power_residues(field, m, step=-1)))
+             for xs, ys in zip(P.power_residues(field, m), P.power_residues(field, m, step=-1)))
     return _sequence_annihilator(field, d * d, grids)
 
 
@@ -856,7 +823,7 @@ def _order_by_iteration(field: Field, m: list, cap: int) -> tuple[OrderVerdict, 
     if P.pdeg(m) == 0:  # the 0 x 0 operator is the identity
         return finite(1), finite(1)
     pgl = None
-    residues = _power_residues(F, m)
+    residues = P.power_residues(F, m)
     next(residues)
     for k, r in zip(range(1, cap + 1), residues):
         if all(F.is_zero(c) for c in r[1:]):

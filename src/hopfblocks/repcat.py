@@ -74,9 +74,7 @@ class Module:
         h = self.algebra
         F = h.field
         if self.tensor_factors:
-            m, n = self.tensor_factors
-            terms = [(c, m.act(a), n.act(b)) for (a, b), c in h.comult_of(h.sparse(x)).items()]
-            return kron_sum(F, self.dim, self.dim, terms)
+            return _action_of_tensor_element(*self.tensor_factors, h.comult_of(h.sparse(x)))
         terms = [(c, self.act(i)) for i, c in enumerate(x) if not F.is_zero(c)]
         return linear_combination(F, self.dim, self.dim, terms)
 
@@ -137,11 +135,9 @@ def dual_module(m: Module) -> Module:
 
 def tensor_module(m: Module, n: Module) -> Module:
     h = _same_algebra(m, n)
-    F = h.field
 
     def build(i):
-        terms = [(c, m.act(a), n.act(b)) for (a, b), c in h.comult[i].items()]
-        return kron_sum(F, m.dim * n.dim, m.dim * n.dim, terms)
+        return _action_of_tensor_element(m, n, h.comult[i])
 
     return Module(h, m.dim * n.dim, f"({m.name}@{n.name})", build, tensor_factors=(m, n))
 

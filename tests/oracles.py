@@ -6,6 +6,8 @@ do the predicates that only the tests ask of library objects (``in_span``,
 ``is_zero_matrix``).
 """
 
+from fractions import Fraction
+
 
 def is_unit_vector(h, x: list) -> bool:
     F = h.field
@@ -318,3 +320,106 @@ def direct_block_by_transpose(h, genus: int):
                 row[i] = d
         mats.append(diff)
     return simultaneous_kernel(mats)
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_n) arithmetic on private Fraction-list polynomial helpers: the
+# reduction table, the reduction of long coefficient lists and the inverse
+# as ``CyclotomicField`` computed them before it used ``polys``.
+# ---------------------------------------------------------------------------
+
+
+def cyclotomic_reduction_table(F) -> list:
+    """x^(d+j) mod Phi_n for j = 0, ..., d - 1, by shift and fold."""
+    d = F.phi
+    # reduction[j] = x^(d+j) mod Phi_n, enough for degree-(2d-2) products
+    reduction: list[tuple[Fraction, ...]] = []
+    prev = [-c for c in F.modulus[:d]]  # x^d mod Phi_n (monic modulus)
+    reduction.append(tuple(prev))
+    for _ in range(1, d):
+        shifted = [Fraction(0)] + prev[:-1]
+        top = prev[-1]
+        row = [shifted[i] + top * reduction[0][i] for i in range(d)]
+        reduction.append(tuple(row))
+        prev = row
+    return reduction
+
+
+def cyclotomic_reduce_list(F, coeffs: list[Fraction]):
+    """The residue of a coefficient list modulo Phi_n, as a raw value of F."""
+    d = F.phi
+    work = [Fraction(x) for x in coeffs]
+    if len(work) > 2 * d - 1:
+        _, work = _frac_poly_divmod(work, list(F.modulus))
+    out = list(work[:d]) + [Fraction(0)] * max(0, d - len(work))
+    reduction = cyclotomic_reduction_table(F)
+    for j in range(d, len(work)):
+        c = work[j]
+        if c:
+            row = reduction[j - d]
+            for i in range(d):
+                out[i] += c * row[i]
+    return tuple(out)
+
+
+def cyclotomic_inv(F, a):
+    """The inverse of a nonzero raw value of F, by extended Euclid in Q[x]."""
+    # extended Euclid in Q[x]: s*a + t*Phi_n = gcd = const
+    r0 = list(F.modulus)
+    r1 = [Fraction(x) for x in a]
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    s0: list[Fraction] = []
+    s1 = [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _frac_poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
+        if not r1:
+            raise ArithmeticError("element not invertible modulo Phi_n")
+    c = r1[0]
+    inv_coeffs = [x / c for x in s1]
+    inv_coeffs += [Fraction(0)] * (F.phi - len(inv_coeffs))
+    return cyclotomic_reduce_list(F, inv_coeffs)
+
+
+def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
+    num = list(num)
+    dn = len(den)
+    if dn == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(num) - dn + 1)
+    lead = den[-1]
+    for i in range(len(num) - dn, -1, -1):
+        c = num[i + dn - 1] / lead
+        q[i] = c
+        if c:
+            for j in range(dn):
+                num[i + j] -= c * den[j]
+    while num and num[-1] == 0:
+        num.pop()
+    return q, num
+
+
+def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] -= x
+    while out and out[-1] == 0:
+        out.pop()
+    return out

@@ -232,8 +232,12 @@ def test_ribbon_required_exit(capsys):
 
 
 def test_field_check_flag(capsys):
-    code, _, _ = run(["--field-check", "catalog-list"], capsys)
-    assert code == 0
+    # the runtime field self-test is gone (tests/test_fields.py checks the
+    # field axioms); the flag is now an unknown option, a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--field-check", "catalog-list"])
+    assert exc.value.code == 2
+    assert "--field-check" in capsys.readouterr().err
 
 
 def test_bad_curve(capsys):

@@ -8,10 +8,11 @@ from hopfblocks.fields import (
     CyclotomicField,
     DivisionByZero,
     PrimeField,
-    cyclotomic_polynomial,
     euler_phi,
     field_from_json,
 )
+from hopfblocks.polys import cyclotomic_polynomial
+from oracles import cyclotomic_inv, cyclotomic_reduce_list, cyclotomic_reduction_table
 
 
 def test_rational_basics():
@@ -61,6 +62,46 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+CYCLOTOMIC_INDICES = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15]
+
+
+def assert_same_raw(got, expected):
+    # the same raw value: a tuple of Fraction equal entry by entry
+    assert type(got) is tuple and all(type(x) is Fraction for x in got)
+    assert got == expected
+
+
+@pytest.mark.parametrize("n", CYCLOTOMIC_INDICES)
+def test_cyclotomic_inverse_matches_extended_euclid_oracle(n):
+    F = CyclotomicField(n)
+    rng = random.Random(n)
+    values = [F.one, F.zeta(), F.from_int(-3), F.from_fraction(Fraction(2, 7))]
+    values += [F.random_element(rng, zero_ok=False) for _ in range(30)]
+    for a in values:
+        assert_same_raw(F.inv(a), cyclotomic_inv(F, a))
+
+
+@pytest.mark.parametrize("n", CYCLOTOMIC_INDICES)
+def test_cyclotomic_parse_of_long_lists_matches_reduction_oracle(n):
+    F = CyclotomicField(n)
+    rng = random.Random(100 + n)
+    # lengths up to 2 phi - 1 fold through the table, longer ones were divided
+    for length in range(F.phi + 1, 3 * F.phi + 3):
+        coeffs = [rng.choice([rng.randint(-9, 9), f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"])
+                  for _ in range(length)]
+        expected = cyclotomic_reduce_list(F, [Fraction(str(c)) for c in coeffs])
+        assert_same_raw(F.parse(coeffs), expected)
+
+
+@pytest.mark.parametrize("n", CYCLOTOMIC_INDICES)
+def test_cyclotomic_reduction_table_matches_shift_and_fold_oracle(n):
+    F = CyclotomicField(n)
+    # the table holds the rows x^d, ..., x^(2d-2) that products of residues
+    # read; the oracle's loop also builds x^(2d-1), which none reads
+    assert F._reduction == cyclotomic_reduction_table(F)[:F.phi - 1]
+    assert len(F._reduction) == F.phi - 1
 
 
 FIELDS = [QQ, CyclotomicField(3), CyclotomicField(12), PrimeField(7)]
