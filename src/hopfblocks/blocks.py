@@ -28,6 +28,11 @@ on Hom(H x A, H) = Hom_k(A, H) (free-module coordinates f -> f(1 x -)),
 where it is one Kronecker sum over Delta(v^-1); no hom space is solved.
 
 A block's basis is the sparse ``KernelBasis`` of its invariance constraints.
+The kernel is handed only their nonzero rows: a zero row adds nothing to the
+row space, and at genus 2 most of the dim^g rows are zero.  The direct
+block builds each generator's action on the top tensor power A^(g) with
+``Module.act_element``, uses it and drops it; only the lower powers keep
+their actions.
 ``restrict_operator`` pushes each sparse basis column through the ambient
 operator and certifies the result completely: every image must equal the
 re-expansion of its coordinates in the basis (B.R = Op.B).  The bounding
@@ -144,7 +149,9 @@ def _transposed_adjoint(h: HopfData) -> Module:
     Not a module (transposing reverses products), but its tensor powers
     are built from the coproduct like a module's, and
     (X x Y)^T = X^T x Y^T makes their matrices rho(g)^T on A^(g): each is
-    one Kronecker sum, and no power is transposed after the fact.
+    one Kronecker sum, and no power is transposed after the fact.  The
+    direct block reads the top power through ``Module.act_element``, which
+    keeps no action matrix on it.
     """
     if "adjoint_transposed" not in h._cache:
         a = adjoint_module(h)
@@ -158,18 +165,16 @@ def _direct_block(h: HopfData, genus: int) -> BlockSpace:
     mats = []
     for g in h.generating_indices():
         # covectors f with f . rho(g) = eps(g) f: the rows of rho(g)^T - eps(g) I
-        diff = power_t.act(g)
+        rows = power_t.act_element(h.basis_vector(g)).rows  # fresh: not kept on power_t
         eps = h.counit[g]
         if not F.is_zero(eps):
-            rows = [dict(row) for row in diff.rows]  # the action is kept on power_t
             for i, row in enumerate(rows):
                 d = F.sub(row.get(i, F.zero), eps)
                 if F.is_zero(d):
                     del row[i]
                 else:
                     row[i] = d
-            diff = Matrix(F, diff.nrows, diff.ncols, rows)
-        mats.append(diff)
+        mats.append(_nonzero_rows(Matrix(F, power_t.dim, power_t.dim, rows)))
     basis = simultaneous_kernel(mats)
     return BlockSpace(h, genus, DIRECT, basis, tensor_power(adjoint_module(h), genus), covectors=True)
 
@@ -181,13 +186,21 @@ def _center_block(h: HopfData, genus: int) -> BlockSpace:
     ident_rest = Matrix.identity(F, rest.dim)
     # x with (R(g) x I) x = rho_ambient(g) x, each constraint one kron_sum
     mats = [
-        kron_sum(F, ambient.dim, ambient.dim,
-                 [(F.one, h.right_mult_matrix(g), ident_rest)]
-                 + [(F.neg(c), h.left_mult_matrix(a), rest.act(b)) for (a, b), c in h.comult[g].items()])
+        _nonzero_rows(kron_sum(F, ambient.dim, ambient.dim,
+                               [(F.one, h.right_mult_matrix(g), ident_rest)]
+                               + [(F.neg(c), h.left_mult_matrix(a), rest.act(b))
+                                  for (a, b), c in h.comult[g].items()]))
         for g in h.generating_indices()
     ]
     basis = simultaneous_kernel(mats)
     return BlockSpace(h, genus, RELATIVE_CENTER, basis, ambient, covectors=False)
+
+
+def _nonzero_rows(m: Matrix) -> Matrix:
+    """The constraint matrix of m's nonzero rows only: a zero row adds
+    nothing to the row space, so the kernel is the same."""
+    kept = [row for row in m.rows if row]
+    return Matrix(m.field, len(kept), m.ncols, kept)
 
 
 def restrict_operator(block: BlockSpace, ambient_op: Matrix) -> Matrix:

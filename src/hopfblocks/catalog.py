@@ -601,7 +601,7 @@ def save(h: HopfData, path: str | Path) -> None:
 def load(path: str | Path, validate: bool = True) -> HopfData:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return from_json(doc, validate=validate)
 

@@ -283,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except DimensionMismatch as exc:
         _error("DIMENSION_MISMATCH", str(exc))
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission to read
         _error("IO_ERROR", str(exc))
         return EXIT_USAGE
     except CatalogError as exc:

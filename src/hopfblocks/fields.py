@@ -8,8 +8,9 @@ Raw values are plain Python data so that hot loops pay no wrapper cost:
   modulo the n-th cyclotomic polynomial,
 * F_p: an ``int`` in ``[0, p)``.
 
-Equality of raw values is plain ``==`` after ``normalize``; every nonzero value
-has an exact inverse.  No floating point anywhere.
+Equality of raw values is plain ``==`` over Q and Q(zeta_n), whose raw values
+compare by value as they are, and ``==`` after ``normalize`` over F_p; every
+nonzero value has an exact inverse.  No floating point anywhere.
 
 A field keeps only its representation.  The polynomial algorithms behind
 Q(zeta_n) -- Phi_n itself, division with remainder, the extended Euclidean
@@ -254,6 +255,7 @@ class CyclotomicField(Field):
         d = self.phi
         self.zero = (Fraction(0),) * d
         self.one = (Fraction(1),) + (Fraction(0),) * (d - 1)
+        self.eq = operator.eq  # every raw value is already a canonical phi(n)-tuple of Fraction
         # _reduction[j] = x^(d+j) mod Phi_n, enough for degree-(2d-2) products
         residues = power_residues(QQ, self.modulus)
         self._reduction = [tuple(r) for r in islice(residues, d, 2 * d - 1)]

@@ -78,19 +78,6 @@ class Module:
         terms = [(c, self.act(i)) for i, c in enumerate(x) if not F.is_zero(c)]
         return linear_combination(F, self.dim, self.dim, terms)
 
-    def action_respects_algebra(self) -> bool:
-        """rho(g) rho(e_j) = rho(g e_j) on the generating set, and rho(1) = I."""
-        h = self.algebra
-        if not self.act_element(h.unit).is_identity():
-            return False
-        for g in h.generating_indices():
-            rg = self.act(g)
-            for j in range(h.dim):
-                prod_vec = h.multiply(h.basis_vector(g), h.basis_vector(j))
-                if rg.mul(self.act(j)) != self.act_element(prod_vec):
-                    return False
-        return True
-
     def __repr__(self):
         return f"Module({self.name}, dim={self.dim} over {self.algebra.name})"
 
@@ -121,16 +108,6 @@ def regular_module(h: HopfData) -> Module:
     if "regular" not in h._cache:
         h._cache["regular"] = Module(h, h.dim, "regular", h.left_mult_matrix, is_regular=True)
     return h._cache["regular"]
-
-
-def dual_module(m: Module) -> Module:
-    h = m.algebra
-
-    def build(i):
-        s_ei = h.antipode_of(h.basis_vector(i))
-        return m.act_element(s_ei).transpose()
-
-    return Module(h, m.dim, f"dual({m.name})", build)
 
 
 def tensor_module(m: Module, n: Module) -> Module:
@@ -178,23 +155,6 @@ def tensor_power(m: Module, g: int) -> Module:
     while len(powers) < g:
         powers.append(tensor_module(powers[-1], m))
     return powers[g - 1]
-
-
-def module_from_action_table(h: HopfData, name: str, dim: int, table: dict[int, list[list]]) -> Module:
-    F = h.field
-
-    def build(i):
-        rows = table[i]
-        return Matrix.from_dense(F, [[F.parse(v) if not isinstance(v, (int,)) else F.from_int(v) for v in row] for row in rows])
-
-    return Module(h, dim, name, build)
-
-
-def flagged_simple_modules(h: HopfData) -> list[Module]:
-    out = []
-    for entry in h.flags.get("simple_modules", []):
-        out.append(module_from_action_table(h, entry["name"], entry["dim"], entry["action"]))
-    return out
 
 
 # ---------------------------------------------------------------------------

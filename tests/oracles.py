@@ -322,6 +322,84 @@ def direct_block_by_transpose(h, genus: int):
     return simultaneous_kernel(mats)
 
 
+def center_block_full_rows(h, genus: int):
+    """The kernel basis of the genus-g relative-center block, from the
+    full-height constraint matrices, zero rows included.
+
+    The oracle for ``blocks._center_block``, which hands the kernel only the
+    nonzero constraint rows; a zero row adds nothing to the row space, so the
+    reduced basis must be the same.
+    """
+    from hopfblocks.linalg import Matrix, kron_sum, simultaneous_kernel
+    from hopfblocks.repcat import adjoint_module, regular_module, tensor_module, tensor_power
+
+    F = h.field
+    rest = tensor_power(adjoint_module(h), genus - 1)
+    ambient = tensor_module(regular_module(h), rest)
+    ident_rest = Matrix.identity(F, rest.dim)
+    # x with (R(g) x I) x = rho_ambient(g) x, each constraint one kron_sum
+    mats = [
+        kron_sum(F, ambient.dim, ambient.dim,
+                 [(F.one, h.right_mult_matrix(g), ident_rest)]
+                 + [(F.neg(c), h.left_mult_matrix(a), rest.act(b)) for (a, b), c in h.comult[g].items()])
+        for g in h.generating_indices()
+    ]
+    return simultaneous_kernel(mats)
+
+
+# ---------------------------------------------------------------------------
+# Modules that only the tests build: the dual module and the simple modules
+# a catalog algebra's ``simple_modules`` flag lists, and the check that an
+# action respects the algebra.
+# ---------------------------------------------------------------------------
+
+
+def action_respects_algebra(m) -> bool:
+    """rho(g) rho(e_j) = rho(g e_j) on the generating set, and rho(1) = I."""
+    h = m.algebra
+    if not m.act_element(h.unit).is_identity():
+        return False
+    for g in h.generating_indices():
+        rg = m.act(g)
+        for j in range(h.dim):
+            prod_vec = h.multiply(h.basis_vector(g), h.basis_vector(j))
+            if rg.mul(m.act(j)) != m.act_element(prod_vec):
+                return False
+    return True
+
+
+def dual_module(m):
+    from hopfblocks.repcat import Module
+
+    h = m.algebra
+
+    def build(i):
+        s_ei = h.antipode_of(h.basis_vector(i))
+        return m.act_element(s_ei).transpose()
+
+    return Module(h, m.dim, f"dual({m.name})", build)
+
+
+def module_from_action_table(h, name: str, dim: int, table: dict[int, list[list]]):
+    from hopfblocks.linalg import Matrix
+    from hopfblocks.repcat import Module
+
+    F = h.field
+
+    def build(i):
+        rows = table[i]
+        return Matrix.from_dense(F, [[F.parse(v) if not isinstance(v, (int,)) else F.from_int(v) for v in row] for row in rows])
+
+    return Module(h, dim, name, build)
+
+
+def flagged_simple_modules(h) -> list:
+    out = []
+    for entry in h.flags.get("simple_modules", []):
+        out.append(module_from_action_table(h, entry["name"], entry["dim"], entry["action"]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Q(zeta_n) arithmetic on private Fraction-list polynomial helpers: the
 # reduction table, the reduction of long coefficient lists and the inverse

@@ -1,5 +1,8 @@
 import gc
+import importlib.util
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +25,15 @@ from hopfblocks.blocks import (
 )
 from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.hopf import MissingRibbon
-from hopfblocks.linalg import Matrix, operator_order
+from hopfblocks.linalg import Matrix, operator_order, simultaneous_kernel
 from hopfblocks.repcat import GENERIC_HOM_UNKNOWN_LIMIT, adjoint_module, hom_space, regular_module, trivial_module
-from oracles import bounding_pair_by_hom, direct_block_by_transpose, matrix_power, separating_twist_by_hom
+from oracles import (
+    bounding_pair_by_hom,
+    center_block_full_rows,
+    direct_block_by_transpose,
+    matrix_power,
+    separating_twist_by_hom,
+)
 
 
 def test_genus_zero_dim_one():
@@ -44,17 +53,106 @@ def test_models_agree_on_dimension():
             assert block_space(h, g, DIRECT).dim == block_space(h, g, RELATIVE_CENTER).dim
 
 
-@pytest.mark.parametrize("field", ["Q", "zeta12"])
-def test_direct_block_matches_transposed_route(field):
+def _seeded_file_algebra(name: str, seed: int, out_dir: Path):
+    """The algebra of the benchmark's seeded input file (a relabelled basis)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return catalog.load(inputs.write_inputs([name], seed, out_dir)[name])
+
+
+def _oracle_algebra(case: str, tmp_path):
+    if case == "Q":
+        return catalog.double_of_group(catalog.symmetric_group_3(), QQ)
+    if case == "zeta12":
+        return catalog.double_of_group(catalog.cyclic_group(3), CyclotomicField(12))
+    if case == "F7":  # D(S3) over F_7 as the seed-1 benchmark file
+        return _seeded_file_algebra("ds3_f7", 1, tmp_path)
+    return catalog.get("double:sweedler")  # rows of three and more terms: the reducer path
+
+
+ORACLE_CASES = ["Q", "zeta12", "F7", "sweedler"]
+
+
+@pytest.mark.parametrize("field", ORACLE_CASES)
+def test_direct_block_matches_transposed_route(field, tmp_path):
     # the constraints built as tensor powers of the transposed adjoint action
     # give the same reduced basis as transposing each power's action
-    group = catalog.symmetric_group_3() if field == "Q" else catalog.cyclic_group(3)
-    h = catalog.double_of_group(group, QQ if field == "Q" else CyclotomicField(12))
+    h = _oracle_algebra(field, tmp_path)
     for genus in (1, 2):
         got = block_space(h, genus, DIRECT, genus_cap=2).basis
         want = direct_block_by_transpose(h, genus)
         assert got.free_cols == want.free_cols, genus
         assert got.columns == want.columns, genus
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_center_block_matches_full_row_constraints(case, tmp_path):
+    # dropping the zero constraint rows leaves the reduced basis unchanged
+    h = _oracle_algebra(case, tmp_path)
+    for genus in (1, 2):
+        got = block_space(h, genus, RELATIVE_CENTER, genus_cap=2).basis
+        want = center_block_full_rows(h, genus)
+        assert got.free_cols == want.free_cols, genus
+        assert got.columns == want.columns, genus
+
+
+def _fresh_ds3():
+    # catalog.get keeps one instance per name, and with it the cached blocks
+    return catalog.double_of_group(catalog.symmetric_group_3())
+
+
+def test_block_constraints_have_no_zero_rows(monkeypatch):
+    seen = []
+
+    def record(mats):
+        seen.append(mats)
+        return simultaneous_kernel(mats)
+
+    monkeypatch.setattr(blocks, "simultaneous_kernel", record)
+    h = _fresh_ds3()
+    for genus in (1, 2):
+        for model in (DIRECT, RELATIVE_CENTER):
+            seen.clear()
+            block_space(h, genus, model)
+            (mats,) = seen
+            assert len(mats) == len(h.generating_indices())
+            for m in mats:
+                assert m.ncols == h.dim ** genus, (genus, model)
+                assert m.nrows == len(m.rows) and all(m.rows), (genus, model)
+            # the full-height constraints had zero rows to drop
+            assert sum(m.nrows for m in mats) < len(mats) * h.dim ** genus, (genus, model)
+
+
+def test_direct_block_keeps_no_top_power_action():
+    h = _fresh_ds3()
+    block_space(h, 2)
+    power_t = repcat.tensor_power(blocks._transposed_adjoint(h), 2)
+    assert power_t._action == {}
+    assert blocks._transposed_adjoint(h)._action  # the genus-1 actions stay kept
+
+
+def test_genus_two_blocks_memory_after_genus_one():
+    # the genus-2 blocks of D(S3) keep no 1296-row action once solved, and
+    # hold only nonzero constraint rows while solving (bytes traced by Python)
+    mb = 1e6
+    for model, retained_bound in ((DIRECT, 0.5), (RELATIVE_CENTER, None)):
+        h = _fresh_ds3()
+        block_space(h, 1, model)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            block = block_space(h, 2, model)
+            gc.collect()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.dim == 116
+        assert (peak - base) / mb < 2.5, (model, (peak - base) / mb)
+        if retained_bound is not None:
+            assert (current - base) / mb < retained_bound, (model, (current - base) / mb)
 
 
 def test_genus_one_center_block_is_center():

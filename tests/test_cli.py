@@ -114,9 +114,14 @@ def test_exit_dimension_mismatch(tmp_path, capsys):
 
 
 def test_exit_io_error_missing_file(tmp_path, capsys):
-    code, _, err = run(["check", str(tmp_path / "no" / "such" / "file.json")], capsys)
+    path = tmp_path / "no" / "such" / "file.json"
+    code, _, err = run(["check", str(path)], capsys)
     assert code == 2
     assert "IO_ERROR" in err
+    for sub in SUBCOMMANDS:  # every subcommand keeps the missing-file message
+        code, _, err = run([sub[0], str(path), *sub[1:]], capsys)
+        assert code == 2
+        assert f"error[IO_ERROR]: [Errno 2] No such file or directory: '{path}'" in err, sub
 
 
 def test_exit_validation_failure(tmp_path, capsys):
@@ -380,6 +385,44 @@ def test_corrupted_files_exit_usage_on_every_subcommand(key, value, tmp_path, ca
         code, _, err = run(argv, capsys)
         _assert_contract(argv, code, err)
         assert code == 2, (argv, err)
+
+
+def test_directory_path_is_io_error_on_every_subcommand(tmp_path, capsys):
+    folder = tmp_path / "algebra.json"
+    folder.mkdir()
+    for sub in SUBCOMMANDS:
+        argv = [sub[0], str(folder), *sub[1:]]
+        code, _, err = run(argv, capsys)
+        _assert_contract(argv, code, err)
+        assert code == 2, (argv, err)
+        assert "error[IO_ERROR]" in err and str(folder) in err, argv
+
+
+def test_file_that_is_not_utf8_is_parse_error_on_every_subcommand(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(catalog.to_json(catalog.get("group:Z2"))).encode("utf-16-le"))
+    for sub in SUBCOMMANDS:
+        argv = [sub[0], str(path), *sub[1:]]
+        code, _, err = run(argv, capsys)
+        _assert_contract(argv, code, err)
+        assert code == 2, (argv, err)
+        assert "error[PARSE_ERROR]" in err, argv
+
+
+def test_unreadable_file_is_io_error_on_every_subcommand(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "locked.json"
+    catalog.save(catalog.get("group:Z2"), path)
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    for sub in SUBCOMMANDS:
+        argv = [sub[0], str(path), *sub[1:]]
+        code, _, err = run(argv, capsys)
+        _assert_contract(argv, code, err)
+        assert code == 2, (argv, err)
+        assert "error[IO_ERROR]" in err and "Permission denied" in err, argv
 
 
 @pytest.fixture(scope="module")

@@ -104,6 +104,36 @@ def test_cyclotomic_reduction_table_matches_shift_and_fold_oracle(n):
     assert len(F._reduction) == F.phi - 1
 
 
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 12])
+def test_cyclotomic_raw_values_are_phi_tuples_and_eq_is_plain(n):
+    # CyclotomicField.eq is plain ==: every constructor returns a canonical
+    # phi(n)-tuple of Fraction, so == agrees with normalize-then-compare
+    F = CyclotomicField(n)
+    rng = random.Random(300 + n)
+
+    def canonical(x):
+        assert type(x) is tuple and len(x) == F.phi and all(type(c) is Fraction for c in x), x
+        return x
+
+    elems = [F.parse([1, "2/3"]), F.parse(["-1/2"] * (2 * F.phi + 1)), F.parse(5), F.parse("3/4"),
+             F.from_int(-2), F.from_fraction(Fraction(7, 3)), F.zeta(), F.zero, F.one]
+    elems += [F.random_element(rng) for _ in range(12)]
+    for x in elems:
+        canonical(x)
+    for _ in range(40):
+        a, b = rng.choice(elems), rng.choice(elems)
+        for x in (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b), F.pow(a, rng.randint(0, 5))):
+            elems.append(canonical(x))
+        if not F.is_zero(a):
+            elems.append(canonical(F.inv(a)))
+            elems.append(canonical(F.pow(a, -rng.randint(1, 3))))
+    pairs = [(a, b) for a in elems[:30] for b in elems[:30]]
+    pairs += [(F.sub(F.add(a, b), b), a) for a, b in pairs[:200]]  # equal values built two ways
+    assert any(a is not b and a == b for a, b in pairs)
+    for a, b in pairs:
+        assert F.eq(a, b) == (F.normalize(a) == F.normalize(b)), (a, b)
+
+
 FIELDS = [QQ, CyclotomicField(3), CyclotomicField(12), PrimeField(7)]
 
 
