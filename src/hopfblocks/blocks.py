@@ -165,7 +165,7 @@ def _direct_block(h: HopfData, genus: int) -> BlockSpace:
     mats = []
     for g in h.generating_indices():
         # covectors f with f . rho(g) = eps(g) f: the rows of rho(g)^T - eps(g) I
-        rows = power_t.act_element(h.basis_vector(g)).rows  # fresh: not kept on power_t
+        rows = power_t.act_element({g: F.one}).rows  # fresh: not kept on power_t
         eps = h.counit[g]
         if not F.is_zero(eps):
             for i, row in enumerate(rows):
@@ -400,10 +400,10 @@ def bounding_pair_op(h: HopfData) -> Matrix:
     if not is_intertwiner(theta, reg, reg):
         raise BlocksError("bounding pair left the hom space")
     a = adjoint_module(h)
-    v_inv = h.sparse(h.element_inverse(h.ribbon))
+    s_col = h.antipode_columns()
     terms = [
-        (c, theta.mul(reg.act(x1)), a.act_element(h.antipode_of(h.basis_vector(x2))).transpose())
-        for (x1, x2), c in h.comult_of(v_inv).items()
+        (c, theta.mul(reg.act(x1)), a.act_element(s_col[x2]).transpose())
+        for (x1, x2), c in h.comult_of(h.element_inverse(h.ribbon)).items()
     ]
     n = h.dim * a.dim
     return kron_sum(h.field, n, n, terms)

@@ -5,7 +5,15 @@ machine-verified ribbon elements; the 4-dimensional Sweedler algebra H4 and
 its double.  Ribbon data is shipped but never trusted: every candidate must
 pass the full ribbon-axiom battery before it is attached, and for doubles the
 constructor searches the standard candidates (Drinfeld element and grouplike
-shifts) until one verifies.
+shifts) until one verifies.  Candidates are sparse elements, like every
+element of a ``HopfData``.
+
+In the file format ``unit``, ``counit`` and ``ribbon`` are dense lists of
+dim coefficients and every tensor is a sorted list of index tuples with a
+coefficient.  ``from_json`` turns the unit and the ribbon into sparse
+elements and ``to_json`` writes them back as the same lists.  A
+``simple_modules`` flag is accepted and shape-checked, and written back as
+read; no module is built from it.
 """
 
 from __future__ import annotations
@@ -134,13 +142,12 @@ def group_algebra(group: GroupTable, field: Field = QQ) -> HopfData:
     n = group.order
     F = field
     mult = [[{group.mul(i, j): F.one} for j in range(n)] for i in range(n)]
-    unit = [F.one if i == group.identity else F.zero for i in range(n)]
+    unit = {group.identity: F.one}
     comult = [{(i, i): F.one} for i in range(n)]
     counit = [F.one] * n
     antipode = Matrix(F, n, n)
     for j in range(n):
         antipode.rows[group.inverse[j]][j] = F.one
-    flags = {"group": group.name, "simple_modules": _group_simple_modules(group, F)}
     return HopfData(
         name=f"k[{group.name}]",
         field=F,
@@ -152,52 +159,8 @@ def group_algebra(group: GroupTable, field: Field = QQ) -> HopfData:
         counit=counit,
         antipode=antipode,
         generators=list(group.generators) or [group.identity],
-        flags=flags,
+        flags={"group": group.name},
     )
-
-
-def _group_rep_from_generators(group: GroupTable, gen_mats: dict[int, list[list]]) -> dict[int, list[list]] | None:
-    """Extend matrices on generators to the whole group by table composition."""
-    from .linalg import Matrix as M
-
-    reps: dict[int, M] = {group.identity: M.identity(QQ, len(next(iter(gen_mats.values()))))}
-    for g, rows in gen_mats.items():
-        reps[g] = M.from_dense(QQ, rows)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(reps):
-            for b in list(reps):
-                c = group.mul(a, b)
-                if c not in reps:
-                    reps[c] = reps[a].mul(reps[b])
-                    changed = True
-    if len(reps) != group.order:
-        return None
-    return {g: m.to_dense() for g, m in reps.items()}
-
-
-def _group_simple_modules(group: GroupTable, field: Field) -> list[dict]:
-    """A few explicitly shipped simple modules (verified by tests, not trusted)."""
-    if field is not QQ:
-        return []
-    out = [{"name": "trivial", "dim": 1, "action": {g: [[1]] for g in range(group.order)}}]
-    if group.name == "Z2":
-        out.append({"name": "sign", "dim": 1, "action": {0: [[1]], 1: [[-1]]}})
-    if group.name == "Z3":
-        rot = {1: [[0, -1], [1, -1]]}
-        full = _group_rep_from_generators(group, rot)
-        if full:
-            out.append({"name": "rot2", "dim": 2, "action": full})
-    if group.name == "S3":
-        parity = [1, -1, -1, -1, 1, 1]
-        out.append({"name": "sign", "dim": 1, "action": {g: [[parity[g]]] for g in range(6)}})
-        std = _group_rep_from_generators(
-            group, {1: [[-1, 1], [0, 1]], 4: [[0, -1], [1, -1]]}
-        )
-        if std:
-            out.append({"name": "standard", "dim": 2, "action": std})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +168,27 @@ def _group_simple_modules(group: GroupTable, field: Field) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def ribbon_axioms_pass(h: HopfData, v: list) -> bool:
+def ribbon_axioms_pass(h: HopfData, v: dict) -> bool:
     """The full ribbon battery of ``HopfData.ribbon_battery`` (central,
     invertible, eps(v)=1, S(v)=v, Delta(v) = (R21 R)(v x v)); an algebra
     without an R-matrix has no ribbon element."""
     return h.r_matrix is not None and all(passed for _, passed, _ in h.ribbon_battery(v))
 
 
-def _element_inverse(h: HopfData, v: list) -> list | None:
+def _element_inverse(h: HopfData, v: dict) -> dict | None:
     try:
         return h.element_inverse(v)
     except LinAlgError:
         return None
 
 
-def attach_verified_ribbon(h: HopfData, candidates: list[tuple[list, str]]) -> None:
+def attach_verified_ribbon(h: HopfData, candidates: list[tuple[dict | None, str]]) -> None:
     """Attach the first candidate passing the ribbon axioms; record the choice."""
     for vec, label in candidates:
         if vec is None:
             continue
         if ribbon_axioms_pass(h, vec):
-            h.ribbon = [h.field.normalize(x) for x in vec]
+            h.ribbon = h.element(vec)
             h.flags["ribbon_choice"] = label
             return
     raise NoRibbonFound(h.name)
@@ -254,9 +217,7 @@ def double_of_group(group: GroupTable, field: Field = QQ) -> HopfData:
     F = field
     n = group.order
     u = d.drinfeld_element()
-    w = d.zero_vector()
-    for g in range(n):
-        w[g * n + g] = F.one  # sum over g of (delta_g x g)
+    w = {g * n + g: F.one for g in range(n)}  # sum over g of (delta_g x g)
     candidates = [
         (u, "drinfeld_element"),
         (_element_inverse(d, u), "drinfeld_element_inverse"),
@@ -264,25 +225,7 @@ def double_of_group(group: GroupTable, field: Field = QQ) -> HopfData:
         (_element_inverse(d, w), "diagonal_sum_inverse"),
     ]
     attach_verified_ribbon(d, candidates)
-    d.flags["simple_modules"] = _double_group_simple_modules(group, F)
     return d
-
-
-def _double_group_simple_modules(group: GroupTable, field: Field) -> list[dict]:
-    if field is not QQ or group.name != "Z2":
-        return []
-    out = []
-    n = group.order
-    for x in range(n):
-        for sign in (1, -1):
-            action = {}
-            for a in range(n):
-                for b in range(n):
-                    val = (1 if a == x else 0) * (sign if b == 1 else 1)
-                    action[a * n + b] = [[val]]
-            name = f"chi_{x}_{'-' if sign < 0 else '+'}"
-            out.append({"name": name, "dim": 1, "action": action})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +257,7 @@ def sweedler(field: Field = QQ) -> HopfData:
     # x*x = 0, x*gx = 0, gx*x = 0, gx*gx = 0 (omitted entries are zero)
     put(gx, g, x, -1)
 
-    unit = [F.one, F.zero, F.zero, F.zero]
+    unit = {one: F.one}
     comult = [
         {(one, one): F.one},
         {(g, g): F.one},
@@ -327,12 +270,6 @@ def sweedler(field: Field = QQ) -> HopfData:
     antipode.rows[g][g] = F.one
     antipode.rows[gx][x] = F.neg(F.one)
     antipode.rows[x][gx] = F.one
-    flags = {
-        "simple_modules": [
-            {"name": "trivial", "dim": 1, "action": {0: [[1]], 1: [[1]], 2: [[0]], 3: [[0]]}},
-            {"name": "sign", "dim": 1, "action": {0: [[1]], 1: [[-1]], 2: [[0]], 3: [[0]]}},
-        ]
-    }
     return HopfData(
         name="H4",
         field=F,
@@ -344,22 +281,17 @@ def sweedler(field: Field = QQ) -> HopfData:
         counit=counit,
         antipode=antipode,
         generators=[g, x],
-        flags=flags,
     )
 
 
-def _sweedler_double_grouplikes(d: HopfData) -> list[list]:
+def _sweedler_double_grouplikes(d: HopfData) -> list[dict]:
     """The four grouplikes of D(H4): characters of H4 paired with 1 and g."""
     F = d.field
     n = 4
     out = []
-    for chi_g in (1, -1):  # chi(1), chi(g), chi(x) = chi(gx) = 0
-        chi = [F.one, F.from_int(chi_g), F.zero, F.zero]
+    for chi_g in (1, -1):  # chi(1) = 1, chi(g) = chi_g, chi(x) = chi(gx) = 0
         for grp in (0, 1):  # group part 1 or g
-            vec = d.zero_vector()
-            for a in range(n):
-                if not F.is_zero(chi[a]):
-                    vec[a * n + grp] = chi[a]
+            vec = {grp: F.one, n + grp: F.from_int(chi_g)}  # chi(e_a) at index a * n + grp
             if d.is_grouplike(vec):
                 out.append(vec)
     return out
@@ -379,15 +311,15 @@ def sweedler_double(field: Field = QQ) -> HopfData:
     d = drinfeld_double(sweedler(field))
     u = d.drinfeld_element()
     uinv = _element_inverse(d, u)
-    candidates: list[tuple[list, str]] = [(u, "drinfeld_element"), (uinv, "drinfeld_element_inverse")]
+    candidates: list[tuple[dict | None, str]] = [(u, "drinfeld_element"), (uinv, "drinfeld_element_inverse")]
     for i, ell in enumerate(_sweedler_double_grouplikes(d)):
         ell_inv = _element_inverse(d, ell)
         if ell_inv is None:
             continue
-        candidates.append((d.multiply(u, ell_inv), f"u*g{i}^-1"))
-        candidates.append((d.multiply(ell_inv, u), f"g{i}^-1*u"))
-        candidates.append((d.multiply(uinv, ell), f"u^-1*g{i}"))
-        candidates.append((d.multiply(ell, uinv), f"g{i}*u^-1"))
+        candidates.append((d.product(u, ell_inv), f"u*g{i}^-1"))
+        candidates.append((d.product(ell_inv, u), f"g{i}^-1*u"))
+        candidates.append((d.product(uinv, ell), f"u^-1*g{i}"))
+        candidates.append((d.product(ell, uinv), f"g{i}*u^-1"))
     try:
         attach_verified_ribbon(d, candidates)
     except NoRibbonFound:
@@ -463,7 +395,7 @@ def to_json(h: HopfData) -> dict:
         "field": F.to_json(),
         "dim": h.dim,
         "basis": h.basis_labels,
-        "unit": [_coeff_to_json(F, c) for c in h.unit],
+        "unit": _dense_to_json(F, h.dim, h.unit),
         "counit": [_coeff_to_json(F, c) for c in h.counit],
         "mult": sorted(mult, key=lambda t: t[:3]),
         "comult": sorted(comult, key=lambda t: t[:3]),
@@ -475,46 +407,35 @@ def to_json(h: HopfData) -> dict:
             key=lambda t: t[:2],
         )
     if h.ribbon is not None:
-        doc["ribbon"] = [_coeff_to_json(F, c) for c in h.ribbon]
+        doc["ribbon"] = _dense_to_json(F, h.dim, h.ribbon)
     if h.generators is not None:
         doc["generators"] = sorted(h.generators)
     if h.flags:
-        doc["flags"] = _flags_to_json(h.flags)
+        doc["flags"] = dict(h.flags)
     return doc
 
 
-def _flags_to_json(flags: dict) -> dict:
-    out = {}
-    for k, v in flags.items():
-        if k == "simple_modules":
-            out[k] = [
-                {
-                    "name": m["name"],
-                    "dim": m["dim"],
-                    "action": {str(i): rows for i, rows in m["action"].items()},
-                }
-                for m in v
-            ]
-        else:
-            out[k] = v
-    return out
+def _dense_to_json(field: Field, dim: int, x: dict) -> list:
+    """A sparse element as the file format's list of dim coefficients."""
+    return [_coeff_to_json(field, x.get(i, field.zero)) for i in range(dim)]
+
+
+def _element_from_json(field: Field, dim: int, values, what: str) -> dict:
+    """The sparse element of a file's list of dim coefficients;
+    ``DimensionMismatch`` for a list of another length."""
+    coeffs = [_coeff_from_json(field, c) for c in values]
+    if len(coeffs) != dim:
+        raise DimensionMismatch(f"{what} length {len(coeffs)} disagrees with dim {dim}")
+    return {i: c for i, c in enumerate(coeffs) if not field.is_zero(c)}
 
 
 def _flags_from_json(doc: dict) -> dict:
-    out = {}
-    for k, v in doc.items():
-        if k == "simple_modules":
-            out[k] = [
-                {
-                    "name": m["name"],
-                    "dim": m["dim"],
-                    "action": {int(i): rows for i, rows in m["action"].items()},
-                }
-                for m in v
-            ]
-        else:
-            out[k] = v
-    return out
+    """The flags as read.  Each entry of the documented ``simple_modules``
+    key must hold a name, a dim and an action keyed by basis index; it is
+    checked for that shape and kept as read, never built into a module."""
+    for m in doc.get("simple_modules", []):
+        _ = (m["name"], m["dim"], [int(i) for i in m["action"].keys()])
+    return dict(doc)
 
 
 def _json_int(x, what: str) -> int:
@@ -567,20 +488,25 @@ def from_json(doc: dict, validate: bool = True) -> HopfData:
             r_matrix = {(i, j): c for (i, j), c in _tensor_entries(field, dim, doc["r_matrix"], 2)}
         ribbon = None
         if "ribbon" in doc:
-            ribbon = [_coeff_from_json(field, c) for c in doc["ribbon"]]
+            ribbon = _element_from_json(field, dim, doc["ribbon"], "ribbon")
+        generators = None
+        if "generators" in doc:
+            generators = [_json_int(g, "generator") for g in doc["generators"]]
+            if not generators:  # every constraint system is built on them
+                raise ParseError("generators is an empty list")
         h = HopfData(
             name=doc["name"],
             field=field,
             dim=dim,
             basis_labels=list(doc["basis"]),
             mult=mult,
-            unit=[_coeff_from_json(field, c) for c in doc["unit"]],
+            unit=_element_from_json(field, dim, doc["unit"], "unit"),
             comult=comult,
             counit=[_coeff_from_json(field, c) for c in doc["counit"]],
             antipode=antipode,
             r_matrix=r_matrix,
             ribbon=ribbon,
-            generators=[_json_int(g, "generator") for g in doc["generators"]] if "generators" in doc else None,
+            generators=generators,
             flags=_flags_from_json(doc.get("flags", {})),
         )
     except (AttributeError, KeyError, IndexError, TypeError, ValueError, FieldError) as exc:

@@ -85,11 +85,11 @@ def cmd_invariants(args) -> int:
         doc["end_muger_central"] = central
         doc["torelli_annihilated_predicted"] = central
     if h.ribbon is not None:
-        cert = h.ribbon_order(cap=args.cap)
-        doc["ribbon_order"] = cert.to_json()
-        twist_triv = repcat.twist(a).is_identity()
-        braid_triv = repcat.monodromy(a, a).is_identity()
-        doc["johnson_annihilated_predicted"] = twist_triv and braid_triv
+        doc["ribbon_order"] = h.ribbon_order(cap=args.cap).to_json()
+        if h.r_matrix is not None:  # the double braiding needs R
+            twist_triv = repcat.twist(a).is_identity()
+            braid_triv = repcat.monodromy(a, a).is_identity()
+            doc["johnson_annihilated_predicted"] = twist_triv and braid_triv
     elif "ribbon_search" in h.flags:
         doc["ribbon_order"] = None
         doc["ribbon_note"] = h.flags["ribbon_search"]

@@ -139,15 +139,15 @@ def require_ribbon_factorizable(h: HopfData, name: str, statement: str) -> None:
 def _verdict_eq(a: OrderVerdict, b: OrderVerdict) -> bool:
     if a.kind != b.kind:
         return False
-    if a.kind == "finite":
+    if a.is_finite:
         return a.n == b.n
     return True  # infinite verdicts compare by kind; reasons may differ
 
 
 def _verdict_min(a: OrderVerdict, b: OrderVerdict) -> OrderVerdict:
-    if a.kind == "finite" and b.kind == "finite":
+    if a.is_finite and b.is_finite:
         return a if a.n <= b.n else b
-    if a.kind == "finite":
+    if a.is_finite:
         return a
     return b
 
@@ -169,10 +169,10 @@ def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
                      for m in sample]
     ok = _verdict_eq(ribbon_cert.gl_order, reg_cert.gl_order)
     detail = ""
-    if ribbon_cert.gl_order.kind == "finite":
+    if ribbon_cert.gl_order.is_finite:
         n = ribbon_cert.gl_order.n
         for m, v in zip(sample, sample_orders):
-            if v.kind == "finite" and n % v.n != 0:
+            if v.is_finite and n % v.n != 0:
                 ok = False
                 detail = f"|twist({m.name})| = {v.n} does not divide {n}"
     check = Check(
@@ -336,7 +336,7 @@ def verify_zg(h: HopfData, genus: int, window: int, cap: int | None = None,
     for pt in points:
         if _lattice_point_trivial(powers, pt):
             trivial_points.append(pt)
-    if ribbon.kind == "finite":
+    if ribbon.is_finite:
         n = ribbon.n
         expected = [pt for pt in points if all(c % n == 0 for c in pt)]
         ok = trivial_points == expected

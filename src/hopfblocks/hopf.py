@@ -5,11 +5,14 @@ comultiplication, counit, antipode, optional R-matrix, optional ribbon
 element) over an exact field, and provides full axiom verification,
 structural predicates, and the Drinfeld double construction.
 
-Elements are dense coordinate lists in the public API; internally, products
-and the axiom checks work on sparse elements (basis index -> coefficient)
-read straight from the structure constants, so ``validate`` checks every
-axiom as an identity between sparse combinations of ``mult``, ``comult``,
-``counit``, ``unit`` and the antipode columns.
+An element of H is sparse everywhere: a dict from basis index to nonzero
+coefficient.  The unit, the ribbon element, the integrals, the Drinfeld
+element and every argument or result of an element method have that form,
+and so do the rows of ``mult``.  Tensors in H x H are dicts keyed by index
+pairs.  The counit is the one dense vector: a functional, indexed by basis.
+``validate`` checks every axiom as an identity between sparse combinations
+of ``mult``, ``comult``, ``counit``, ``unit`` and the antipode columns
+S(e_j), which the algebra keeps once (``antipode_columns``).
 
 Conventions (fixed once, used everywhere):
 
@@ -29,6 +32,7 @@ from .linalg import (
     NotInvertible,
     OrderCertificate,
     _RowReducer,
+    _times_matrix,
     inverse,
     linear_combination,
     operator_order,
@@ -117,9 +121,10 @@ FULL_AXIOM_DIM_LIMIT = 30
 class HopfData:
     """Structure constants of a finite-dimensional Hopf algebra.
 
-    mult[i][j] is the sparse vector of e_i * e_j; comult[i] maps (j, k) to the
+    mult[i][j] is the sparse element e_i * e_j; comult[i] maps (j, k) to the
     coefficient of e_j x e_k in Delta(e_i); the antipode is a matrix acting on
-    coordinate columns.  r_matrix and ribbon are optional.
+    coordinate columns.  unit and ribbon are sparse elements, the counit a
+    dense list.  r_matrix and ribbon are optional.
     """
 
     def __init__(
@@ -129,25 +134,23 @@ class HopfData:
         dim: int,
         basis_labels: list[str],
         mult: list[list[dict]],
-        unit: list,
+        unit: dict,
         comult: list[dict],
         counit: list,
         antipode: Matrix,
         r_matrix: dict | None = None,
-        ribbon: list | None = None,
+        ribbon: dict | None = None,
         generators: list[int] | None = None,
         flags: dict | None = None,
     ):
-        if len(basis_labels) != dim or len(unit) != dim or len(counit) != dim:
-            raise DimensionMismatch("basis/unit/counit length disagrees with dim")
+        if len(basis_labels) != dim or len(counit) != dim:
+            raise DimensionMismatch("basis/counit length disagrees with dim")
         if len(mult) != dim or any(len(row) != dim for row in mult):
             raise DimensionMismatch("mult tensor must be dim x dim")
         if len(comult) != dim:
             raise DimensionMismatch("comult tensor must have dim entries")
         if antipode.nrows != dim or antipode.ncols != dim:
             raise DimensionMismatch("antipode must be dim x dim")
-        if ribbon is not None and len(ribbon) != dim:
-            raise DimensionMismatch("ribbon length disagrees with dim")
         if generators is not None and any(not 0 <= g < dim for g in generators):
             raise DimensionMismatch("generator indices must lie in 0..dim-1")
         self.name = name
@@ -155,30 +158,25 @@ class HopfData:
         self.dim = dim
         self.basis_labels = list(basis_labels)
         self.mult = mult
-        self.unit = [field.normalize(v) for v in unit]
+        self.unit = self.element(unit)
         self.comult = comult
         self.counit = [field.normalize(v) for v in counit]
         self.antipode = antipode
         self.r_matrix = r_matrix
-        self.ribbon = [field.normalize(v) for v in ribbon] if ribbon is not None else None
+        self.ribbon = self.element(ribbon) if ribbon is not None else None
         self.generators = list(generators) if generators is not None else None
         self.flags = dict(flags) if flags else {}
         self._cache: dict = {}
 
     # -- element arithmetic --------------------------------------------------
 
-    def zero_vector(self) -> list:
-        return [self.field.zero] * self.dim
-
-    def basis_vector(self, i: int) -> list:
-        v = self.zero_vector()
-        v[i] = self.field.one
-        return v
-
-    def sparse(self, x: list) -> dict:
-        """The sparse element (basis index -> nonzero coefficient) of a vector."""
+    def element(self, x: dict) -> dict:
+        """x with its zero coefficients dropped and the rest normalized, in
+        index order; ``DimensionMismatch`` for an index outside 0..dim-1."""
+        if any(not 0 <= i < self.dim for i in x):
+            raise DimensionMismatch("element indices must lie in 0..dim-1")
         F = self.field
-        return {i: v for i, v in enumerate(x) if not F.is_zero(v)}
+        return {i: F.normalize(x[i]) for i in sorted(x) if not F.is_zero(x[i])}
 
     def product(self, x: dict, y: dict) -> dict:
         """x * y for sparse elements, the library's one product routine."""
@@ -199,13 +197,6 @@ class HopfData:
         F = self.field
         return all(F.eq(x.get(k, F.zero), y.get(k, F.zero)) for k in x.keys() | y.keys())
 
-    def multiply(self, x: list, y: list) -> list:
-        """x * y for dense coordinate vectors, through ``product``."""
-        out = self.zero_vector()
-        for k, v in self.product(self.sparse(x), self.sparse(y)).items():
-            out[k] = v
-        return out
-
     def counit_of(self, x: dict):
         """eps(x) for a sparse element."""
         F = self.field
@@ -222,8 +213,15 @@ class HopfData:
                 out[jk] = add(out[jk], p) if jk in out else p
         return {k: v for k, v in out.items() if not F.is_zero(v)}
 
-    def antipode_of(self, x: list) -> list:
-        return self.antipode.apply_right(x)
+    def antipode_columns(self) -> list[dict]:
+        """S(e_j) for every j: the rows of the antipode's transpose, kept on
+        the algebra."""
+        if "antipode_columns" not in self._cache:
+            self._cache["antipode_columns"] = self.antipode.transpose().rows
+        return self._cache["antipode_columns"]
+
+    def antipode_of(self, x: dict) -> dict:
+        return _times_matrix(self.field, x, self.antipode_columns())
 
     # -- tensor-square / cube elements ---------------------------------------
 
@@ -251,19 +249,13 @@ class HopfData:
     def t2_flip(self, t: dict) -> dict:
         return {(j, i): c for (i, j), c in t.items()}
 
-    def t2_from_vectors(self, x: list, y: list) -> dict:
-        F = self.field
-        out = {}
-        for i, a in enumerate(x):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(y):
-                if not F.is_zero(b):
-                    out[(i, j)] = F.mul(a, b)
-        return out
+    def t2_pure(self, x: dict, y: dict) -> dict:
+        """x x y in H x H for sparse elements."""
+        mul = self.field.mul
+        return {(i, j): mul(a, b) for i, a in x.items() for j, b in y.items()}
 
     def t2_unit(self) -> dict:
-        return self.t2_from_vectors(self.unit, self.unit)
+        return self.t2_pure(self.unit, self.unit)
 
     def t2_apply_leg(self, t: dict, leg: int, matrix: Matrix) -> dict:
         """Apply a linear map to one tensor leg (0 or 1)."""
@@ -309,15 +301,13 @@ class HopfData:
             self._cache[key] = m
         return self._cache[key]
 
-    def left_mult_of(self, x: list) -> Matrix:
-        F = self.field
-        terms = [(c, self.left_mult_matrix(i)) for i, c in enumerate(x) if not F.is_zero(c)]
-        return linear_combination(F, self.dim, self.dim, terms)
+    def left_mult_of(self, x: dict) -> Matrix:
+        terms = [(c, self.left_mult_matrix(i)) for i, c in x.items()]
+        return linear_combination(self.field, self.dim, self.dim, terms)
 
-    def right_mult_of(self, x: list) -> Matrix:
-        F = self.field
-        terms = [(c, self.right_mult_matrix(i)) for i, c in enumerate(x) if not F.is_zero(c)]
-        return linear_combination(F, self.dim, self.dim, terms)
+    def right_mult_of(self, x: dict) -> Matrix:
+        terms = [(c, self.right_mult_matrix(i)) for i, c in x.items()]
+        return linear_combination(self.field, self.dim, self.dim, terms)
 
     def generating_indices(self) -> list[int]:
         return self.generators if self.generators is not None else list(range(self.dim))
@@ -335,8 +325,9 @@ class HopfData:
                         return False, f"{li}*{lj} != {lj}*{li}"
         return True, None
 
-    def integrals(self) -> tuple[list, list]:
-        """Bases (single vectors) of the left and right integral spaces."""
+    def integrals(self) -> tuple[dict, dict]:
+        """Bases (single sparse elements) of the left and right integral
+        spaces."""
         if "integrals" in self._cache:
             return self._cache["integrals"]
         F = self.field
@@ -347,24 +338,24 @@ class HopfData:
             scaled_id = Matrix.identity(F, self.dim).scale(eps)
             left_mats.append(self.left_mult_matrix(i).sub(scaled_id))
             right_mats.append(self.right_mult_matrix(i).sub(scaled_id))
-        left = simultaneous_kernel(left_mats).vectors
-        right = simultaneous_kernel(right_mats).vectors
+        left = simultaneous_kernel(left_mats).columns
+        right = simultaneous_kernel(right_mats).columns
         if len(left) != 1 or len(right) != 1:
             raise IntegralSpaceNotOneDimensional(
                 f"{self.name}: left dim {len(left)}, right dim {len(right)}"
             )
-        self._cache["integrals"] = (left[0], right[0])
+        self._cache["integrals"] = (self.element(left[0]), self.element(right[0]))
         return self._cache["integrals"]
 
     def is_unimodular(self) -> bool:
         left, right = self.integrals()
         F = self.field
-        # both are single nonzero vectors; compare up to scalar
-        i0 = next(i for i, v in enumerate(left) if not F.is_zero(v))
-        if F.is_zero(right[i0]):
+        # both are single nonzero elements; compare up to scalar
+        i0 = next(iter(left))
+        if i0 not in right:
             return False
         ratio = F.div(right[i0], left[i0])
-        return all(F.eq(F.mul(ratio, a), b) for a, b in zip(left, right))
+        return self.sparse_eq({i: F.mul(ratio, a) for i, a in left.items()}, right)
 
     def drinfeld_map_matrix(self) -> Matrix:
         """The map H* -> H, f -> (f x id)(R21 R), as a dim x dim matrix."""
@@ -402,10 +393,9 @@ class HopfData:
         left multiplications by the generators suffice.
         """
         red = _RowReducer(self.field)
-        unit = self.sparse(self.unit)
-        red.add(unit)
+        red.add(self.unit)
         gens = [{i: self.field.one} for i in indices]
-        frontier = [unit]
+        frontier = [self.unit]
         while frontier:
             new_frontier = []
             for y in frontier:
@@ -455,7 +445,7 @@ class HopfData:
         # structure constants; e[i] is the basis element e_i.  Sums compared
         # only through sparse_eq keep their zeros: a missing key reads as zero.
         e = [{i: F.one} for i in range(self.dim)]
-        unit = self.sparse(self.unit)
+        unit = self.unit
 
         # unitality
         bad = None
@@ -554,7 +544,7 @@ class HopfData:
 
         # antipode axioms (linear: all basis elements); s_col[j] = S(e_j)
         bad = None
-        s_col = self.antipode.transpose().rows
+        s_col = self.antipode_columns()
         for i in range(self.dim):
             left, right = {}, {}
             for (j, k), c in self.comult[i].items():
@@ -596,7 +586,7 @@ class HopfData:
             left[j] = add(left[j], v) if j in left else v
             v = mul(c, self.counit[j])
             right[i] = add(right[i], v) if i in right else v
-        unit = self.sparse(self.unit)
+        unit = self.unit
         record("r-counit", self.sparse_eq(left, unit) and self.sparse_eq(right, unit),
                "counit legs of R are not 1")
 
@@ -654,7 +644,7 @@ class HopfData:
         for name, passed, witness in self.ribbon_battery(self.ribbon):
             record(name, passed, witness)
 
-    def ribbon_battery(self, v: list):
+    def ribbon_battery(self, v: dict):
         """The ribbon axioms for a candidate v, lazily, as (name, passed, witness).
 
         In order: v is central, invertible, eps(v) = 1, S(v) = v and, when
@@ -662,12 +652,10 @@ class HopfData:
         after a failed invertibility check is yielded.
         """
         F = self.field
-        vs = self.sparse(v)
-
         bad = None
         for i in range(self.dim):
             e = {i: F.one}
-            if not self.sparse_eq(self.product(vs, e), self.product(e, vs)):
+            if not self.sparse_eq(self.product(v, e), self.product(e, v)):
                 bad = self.basis_labels[i]
                 break
         yield "ribbon-central", bad is None, bad and f"v does not commute with {bad}"
@@ -679,37 +667,40 @@ class HopfData:
             return
         yield "ribbon-invertible", True, None
 
-        yield "ribbon-counit", F.eq(self.counit_of(vs), F.one), "eps(v) != 1"
-        yield "ribbon-antipode", self.antipode_of(v) == v, "S(v) != v"
+        yield "ribbon-counit", F.eq(self.counit_of(v), F.one), "eps(v) != 1"
+        yield "ribbon-antipode", self.sparse_eq(self.antipode_of(v), v), "S(v) != v"
 
         if self.r_matrix is not None:
             q = self.monodromy_element()
-            lhs = self.comult_of(vs)
-            rhs = self.t2_mult(q, self.t2_from_vectors(v, v))
+            lhs = self.comult_of(v)
+            rhs = self.t2_mult(q, self.t2_pure(v, v))
             yield "ribbon-coproduct", self.sparse_eq(lhs, rhs), "Delta(v) != (R21 R)(v x v)"
 
-    def element_inverse(self, x: list) -> list:
+    def element_inverse(self, x: dict) -> dict:
         """The inverse of x, from x y = 1; a ``LinAlgError`` when x has none."""
-        return solve_unique(self.left_mult_of(x), self.unit)
+        F = self.field
+        y = solve_unique(self.left_mult_of(x), [self.unit.get(i, F.zero) for i in range(self.dim)])
+        return {i: c for i, c in enumerate(y) if not F.is_zero(c)}
 
-    def drinfeld_element(self) -> list:
+    def drinfeld_element(self) -> dict:
         """u = sum S(b_i) a_i for R = sum a_i x b_i."""
         if self.r_matrix is None:
             raise MissingRMatrix(self.name)
         F = self.field
-        out = self.zero_vector()
+        add, mul = F.add, F.mul
+        s_col = self.antipode_columns()
+        out: dict = {}
         for (i, j), c in self.r_matrix.items():
-            term = self.multiply(self.antipode_of(self.basis_vector(j)), self.basis_vector(i))
-            for t, x in enumerate(term):
-                out[t] = F.add(out[t], F.mul(c, x))
-        return out
+            for t, x in self.product(s_col[j], {i: F.one}).items():
+                p = mul(c, x)
+                out[t] = add(out[t], p) if t in out else p
+        return self.element(out)
 
-    def is_grouplike(self, x: list) -> bool:
+    def is_grouplike(self, x: dict) -> bool:
         F = self.field
-        xs = self.sparse(x)
-        if not F.eq(self.counit_of(xs), F.one):
+        if not F.eq(self.counit_of(x), F.one):
             return False
-        return self.sparse_eq(self.comult_of(xs), self.t2_from_vectors(x, x))
+        return self.sparse_eq(self.comult_of(x), self.t2_pure(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -772,16 +763,13 @@ def drinfeld_double(h: HopfData) -> HopfData:
     # where e_p ⇀ e^c ↼ S^{-1}(e_r) = sum_t coeff * e^t,
     # coeff = e^c( S^{-1}(e_r) * e_t * e_p )
     used_pr = {(p, r) for acc in d2 for (p, _q, r) in acc}
+    sinv_col = s_inv.transpose().rows  # sinv_col[r] = S^{-1}(e_r)
     dress: dict = {}
     for (p, r) in used_pr:
-        sinv_r = [s_inv.entry(i, r) for i in range(n)]
         table: list[dict] = [dict() for _ in range(n)]  # index c -> {t: coeff}
-        ep = h.basis_vector(p)
         for t in range(n):
-            w = h.multiply(h.multiply(sinv_r, h.basis_vector(t)), ep)
-            for c, val in enumerate(w):
-                if not F.is_zero(val):
-                    table[c][t] = val
+            for c, val in h.product(h.product(sinv_col[r], {t: F.one}), {p: F.one}).items():
+                table[c][t] = val
         dress[(p, r)] = table
 
     mult: list[list[dict]] = [[{} for _ in range(dim)] for _ in range(dim)]
@@ -829,8 +817,8 @@ def drinfeld_double(h: HopfData) -> HopfData:
                     else:
                         acc[key] = s
 
-    counit = [F.mul(h.unit[a], h.counit[b]) for a in range(n) for b in range(n)]
-    unit = [F.mul(h.counit[a], h.unit[b]) for a in range(n) for b in range(n)]
+    counit = [F.mul(h.unit.get(a, F.zero), h.counit[b]) for a in range(n) for b in range(n)]
+    unit = {idx(a, b): F.mul(h.counit[a], u) for a in range(n) for b, u in h.unit.items()}
 
     # canonical R = sum_i (eps x e_i) x (e^i x 1)
     r_matrix: dict = {}
@@ -839,10 +827,7 @@ def drinfeld_double(h: HopfData) -> HopfData:
             ca = h.counit[a]
             if F.is_zero(ca):
                 continue
-            for b in range(n):
-                ub = h.unit[b]
-                if F.is_zero(ub):
-                    continue
+            for b, ub in h.unit.items():
                 key = (idx(a, i), idx(i, b))
                 s = F.add(r_matrix.get(key, F.zero), F.mul(ca, ub))
                 if F.is_zero(s):
@@ -877,7 +862,7 @@ def _double_generators(h: HopfData, idx) -> list[int] | None:
     n = h.dim
     unit_idx = None
     F = h.field
-    nz = [(j, v) for j, v in enumerate(h.unit) if not F.is_zero(v)]
+    nz = list(h.unit.items())
     if len(nz) == 1 and F.eq(nz[0][1], F.one):
         unit_idx = nz[0][0]
     if unit_idx is None:
@@ -909,8 +894,8 @@ def _solve_antipode(F, dim, mult, comult, counit, unit) -> Matrix:
                     else:
                         row[col] = val
         eps_x = counit[x]
-        for w in range(dim):
-            rhs[x * dim + w] = F.mul(eps_x, unit[w])
+        for w, u in unit.items():
+            rhs[x * dim + w] = F.mul(eps_x, u)
     sol = solve_unique(rows, rhs)
     s = Matrix(F, dim, dim)
     for q in range(dim):

@@ -1,4 +1,4 @@
-"""Dense-API sparse-storage exact matrices, kernels, minimal polynomials, and
+"""Sparse exact matrices, kernels, minimal polynomials, and
 certified operator orders in GL and PGL.
 
 Every elimination in this module -- kernels, inverses, unique solves, the
@@ -17,8 +17,7 @@ solves it in near-linear time (``_two_term_kernel``); any other system goes
 whole to the reducer.  Both routes give the same reduced basis, stored as
 sparse columns, one dict per basis vector; consumers push those columns
 through their operators and read coordinates at the free columns, so no
-dense vector of the ambient length is built on the way.  ``vectors``
-densifies on demand for small kernels and tests.
+dense vector of the ambient length is built on the way.
 
 A minimal polynomial is certified one row at a time on sparse row vectors
 (``minimal_polynomial``): row j of m(T) is e_j m(T) by Horner, one
@@ -58,8 +57,8 @@ class NotInvertible(LinAlgError):
 class Matrix:
     """Immutable-by-convention matrix over an exact field.
 
-    Rows are stored as ``dict`` of column -> nonzero raw field value; dense
-    accessors fill in zeros.  All arithmetic goes through the field object.
+    Rows are stored as ``dict`` of column -> nonzero raw field value.  All
+    arithmetic goes through the field object.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -73,46 +72,13 @@ class Matrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, nrows, ncols)
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         m = cls(field, n, n)
         for i in range(n):
             m.rows[i][i] = field.one
         return m
 
-    @classmethod
-    def from_dense(cls, field: Field, data) -> "Matrix":
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        m = cls(field, nrows, ncols)
-        for i, row in enumerate(data):
-            if len(row) != ncols:
-                raise LinAlgError("ragged rows")
-            for j, v in enumerate(row):
-                if not field.is_zero(v):
-                    m.rows[i][j] = v
-        return m
-
-    @classmethod
-    def diagonal(cls, field: Field, entries) -> "Matrix":
-        entries = list(entries)
-        m = cls(field, len(entries), len(entries))
-        for i, v in enumerate(entries):
-            if not field.is_zero(v):
-                m.rows[i][i] = v
-        return m
-
     # -- accessors ----------------------------------------------------------
-
-    def entry(self, i: int, j: int):
-        return self.rows[i].get(j, self.field.zero)
-
-    def to_dense(self) -> list[list]:
-        z = self.field.zero
-        return [[row.get(j, z) for j in range(self.ncols)] for row in self.rows]
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -196,19 +162,6 @@ class Matrix:
         """Kronecker product, left factor major: (A⊗B)(v⊗w) = Av ⊗ Bw."""
         F = self.field
         return kron_sum(F, self.nrows * other.nrows, self.ncols * other.ncols, [(F.one, self, other)])
-
-    def apply_right(self, vec: list) -> list:
-        """Matrix times column vector."""
-        F = self.field
-        out = []
-        for row in self.rows:
-            acc = F.zero
-            for j, a in row.items():
-                x = vec[j]
-                if not F.is_zero(x):
-                    acc = F.add(acc, F.mul(a, x))
-            out.append(acc)
-        return out
 
     def is_identity(self) -> bool:
         if not self.is_square():
@@ -337,26 +290,10 @@ class KernelBasis:
     def dim(self) -> int:
         return len(self.columns)
 
-    @property
-    def vectors(self) -> list[list]:
-        """The basis as dense vectors, for small kernels and tests."""
-        out = []
-        for col in self.columns:
-            vec = [self.field.zero] * self.ncols
-            for j, v in col.items():
-                vec[j] = v
-            out.append(vec)
-        return out
-
     def combination(self, coords: dict) -> dict:
         """The sparse vector sum_i coords[i] * columns[i], for sparse
         coordinates (basis index -> value)."""
         return _times_matrix(self.field, coords, self.columns)
-
-
-def kernel(a: Matrix) -> list[list]:
-    """Basis of the right null space {v : A v = 0}."""
-    return simultaneous_kernel([a]).vectors
 
 
 def simultaneous_kernel(mats: list[Matrix]) -> KernelBasis:
@@ -685,7 +622,7 @@ class OrderVerdict(namedtuple("OrderVerdict", "kind n reason cap", defaults=(Non
         return self.kind == "finite"
 
     def __str__(self):
-        if self.kind == "finite":
+        if self.is_finite:
             return f"Finite({self.n})"
         if self.kind == "infinite":
             return f"Infinite({self.reason})"

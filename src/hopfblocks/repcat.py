@@ -1,6 +1,6 @@
 """The module category of a Hopf algebra: module constructions, intertwiner
-spaces, braiding and twist from the quasitriangular/ribbon data, and Mueger
-centrality.
+spaces, the double braiding and the twist from the quasitriangular/ribbon
+data, and Mueger centrality.
 
 Intertwiner spaces are solved one way only: as the stacked kernel of the
 intertwining constraints over the algebra's generating set, on the
@@ -18,7 +18,6 @@ support of x.
 
 from __future__ import annotations
 
-from .fields import Field
 from .hopf import HopfData, MissingRMatrix, MissingRibbon
 from .linalg import (
     KernelBasis,
@@ -68,15 +67,14 @@ class Module:
             self._action[i] = self._builder(i)
         return self._action[i]
 
-    def act_element(self, x: list) -> Matrix:
-        """rho(x); on M x N, sum c rho_M(a) x rho_N(b) over the terms c a x b
-        of Delta(x)."""
+    def act_element(self, x: dict) -> Matrix:
+        """rho(x) for a sparse element x; on M x N, sum c rho_M(a) x rho_N(b)
+        over the terms c a x b of Delta(x)."""
         h = self.algebra
-        F = h.field
         if self.tensor_factors:
-            return _action_of_tensor_element(*self.tensor_factors, h.comult_of(h.sparse(x)))
-        terms = [(c, self.act(i)) for i, c in enumerate(x) if not F.is_zero(c)]
-        return linear_combination(F, self.dim, self.dim, terms)
+            return _action_of_tensor_element(*self.tensor_factors, h.comult_of(x))
+        terms = [(c, self.act(i)) for i, c in x.items()]
+        return linear_combination(h.field, self.dim, self.dim, terms)
 
     def __repr__(self):
         return f"Module({self.name}, dim={self.dim} over {self.algebra.name})"
@@ -128,11 +126,12 @@ def adjoint_module(h: HopfData) -> Module:
     if "adjoint" in h._cache:
         return h._cache["adjoint"]
     F = h.field
+    s_col = h.antipode_columns()
     right_s: dict[int, Matrix] = {}
 
     def right_antipode(b: int) -> Matrix:
         if b not in right_s:
-            right_s[b] = h.right_mult_of(h.antipode_of(h.basis_vector(b)))
+            right_s[b] = h.right_mult_of(s_col[b])
         return right_s[b]
 
     def build(i):
@@ -241,32 +240,15 @@ def hom_space(source: Module, target: Module) -> HomSpace:
 # ---------------------------------------------------------------------------
 
 
-def _flip_matrix(F: Field, m: int, n: int) -> Matrix:
-    """The map M x N -> N x M sending e_i x f_j to f_j x e_i."""
-    out = Matrix(F, m * n, m * n)
-    for i in range(m):
-        for j in range(n):
-            out.rows[j * m + i][i * n + j] = F.one
-    return out
-
-
 def _action_of_tensor_element(m: Module, n: Module, t: dict) -> Matrix:
     """(rho_M x rho_N)(t) for a sparse element t of H x H."""
     terms = [(c, m.act(i), n.act(j)) for (i, j), c in t.items()]
     return kron_sum(m.algebra.field, m.dim * n.dim, m.dim * n.dim, terms)
 
 
-def braiding(m: Module, n: Module) -> Matrix:
-    """c_{M,N}: M x N -> N x M, the flip composed with the R-matrix action."""
-    h = _same_algebra(m, n)
-    if h.r_matrix is None:
-        raise MissingRMatrix(h.name)
-    r_action = _action_of_tensor_element(m, n, h.r_matrix)
-    return _flip_matrix(h.field, m.dim, n.dim).mul(r_action)
-
-
 def monodromy(m: Module, n: Module) -> Matrix:
-    """The double braiding c_{N,M} c_{M,N} as the action of R21 R on M x N."""
+    """The double braiding c_{N,M} c_{M,N} as the action of R21 R on M x N;
+    the braiding c_{M,N} is the flip composed with the action of R."""
     h = _same_algebra(m, n)
     if h.r_matrix is None:
         raise MissingRMatrix(h.name)

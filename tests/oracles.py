@@ -3,15 +3,96 @@
 They compute the same quantities as the library by a different route, so
 they live here rather than in ``hopfblocks``, which never calls them.  So
 do the predicates that only the tests ask of library objects (``in_span``,
-``is_zero_matrix``).
+``is_zero_matrix``), and the dense views of matrices, vectors and kernels
+that only the tests build (``from_dense``, ``kernel``): the library holds
+every matrix row, kernel vector and algebra element sparse.
 """
 
 from fractions import Fraction
 
 
-def is_unit_vector(h, x: list) -> bool:
-    F = h.field
-    return all(F.eq(a, b) for a, b in zip(x, h.unit, strict=True))
+# ---------------------------------------------------------------------------
+# Dense views that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def from_dense(field, data):
+    """The matrix with the given dense rows."""
+    from hopfblocks.linalg import LinAlgError, Matrix
+
+    nrows = len(data)
+    ncols = len(data[0]) if nrows else 0
+    m = Matrix(field, nrows, ncols)
+    for i, row in enumerate(data):
+        if len(row) != ncols:
+            raise LinAlgError("ragged rows")
+        for j, v in enumerate(row):
+            if not field.is_zero(v):
+                m.rows[i][j] = v
+    return m
+
+
+def to_dense(m) -> list[list]:
+    z = m.field.zero
+    return [[row.get(j, z) for j in range(m.ncols)] for row in m.rows]
+
+
+def diagonal(field, entries):
+    """The square matrix with the given diagonal."""
+    from hopfblocks.linalg import Matrix
+
+    entries = list(entries)
+    m = Matrix(field, len(entries), len(entries))
+    for i, v in enumerate(entries):
+        if not field.is_zero(v):
+            m.rows[i][i] = v
+    return m
+
+
+def entry(m, i: int, j: int):
+    return m.rows[i].get(j, m.field.zero)
+
+
+def apply_right(m, vec: list) -> list:
+    """The matrix times a dense column vector."""
+    F = m.field
+    out = []
+    for row in m.rows:
+        acc = F.zero
+        for j, a in row.items():
+            x = vec[j]
+            if not F.is_zero(x):
+                acc = F.add(acc, F.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def kernel_vectors(ker) -> list[list]:
+    """A ``KernelBasis`` as dense vectors."""
+    out = []
+    for col in ker.columns:
+        vec = [ker.field.zero] * ker.ncols
+        for j, v in col.items():
+            vec[j] = v
+        out.append(vec)
+    return out
+
+
+def kernel(a) -> list[list]:
+    """Dense basis of the right null space {v : A v = 0}."""
+    from hopfblocks.linalg import simultaneous_kernel
+
+    return kernel_vectors(simultaneous_kernel([a]))
+
+
+def sparse(field, x: list) -> dict:
+    """The sparse element (index -> nonzero coefficient) of a dense vector."""
+    return {i: v for i, v in enumerate(x) if not field.is_zero(v)}
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+# ---------------------------------------------------------------------------
 
 
 def in_span(ker, vec: list) -> bool:
@@ -50,7 +131,7 @@ def jacobson_radical_dim(h) -> int:
     return simultaneous_kernel([gram]).dim
 
 
-def element_multiplicative_order(h, x: list, cap: int = 512) -> int | None:
+def element_multiplicative_order(h, x: dict, cap: int = 512) -> int | None:
     """Order of x by repeated multiplication; None if the cap is reached.
 
     The oracle for the ribbon order, which the library certifies through
@@ -58,9 +139,9 @@ def element_multiplicative_order(h, x: list, cap: int = 512) -> int | None:
     """
     power = x
     for k in range(1, cap + 1):
-        if is_unit_vector(h, power):
+        if h.sparse_eq(power, h.unit):
             return k
-        power = h.multiply(power, x)
+        power = h.product(power, x)
     return None
 
 
@@ -97,17 +178,17 @@ def contains_matrix(hom, f) -> bool:
 
 def evaluation_full_rank(hom) -> bool:
     """The assembled evaluation Hom(M,N) x M -> N has rank dim Hom * dim M."""
-    from hopfblocks.linalg import Matrix, simultaneous_kernel
+    from hopfblocks.linalg import simultaneous_kernel
 
     F = hom.source.algebra.field
     cols = []
     for f in hom.basis:
-        dense = f.to_dense()
+        dense = to_dense(f)
         for c in range(hom.source.dim):
             cols.append([dense[r][c] for r in range(hom.target.dim)])
     if not cols:
         return True
-    mat = Matrix.from_dense(F, [[cols[j][r] for j in range(len(cols))] for r in range(hom.target.dim)])
+    mat = from_dense(F, [[cols[j][r] for j in range(len(cols))] for r in range(hom.target.dim)])
     return simultaneous_kernel([mat]).dim == 0
 
 
@@ -156,7 +237,7 @@ def bounding_pair_by_hom(h):
     assert hom.dim == n, "Hom(H x A, H) is not free of rank dim A"
     theta = twist(reg)
     pre = tensor_product(inverse(theta), Matrix.identity(F, a.dim))
-    unit = h.sparse(h.unit)
+    unit = h.unit
     p, q = Matrix(F, n, n), Matrix(F, n, n)
     for j, f in enumerate(hom.basis):
         image = theta.mul(f).mul(pre)
@@ -210,7 +291,7 @@ def _krylov_stream(t, v: list):
     w = list(v)
     while True:
         yield w
-        w = t.apply_right(w)
+        w = apply_right(t, w)
 
 
 def _evaluate_poly_at_matrix(m: list, t):
@@ -276,7 +357,7 @@ def two_sided_span_closure_dim(h, indices: list[int]) -> int:
     from hopfblocks.linalg import _RowReducer
 
     red = _RowReducer(h.field)
-    unit = h.sparse(h.unit)
+    unit = h.unit
     red.add(unit)
     frontier = []
     for i in indices:
@@ -348,8 +429,8 @@ def center_block_full_rows(h, genus: int):
 
 
 # ---------------------------------------------------------------------------
-# Modules that only the tests build: the dual module and the simple modules
-# a catalog algebra's ``simple_modules`` flag lists, and the check that an
+# Modules and maps that only the tests build: the dual module, the simple
+# modules of some catalog algebras, the braiding, and the check that an
 # action respects the algebra.
 # ---------------------------------------------------------------------------
 
@@ -357,13 +438,13 @@ def center_block_full_rows(h, genus: int):
 def action_respects_algebra(m) -> bool:
     """rho(g) rho(e_j) = rho(g e_j) on the generating set, and rho(1) = I."""
     h = m.algebra
+    one = h.field.one
     if not m.act_element(h.unit).is_identity():
         return False
     for g in h.generating_indices():
         rg = m.act(g)
         for j in range(h.dim):
-            prod_vec = h.multiply(h.basis_vector(g), h.basis_vector(j))
-            if rg.mul(m.act(j)) != m.act_element(prod_vec):
+            if rg.mul(m.act(j)) != m.act_element(h.product({g: one}, {j: one})):
                 return False
     return True
 
@@ -374,30 +455,82 @@ def dual_module(m):
     h = m.algebra
 
     def build(i):
-        s_ei = h.antipode_of(h.basis_vector(i))
-        return m.act_element(s_ei).transpose()
+        return m.act_element(h.antipode_of({i: h.field.one})).transpose()
 
     return Module(h, m.dim, f"dual({m.name})", build)
 
 
-def module_from_action_table(h, name: str, dim: int, table: dict[int, list[list]]):
+def braiding(m, n):
+    """c_{M,N}: M x N -> N x M, the flip composed with the R-matrix action.
+
+    The oracle for ``repcat.monodromy``, the action of R21 R, which must
+    equal c_{N,M} c_{M,N}.
+    """
+    from hopfblocks.linalg import Matrix, kron_sum
+
+    h = m.algebra
+    F = h.field
+    r_action = kron_sum(F, m.dim * n.dim, m.dim * n.dim,
+                        [(c, m.act(i), n.act(j)) for (i, j), c in h.r_matrix.items()])
+    flip = Matrix(F, m.dim * n.dim, m.dim * n.dim)  # e_i x f_j -> f_j x e_i
+    for i in range(m.dim):
+        for j in range(n.dim):
+            flip.rows[j * m.dim + i][i * n.dim + j] = F.one
+    return flip.mul(r_action)
+
+
+def _group_action(group, gens: dict[int, list[list]]) -> dict:
+    """Rational matrices on generators, extended to every group element
+    through the group table."""
+    from hopfblocks.fields import QQ
     from hopfblocks.linalg import Matrix
+
+    reps = {g: from_dense(QQ, rows) for g, rows in gens.items()}
+    reps[group.identity] = Matrix.identity(QQ, len(next(iter(gens.values()))))
+    grown = True
+    while grown:
+        grown = False
+        for a in list(reps):
+            for b in list(reps):
+                c = group.mul(a, b)
+                if c not in reps:
+                    reps[c] = reps[a].mul(reps[b])
+                    grown = True
+    assert len(reps) == group.order, "generator matrices do not close up"
+    return reps
+
+
+def _characters(h, values: dict[str, list[int]]) -> list:
+    """One-dimensional modules, each given by its value on every basis element."""
+    from hopfblocks.fields import QQ
     from hopfblocks.repcat import Module
 
-    F = h.field
-
-    def build(i):
-        rows = table[i]
-        return Matrix.from_dense(F, [[F.parse(v) if not isinstance(v, (int,)) else F.from_int(v) for v in row] for row in rows])
-
-    return Module(h, dim, name, build)
+    return [Module(h, 1, name, lambda i, vals=vals: from_dense(QQ, [[vals[i]]])) for name, vals in values.items()]
 
 
-def flagged_simple_modules(h) -> list:
-    out = []
-    for entry in h.flags.get("simple_modules", []):
-        out.append(module_from_action_table(h, entry["name"], entry["dim"], entry["action"]))
-    return out
+def simple_modules(h) -> list:
+    """Simple modules of the rational catalog algebras: characters and the
+    two-dimensional simple modules of k[Z3] and k[S3], each as an action
+    table (the tests check that each one is a module)."""
+    from hopfblocks import catalog
+    from hopfblocks.repcat import Module
+
+    if h.name == "k[Z2]":
+        return _characters(h, {"trivial": [1, 1], "sign": [1, -1]})
+    if h.name == "k[Z3]":
+        rot = _group_action(catalog.cyclic_group(3), {1: [[0, -1], [1, -1]]})
+        return _characters(h, {"trivial": [1] * 3}) + [Module(h, 2, "rot2", rot.__getitem__)]
+    if h.name == "k[S3]":
+        std = _group_action(catalog.symmetric_group_3(), {1: [[-1, 1], [0, 1]], 4: [[0, -1], [1, -1]]})
+        return (_characters(h, {"trivial": [1] * 6, "sign": [1, -1, -1, -1, 1, 1]})
+                + [Module(h, 2, "standard", std.__getitem__)])
+    if h.name == "H4":  # basis 1, g, x, gx; x acts by zero
+        return _characters(h, {"trivial": [1, 1, 0, 0], "sign": [1, -1, 0, 0]})
+    if h.name == "D(k[Z2])":  # basis e^a . b at index 2a + b: chi picks a = x and sends b = 1 to the sign
+        return _characters(h, {f"chi_{x}_{'-' if sign < 0 else '+'}": [(a == x) * (sign if b else 1)
+                                                                        for a in range(2) for b in range(2)]
+                               for x in range(2) for sign in (1, -1)})
+    raise KeyError(h.name)
 
 
 # ---------------------------------------------------------------------------

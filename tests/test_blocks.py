@@ -161,8 +161,8 @@ def test_genus_one_center_block_is_center():
         h = catalog.get(name)
         block = block_space(h, 1, RELATIVE_CENTER)
         assert block.dim == dim
-        for x in block.basis.vectors:
-            assert all(h.multiply(x, h.basis_vector(g)) == h.multiply(h.basis_vector(g), x)
+        for x in block.basis.columns:
+            assert all(h.product(x, {g: h.field.one}) == h.product({g: h.field.one}, x)
                        for g in h.generating_indices())
 
 
@@ -229,7 +229,7 @@ def test_end_twist_matches_module_projection():
         for m in (trivial_module(h), regular_module(h)):
             tm = twist(m)
             for i in range(h.dim):
-                vx = h.multiply(h.ribbon, h.basis_vector(i))
+                vx = h.product(h.ribbon, {i: h.field.one})
                 assert m.act_element(vx) == tm.mul(m.act(i))
 
 
@@ -323,7 +323,7 @@ def test_bounding_pair_needs_a_central_twist():
     # the hom space
     h = catalog.double_of_group(catalog.symmetric_group_3())
     F = h.field
-    h.ribbon = [F.one if label.endswith(".(12)") else F.zero for label in h.basis_labels]
+    h.ribbon = {i: F.one for i, label in enumerate(h.basis_labels) if label.endswith(".(12)")}
     with pytest.raises(BlocksError, match="bounding pair left the hom space"):
         bounding_pair_op(h)
 
@@ -462,12 +462,30 @@ def test_theorems_builds_each_twist_operator_once(tmp_path, monkeypatch, capsys)
                                          (RELATIVE_CENTER, 1), (RELATIVE_CENTER, 2)])
 
 
-def test_equal_split_certifies_its_twist_once():
-    h = catalog.get("double:S3")
+def test_equal_split_certifies_its_twist_once(monkeypatch):
+    # fresh doubles, so no earlier test has certified a twist on them
+    certified = []
+
+    def counting(t, cap=None):
+        certified.append(t)
+        return operator_order(t, cap=cap)
+
+    monkeypatch.setattr(blocks, "operator_order", counting)
+
+    def twist_certificates(h):
+        a = adjoint_module(h)
+        thetas = [repcat.twist(repcat.tensor_power(a, g)) for g in (1, 2)]
+        return sum(any(t is theta for theta in thetas) for t in certified)
+
+    h = catalog.double_of_group(catalog.symmetric_group_3())
     sep = separating_twist_op(h, 1, 1)
+    assert twist_certificates(h) == 1
     assert sep.twist_left_order is sep.twist_right_order
     assert sep.twist_left_order.gl_order.n == sep.certificate.pgl_order.n == 3
-    other = separating_twist_op(catalog.get("double:Z2"), 1, 2)
+    certified.clear()
+    h2 = catalog.double_of_group(catalog.cyclic_group(2))
+    other = separating_twist_op(h2, 1, 2)
+    assert twist_certificates(h2) == 2
     assert other.twist_left_order is not other.twist_right_order
 
 

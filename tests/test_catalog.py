@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hopfblocks import catalog, hopf, linalg
+from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.catalog import (
     CatalogError,
     GroupTable,
@@ -74,9 +75,22 @@ def test_resolve_unknown():
 # -- JSON round trips -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["group:S3", "double:Z2", "sweedler", "double:sweedler"])
+# the doubles behind the benchmark's seeded files, as built by perfbench/inputs.py
+BENCH_ALGEBRAS = {
+    "ds3_q": ("S3", QQ),
+    "ds3_zeta3": ("S3", CyclotomicField(3)),
+    "ds3_f7": ("S3", PrimeField(7)),
+    "dz3_zeta12": ("Z3", CyclotomicField(12)),
+}
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names() + list(BENCH_ALGEBRAS))
 def test_save_load_round_trip(tmp_path, name):
-    h = catalog.get(name)
+    if name in BENCH_ALGEBRAS:
+        group, field = BENCH_ALGEBRAS[name]
+        h = double_of_group(symmetric_group_3() if group == "S3" else cyclic_group(3), field)
+    else:
+        h = catalog.get(name)
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     save(h, p1)

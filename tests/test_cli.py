@@ -263,13 +263,25 @@ def test_separating_needs_factorizable_exit(tmp_path, capsys):
     # Drinfeld map has rank 1, so A* and A are not identified
     h = catalog.group_algebra(catalog.cyclic_group(2))
     h.r_matrix = h.t2_unit()
-    h.ribbon = list(h.unit)
+    h.ribbon = dict(h.unit)
     path = tmp_path / "z2_triangular.json"
     catalog.save(h, path)
     code, _, err = run(["dehn", str(path), "--curve", "sep:1,1"], capsys)
     assert code == 2
     assert "error[BLOCKS]" in err
     assert "Traceback" not in err
+
+
+def test_ribbon_without_r_matrix_reports_its_order(tmp_path, capsys):
+    # v = 1 passes every ribbon axiom that needs no R-matrix; the Johnson
+    # prediction needs the double braiding, so it is left out, like the
+    # factorizability and Mueger-centrality entries
+    path = _corrupt_file(tmp_path, "ribbon", ["1"] + ["0"] * 5, name="group:S3")
+    code, out, err = run(["invariants", path, "--format", "json"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["ribbon_order"]["gl_order"] == {"kind": "finite", "n": 1}
+    assert not {"johnson_annihilated_predicted", "factorizable", "end_muger_central"} & doc.keys()
 
 
 def test_hom_space_too_large_exit(capsys):
@@ -314,13 +326,15 @@ def _corrupt_file(tmp_path, key, value, name="group:Z2"):
         (["invariants"], ("generators", [True]), "PARSE_ERROR"),
         (["check"], ("dim", 4.7), "PARSE_ERROR"),
         (["invariants"], ("dim", "4"), "PARSE_ERROR"),
+        (["check"], ("generators", []), "PARSE_ERROR"),
     ],
     ids=["check-field-kind", "invariants-field-kind", "check-generator-index",
          "invariants-generator-index", "theorems-max-genus-0", "theorems-window-negative",
          "check-field-null", "invariants-field-string", "check-flags-list",
          "check-mult-negative-index", "invariants-antipode-negative-index",
          "check-comult-index-too-large", "check-r-matrix-index-too-large",
-         "check-generator-float", "invariants-generator-bool", "check-dim-float", "invariants-dim-string"],
+         "check-generator-float", "invariants-generator-bool", "check-dim-float", "invariants-dim-string",
+         "check-generators-empty"],
 )
 def test_bad_input_exits_usage_with_stable_code(argv, corrupt, code_name, tmp_path, capsys):
     if corrupt is not None:
@@ -364,7 +378,7 @@ CORRUPTIONS = [
     ("comult", [[0, -1, 0, "1"]]), ("antipode", [[0, 4, "1"]]), ("r_matrix", [[0, -2, "1"]]), ("r_matrix", "x"),
     ("ribbon", ["1"]), ("ribbon", ["1"] * 9), ("ribbon", 3),
     ("unit", None), ("counit", ["x"] * 4), ("basis", 4), ("generators", [-1]), ("generators", 3),
-    ("generators", [1.5]), ("generators", [True]), ("dim", 4.7), ("dim", "4"),
+    ("generators", [1.5]), ("generators", [True]), ("generators", []), ("dim", 4.7), ("dim", "4"),
     ("name", None), ("name", 3),
 ]
 SUBCOMMANDS = [["check"], ["invariants"], ["blocks", "--genus", "1"], ["dehn", "--curve", "nonsep:1"],

@@ -18,7 +18,7 @@ from hopfblocks.harness import (
 def _trivially_ribboned_z2():
     h = catalog.group_algebra(catalog.cyclic_group(2))
     h.r_matrix = h.t2_unit()  # R = 1 x 1
-    h.ribbon = list(h.unit)
+    h.ribbon = dict(h.unit)
     assert h.validate().passed
     return h
 
