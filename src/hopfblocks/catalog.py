@@ -211,7 +211,12 @@ def _group_by_name(name: str) -> GroupTable:
 
 
 def double_of_group(group: GroupTable, field: Field = QQ) -> HopfData:
-    """D(k[G]) with the canonical R-matrix and a verified ribbon element."""
+    """D(k[G]) with the canonical R-matrix and a verified ribbon element.
+
+    It declares as generators the elements delta_a x g, for a in G and g a
+    generator of G (``hopf._double_generators``): 12 of the 36 basis
+    elements of D(S3).
+    """
     h = group_algebra(group, field)
     d = drinfeld_double(h)
     F = field

@@ -154,7 +154,13 @@ def _verdict_min(a: OrderVerdict, b: OrderVerdict) -> OrderVerdict:
 
 def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
     """Order of the ribbon element equals the order of the twist on a
-    projective generator, and bounds the twist order of every module."""
+    projective generator, and bounds the twist order of every module.
+
+    The sampled twists are certified, not kept, except on the regular and
+    adjoint modules, which keep theirs (``repcat.twist``) for later checks;
+    the twists of the trivial module and of A x A are built as rho_M(v),
+    certified and dropped.
+    """
     t0 = time.perf_counter()
     name = "ribbon-element-order"
     statement = ("order of the generalized ribbon element = order of the twist on the regular module, "
@@ -165,8 +171,11 @@ def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
     reg_cert = operator_order(twist(reg), cap=cap)
     a = adjoint_module(h)
     sample = [trivial_module(h), reg, a, tensor_power(a, 2)]
-    sample_orders = [reg_cert.gl_order if m is reg else operator_order(twist(m), cap=cap).gl_order
-                     for m in sample]
+    sample_orders = [
+        reg_cert.gl_order if m is reg
+        else operator_order(twist(m) if m is a else m.act_element(h.ribbon), cap=cap).gl_order
+        for m in sample
+    ]
     ok = _verdict_eq(ribbon_cert.gl_order, reg_cert.gl_order)
     detail = ""
     if ribbon_cert.gl_order.is_finite:

@@ -717,6 +717,11 @@ def drinfeld_double(h: HopfData) -> HopfData:
     axioms (checked by validate() on every constructed double).  The antipode
     is obtained by solving the (unique) antipode axiom linear system rather
     than transcribing a formula.
+
+    The declared generators are ``_double_generators`` when their
+    ``span_closure_dim`` is dim D(H), else None (every basis element).
+    Every constraint system on the double is built on them, one matrix per
+    generator.
     """
     F = h.field
     n = h.dim
@@ -837,8 +842,6 @@ def drinfeld_double(h: HopfData) -> HopfData:
 
     antipode = _solve_antipode(F, dim, mult, comult, counit, unit)
 
-    generators = _double_generators(h, idx)
-
     double = HopfData(
         name=f"D({h.name})",
         field=F,
@@ -850,27 +853,24 @@ def drinfeld_double(h: HopfData) -> HopfData:
         counit=counit,
         antipode=antipode,
         r_matrix=r_matrix,
-        generators=generators,
         flags={"double_of": h.name},
     )
-    if generators is not None and double.span_closure_dim(generators) != dim:
-        double.generators = None
+    gens = _double_generators(h, idx)
+    double.generators = gens if double.span_closure_dim(gens) == dim else None
     return double
 
 
-def _double_generators(h: HopfData, idx) -> list[int] | None:
-    n = h.dim
-    unit_idx = None
-    F = h.field
-    nz = list(h.unit.items())
-    if len(nz) == 1 and F.eq(nz[0][1], F.one):
-        unit_idx = nz[0][0]
-    if unit_idx is None:
-        return None
-    gens = [idx(a, unit_idx) for a in range(n)]
-    for g in h.generating_indices():
-        gens.extend(idx(a, g) for a in range(n))
-    return sorted(set(gens))
+def _double_generators(h: HopfData, idx) -> list[int]:
+    """{e^a x g : e^a in the dual basis, g a generator of H}, sorted indices.
+
+    It spans D(k[G]): there eps = sum_a e^a, so sum_a e^a x g = eps x g is g
+    itself, g^-1 is a word in the generators of the finite group, and
+    (e^a x g)(eps x g^-1) = e^a x 1; every basis element is
+    e^a x b = (e^a x 1)(eps x b).  For other H that argument does not
+    apply, so ``drinfeld_double`` certifies the set with
+    ``span_closure_dim`` and declares no generators when it does not span.
+    """
+    return sorted({idx(a, g) for g in h.generating_indices() for a in range(h.dim)})
 
 
 def _solve_antipode(F, dim, mult, comult, counit, unit) -> Matrix:

@@ -377,6 +377,20 @@ def two_sided_span_closure_dim(h, indices: list[int]) -> int:
     return len(red.pivots)
 
 
+def double_generators_with_dual_units(h) -> list[int]:
+    """{e^a x 1 : a} and {e^a x g : g a generator of H}, indices of D(H).
+
+    The larger generating set of the double: it adds the dual idempotents
+    e^a x 1, which ``hopf._double_generators`` leaves out.  The unit of H
+    must be a basis element.
+    """
+    n = h.dim
+    (unit_idx,) = h.unit
+    gens = {a * n + unit_idx for a in range(n)}
+    gens.update(a * n + g for g in h.generating_indices() for a in range(n))
+    return sorted(gens)
+
+
 def direct_block_by_transpose(h, genus: int):
     """The kernel basis of the genus-g direct block, from the transpose of
     each generator's action on the tensor power of the adjoint module.

@@ -1,6 +1,7 @@
 import pytest
 
 from hopfblocks import catalog, harness
+from hopfblocks.repcat import adjoint_module, regular_module, tensor_power
 from hopfblocks.harness import (
     Check,
     PreconditionError,
@@ -28,6 +29,19 @@ def test_prop_order_small_doubles():
         check = verify_prop_order(catalog.get(name))
         assert check.passed
         assert f"Finite({n})" in check.rhs
+
+
+def test_prop_order_keeps_no_one_shot_twist():
+    # the twist of A x A is certified and dropped; those of the regular and
+    # adjoint modules stay, since later checks read them
+    h = catalog.double_of_group(catalog.symmetric_group_3())
+    check = verify_prop_order(h)
+    a = adjoint_module(h)
+    assert tensor_power(a, 2)._twist is None
+    assert a._twist is not None and regular_module(h)._twist is not None
+    assert (check.status, check.lhs, check.rhs, check.detail) == (
+        "pass", "twist(regular): Finite(6)", "ribbon element: Finite(6)",
+        "sampled module orders: ['Finite(1)', 'Finite(6)', 'Finite(3)', 'Finite(3)']")
 
 
 def test_nonseparating_small():

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hopfblocks import catalog
+from hopfblocks import catalog, harness
+from hopfblocks.blocks import DIRECT, RELATIVE_CENTER, block_space
 from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.hopf import (
     AntipodeNotInvertible,
@@ -11,7 +12,12 @@ from hopfblocks.hopf import (
     MissingRibbon,
     drinfeld_double,
 )
-from oracles import element_multiplicative_order, jacobson_radical_dim, two_sided_span_closure_dim
+from oracles import (
+    double_generators_with_dual_units,
+    element_multiplicative_order,
+    jacobson_radical_dim,
+    two_sided_span_closure_dim,
+)
 
 ALL_CATALOG = [
     "group:Z2",
@@ -388,6 +394,87 @@ def test_span_closure_matches_two_sided_oracle(name):
     subsets = [gens] + [gens[:k] + gens[k + 1:] for k in range(len(gens))] + [[g] for g in gens]
     for s in subsets:
         assert h.span_closure_dim(s) == two_sided_span_closure_dim(h, s), (name, s)
+
+
+# declared generators of each catalog double: {e^a x g : g a generator of H}
+DOUBLE_GENERATOR_COUNTS = {"double:Z2": 2, "double:Z3": 3, "double:S3": 12, "double:sweedler": 8}
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLE_GENERATOR_COUNTS))
+def test_double_declares_the_smaller_generating_set(name):
+    h = catalog.get(name)
+    assert len(h.generators) == DOUBLE_GENERATOR_COUNTS[name]
+    assert h.span_closure_dim(h.generators) == h.dim
+
+
+def _group_case(group, F):
+    return lambda: catalog.group_algebra(group, F), lambda: catalog.double_of_group(group, F)
+
+
+# case -> (H, D(H)), each a fresh construction
+GENERATOR_CASES = {
+    "D(Z2)/Q": _group_case(catalog.cyclic_group(2), QQ),
+    "D(Z3)/Q": _group_case(catalog.cyclic_group(3), QQ),
+    "D(S3)/Q": _group_case(catalog.symmetric_group_3(), QQ),
+    "D(H4)/Q": (catalog.sweedler, catalog.sweedler_double),
+    "D(S3)/F7": _group_case(catalog.symmetric_group_3(), PrimeField(7)),
+    "D(S3)/Q(zeta3)": _group_case(catalog.symmetric_group_3(), CyclotomicField(3)),
+}
+
+
+def _generator_outputs(h):
+    blocks = {(g, model): (b.dim, b.basis.free_cols, b.basis.columns)
+              for g in (1, 2) for model in (DIRECT, RELATIVE_CENTER)
+              for b in [block_space(h, g, model, genus_cap=2)]}
+    report = h.validate()
+    return {
+        "blocks": blocks,
+        "theorems": [(c.name, c.status, c.lhs, c.rhs) for c in harness.run_all(h).checks],
+        "validate": (report.mode, [(c.name, c.passed) for c in report.checks]),
+        "integrals": h.integrals(),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+def test_smaller_generating_set_changes_no_output(case):
+    # a block is one subspace for every generating set and its reduced basis
+    # is unique, so the larger set must give the same outputs
+    base, double = GENERATOR_CASES[case]
+    new, old = double(), double()
+    old.generators = double_generators_with_dual_units(base())
+    assert len(new.generators) < len(old.generators)
+    assert set(new.generators) < set(old.generators)
+    assert old.span_closure_dim(old.generators) == new.span_closure_dim(new.generators) == new.dim
+    assert _generator_outputs(new) == _generator_outputs(old)
+
+
+def test_generator_mode_catches_single_entry_corruption():
+    # D(S3) is validated on its 12 generators; a change to one structure
+    # constant must fail, also in a row whose first index is no generator
+    pristine = catalog.double_of_group(catalog.symmetric_group_3())
+    F = pristine.field
+    gens = set(pristine.generators)
+    others = [i for i in range(pristine.dim) if i not in gens]
+    rng = random.Random(17)
+    corruptions = []
+    for t in range(24):
+        i = rng.choice(others) if t % 3 else rng.choice(sorted(gens))
+        part = "mult" if t % 2 else "comult"
+        corruptions.append((part, i, rng.randrange(pristine.dim), rng.randrange(pristine.dim)))
+    assert sum(i not in gens for _, i, _, _ in corruptions) >= 12
+    for part, i, j, k in corruptions:
+        h = copy.deepcopy(pristine, {id(F): F})
+        h._cache.clear()
+        table, key = (h.mult[i][j], k) if part == "mult" else (h.comult[i], (j, k))
+        table[key] = F.add(table.get(key, F.zero), F.one)
+        if F.is_zero(table[key]):
+            del table[key]
+        report = h.validate()
+        assert report.mode == "generators"
+        failed = {c.name for c in report.failures()}
+        assert failed, (part, i, j, k)
+        # associativity on the generators reaches every row of mult
+        assert part == "comult" or "associativity" in failed, (i, j, k)
 
 
 @pytest.mark.parametrize("name", ALL_CATALOG)
