@@ -40,6 +40,11 @@ pair is certified by its condition: the twist of H intertwines on every
 generator.
 Block spaces, the end twist and every twist operator are built once and
 cached on the algebra (``HopfData._cache``), never in module globals.
+
+One genus cap bounds every block, the separating twist's included: by
+default the largest g with max(dim, 2)^g <= ``BLOCK_UNKNOWN_LIMIT``, or the
+caller's ``genus_cap``.  ``block_space`` and ``separating_twist_op`` make
+the same check.
 """
 
 from __future__ import annotations
@@ -56,8 +61,6 @@ from .linalg import (
     _times_matrix,
 )
 from .repcat import (
-    GENERIC_HOM_UNKNOWN_LIMIT,
-    HomSpaceTooLarge,
     Module,
     adjoint_module,
     is_intertwiner,
@@ -88,12 +91,28 @@ DIRECT = "direct"
 RELATIVE_CENTER = "center"
 
 
-def default_genus_cap(h: HopfData) -> int:
-    if h.dim <= 8:
-        return 3
-    if h.dim <= 36:
-        return 2
-    return 1
+# Largest dim^g (the ambient size of a genus-g block) the default genus cap allows.
+BLOCK_UNKNOWN_LIMIT = 6000
+
+
+def default_genus_cap(dim: int) -> int:
+    """The largest g with max(dim, 2)^g <= ``BLOCK_UNKNOWN_LIMIT``.
+
+    The base is at least 2, so a dim-1 algebra (dim^g = 1) gets a finite cap.
+    """
+    base = max(dim, 2)
+    g = 0
+    while base ** (g + 1) <= BLOCK_UNKNOWN_LIMIT:
+        g += 1
+    return g
+
+
+def _check_genus_cap(h: HopfData, genus: int, genus_cap: int | None) -> None:
+    """Raise ``GenusCapExceeded`` when genus is above genus_cap, or, when that
+    is None, above ``default_genus_cap(h.dim)``."""
+    cap = genus_cap if genus_cap is not None else default_genus_cap(h.dim)
+    if genus > cap:
+        raise GenusCapExceeded(f"genus {genus} exceeds cap {cap} for dim {h.dim}")
 
 
 class BlockSpace:
@@ -122,8 +141,9 @@ class BlockSpace:
 def block_space(h: HopfData, genus: int, model: str = DIRECT, genus_cap: int | None = None) -> BlockSpace:
     """The block space of the genus-g handlebody, in the chosen model.
 
-    Block spaces are cached on the algebra (``HopfData._cache``), so they
-    live exactly as long as it does.
+    Raises ``GenusCapExceeded`` when genus is above genus_cap (by default
+    ``default_genus_cap``).  Block spaces are cached on the algebra
+    (``HopfData._cache``), so they live exactly as long as it does.
     """
     if genus < 0:
         raise BlocksError("genus must be non-negative")
@@ -131,9 +151,7 @@ def block_space(h: HopfData, genus: int, model: str = DIRECT, genus_cap: int | N
         raise BlocksError(f"unknown model {model!r}")
     if model == RELATIVE_CENTER and genus < 1:
         raise ModelRequiresPositiveGenus("the relative-center model needs genus >= 1")
-    cap = genus_cap if genus_cap is not None else default_genus_cap(h)
-    if genus > cap:
-        raise GenusCapExceeded(f"genus {genus} exceeds cap {cap} for dim {h.dim}")
+    _check_genus_cap(h, genus, genus_cap)
     key = ("block", genus, model)
     if key not in h._cache:
         if model == DIRECT:
@@ -245,9 +263,8 @@ def end_twist(h: HopfData) -> Matrix:
     if "end_twist" not in h._cache:
         lv = h.left_mult_of(h.ribbon)
         ad = adjoint_module(h)
-        for g in h.generating_indices():
-            if lv.mul(ad.act(g)) != ad.act(g).mul(lv):
-                raise BlocksError("end twist failed the adjoint intertwiner post-check")
+        if not is_intertwiner(lv, ad, ad):
+            raise BlocksError("end twist failed the adjoint intertwiner post-check")
         h._cache["end_twist"] = lv
     return h._cache["end_twist"]
 
@@ -296,13 +313,17 @@ def nonseparating_twist_op(block: BlockSpace, handle: int, cap: int | None = Non
 def center_twist_op(block: BlockSpace, cap: int | None = None) -> MCGOperator:
     """The meridian twist on a relative-center block: the ribbon action on the
     ambient module restricted to the center (precomposition with the twist of
-    the generator under Hom(G, N) = N).  Cached on the algebra per (genus, cap)."""
+    the generator under Hom(G, N) = N).  Cached on the algebra per (genus, cap);
+    the ambient action of the ribbon element is built for the restriction and
+    not kept on the ambient."""
     h = block.algebra
     if block.model != RELATIVE_CENTER:
         raise BlocksError("center_twist_op expects a relative-center block")
+    if h.ribbon is None:
+        raise MissingRibbon(h.name)
     key = ("center_twist", block.genus, cap)
     if key not in h._cache:
-        mat = restrict_operator(block, twist(block.ambient))
+        mat = restrict_operator(block, block.ambient.act_element(h.ribbon))
         h._cache[key] = MCGOperator("nonseparating(center-model)", block, mat, operator_order(mat, cap=cap))
     return h._cache[key]
 
@@ -337,21 +358,23 @@ class SeparatingTwist:
 
 
 def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
-                        cap: int | None = None) -> SeparatingTwist:
+                        cap: int | None = None, genus_cap: int | None = None) -> SeparatingTwist:
     """Twist about the standard separating meridian splitting handles
     {1..g'} from {g'+1..g}, g = g' + g''.
 
     It is I x theta on A^(g') x A^(g''), restricted to the genus-g direct
-    block (taken with genus cap g).  That block is Hom(A^(g'), (A^(g''))*),
-    and the Drinfeld map of a factorizable algebra identifies A* with A, so
-    the operator is conjugate to postcomposition with the twist on
-    Hom(A^(g'), A^(g'')): dimension and certificates are those of that
-    operator.  Raises ``HomSpaceTooLarge`` when dim^g exceeds
-    ``GENERIC_HOM_UNKNOWN_LIMIT``, ``MissingRibbon`` without a ribbon
+    block.  That block is Hom(A^(g'), (A^(g''))*), and the Drinfeld map of
+    a factorizable algebra identifies A* with A, so the operator is
+    conjugate to postcomposition with the twist on Hom(A^(g'), A^(g'')):
+    dimension and certificates are those of that operator.  Raises
+    ``GenusCapExceeded`` when g is above genus_cap (the same check as
+    ``block_space``, made first), ``MissingRibbon`` without a ribbon
     element, and ``BlocksError`` when the algebra is not factorizable.
 
     The result is cached on the algebra.
     """
+    genus = genus_left + genus_right
+    _check_genus_cap(h, genus, genus_cap)
     key = ("separating", genus_left, genus_right, cap)
     if key in h._cache:
         return h._cache[key]
@@ -360,15 +383,11 @@ def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
     a = adjoint_module(h)
     left = tensor_power(a, genus_left)
     right = tensor_power(a, genus_right)
-    unknowns = left.dim * right.dim
-    if unknowns > GENERIC_HOM_UNKNOWN_LIMIT:
-        raise HomSpaceTooLarge(f"{unknowns} unknowns for Hom({left.name}, {right.name})")
     if h.ribbon is None:
         raise MissingRibbon(h.name)
     if h.r_matrix is None or not h.is_factorizable()[0]:
         raise BlocksError(f"{h.name} is not factorizable: separating twists need A* = A through the Drinfeld map")
-    genus = genus_left + genus_right
-    block = block_space(h, genus, DIRECT, genus_cap=genus)
+    block = block_space(h, genus, DIRECT, genus_cap=genus_cap)
     theta_left = twist(left)
     theta_right = twist(right)
     mat = restrict_operator(block, tensor_product(Matrix.identity(h.field, left.dim), theta_right))

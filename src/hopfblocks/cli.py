@@ -133,7 +133,7 @@ def cmd_dehn(args) -> int:
         doc = {"report_version": 1, "algebra": h.name, **op.to_json()}
     elif kind == "sep" and (genera := _curve_ints(params, 2)):
         g1, g2 = genera
-        sep = blk.separating_twist_op(h, g1, g2, cap=args.cap)
+        sep = blk.separating_twist_op(h, g1, g2, cap=args.cap, genus_cap=args.genus_cap)
         doc = {"report_version": 1, "algebra": h.name, "genus": g1 + g2, **sep.to_json()}
     elif curve == "bpair":
         mat = blk.bounding_pair_op(h)
@@ -161,10 +161,7 @@ def cmd_theorems(args) -> int:
     report = harness.run_all(
         h, max_genus=args.max_genus, window=args.window, cap=args.cap, genus_cap=args.genus_cap
     )
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=1, sort_keys=True))
-    else:
-        print(report.to_table())
+    _emit(report.to_json(), args.format, table=report.to_table())
     return EXIT_DISCREPANCY if report.has_failures else EXIT_OK
 
 
@@ -181,17 +178,11 @@ def cmd_catalog_list(args) -> int:
                 "has_ribbon": h.ribbon is not None,
             }
         )
-    doc = {"report_version": 1, "catalog": entries}
-    if args.format == "json":
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    else:
-        for e in entries:
-            extras = []
-            if e["has_r_matrix"]:
-                extras.append("R")
-            if e["has_ribbon"]:
-                extras.append("ribbon")
-            print(f"{e['name']:18} dim {e['dim']:3}  {'+'.join(extras)}")
+    rows = []
+    for e in entries:
+        extras = [tag for tag, key in (("R", "has_r_matrix"), ("ribbon", "has_ribbon")) if e[key]]
+        rows.append(f"{e['name']:18} dim {e['dim']:3}  {'+'.join(extras)}")
+    _emit({"report_version": 1, "catalog": entries}, args.format, table="\n".join(rows))
     return EXIT_OK
 
 
@@ -297,9 +288,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except blk.BlocksError as exc:
         _error("BLOCKS", str(exc))
-        return EXIT_USAGE
-    except repcat.HomSpaceTooLarge as exc:
-        _error("HOM_SPACE_TOO_LARGE", str(exc))
         return EXIT_USAGE
 
 

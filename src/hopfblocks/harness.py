@@ -232,13 +232,17 @@ def verify_nonseparating(h: HopfData, g_max: int, cap: int | None = None,
     return checks
 
 
-def verify_separating(h: HopfData, g_left: int, g_right: int, cap: int | None = None) -> Check:
+def verify_separating(h: HopfData, g_left: int, g_right: int, cap: int | None = None,
+                      genus_cap: int | None = None) -> Check:
     """Separating twist order = min of the twist orders of the two end powers."""
     t0 = time.perf_counter()
     name = f"separating-twist-order({g_left},{g_right})"
     statement = "PGL order of the separating twist = min of the twist orders of the end powers"
     require_ribbon_factorizable(h, name, statement)
-    sep = separating_twist_op(h, g_left, g_right, cap=cap)
+    try:
+        sep = separating_twist_op(h, g_left, g_right, cap=cap, genus_cap=genus_cap)
+    except GenusCapExceeded as exc:
+        return _timed(_skipped(name, statement, exc), t0)
     expected = _verdict_min(sep.twist_left_order.gl_order, sep.twist_right_order.gl_order)
     ok = _verdict_eq(sep.certificate.pgl_order, expected)
     return _timed(
@@ -253,7 +257,7 @@ def verify_separating(h: HopfData, g_left: int, g_right: int, cap: int | None = 
     )
 
 
-def verify_johnson(h: HopfData, cap: int | None = None) -> Check:
+def verify_johnson(h: HopfData, cap: int | None = None, genus_cap: int | None = None) -> Check:
     """Separating twists act trivially iff the end twist is trivial and the
     end's self double braiding is trivial; cross-checked on the genus-2
     separating operator."""
@@ -261,11 +265,14 @@ def verify_johnson(h: HopfData, cap: int | None = None) -> Check:
     name = "johnson-kernel-criterion"
     statement = "separating twists act trivially iff end twist and end self-monodromy are trivial"
     require_ribbon_factorizable(h, name, statement)
+    try:
+        sep = separating_twist_op(h, 1, 1, cap=cap, genus_cap=genus_cap)
+    except GenusCapExceeded as exc:
+        return _timed(_skipped(name, statement, exc), t0)
     a = adjoint_module(h)
     twist_trivial = twist(a).is_identity()
     braid_trivial = monodromy(a, a).is_identity()
     predicted = twist_trivial and braid_trivial
-    sep = separating_twist_op(h, 1, 1, cap=cap)
     sep_trivial = sep.matrix.is_identity()
     ok = sep_trivial == predicted
     return _timed(
@@ -446,12 +453,12 @@ def run_all(h: HopfData, max_genus: int = 2, window: int = 4, cap: int | None = 
 
     gated(verify_prop_order, h, cap=cap)
     gated(verify_nonseparating, h, max_genus, cap=cap, genus_cap=genus_cap)
-    gated(verify_separating, h, 1, 1, cap=cap)
+    gated(verify_separating, h, 1, 1, cap=cap, genus_cap=genus_cap)
     if h.dim <= 8 and (genus_cap is None or genus_cap >= 3):
-        gated(verify_separating, h, 1, 2, cap=cap)
+        gated(verify_separating, h, 1, 2, cap=cap, genus_cap=genus_cap)
     for g in range(1, min(max_genus, 2) + 1):
         gated(verify_excision, h, g, cap=cap, genus_cap=genus_cap)
-    gated(verify_johnson, h, cap=cap)
+    gated(verify_johnson, h, cap=cap, genus_cap=genus_cap)
     gated(verify_torelli, h)
     zg_genus = min(2, max_genus)
     gated(verify_zg, h, zg_genus, window, cap=cap, genus_cap=genus_cap)

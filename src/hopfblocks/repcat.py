@@ -7,7 +7,8 @@ intertwining constraints over the algebra's generating set, on the
 row-major entries of a map.  The basis is the sparse ``KernelBasis``, and
 a map's coordinates are its entries at the free columns.  No command
 solves a hom space: block spaces and twist operators live in ``blocks``,
-and ``hom_space`` is the independent route that the test oracles use.
+which also owns the one size limit (the genus cap), and ``hom_space`` is
+the independent route that the test oracles use.
 
 The adjoint and regular modules are kept on the algebra, and a module keeps
 its tensor powers and its twist, so their action matrices are built once
@@ -34,13 +35,6 @@ class RepcatError(Exception):
 
 class AlgebraMismatch(RepcatError):
     pass
-
-
-class HomSpaceTooLarge(RepcatError):
-    pass
-
-
-GENERIC_HOM_UNKNOWN_LIMIT = 6000
 
 
 class Module:
@@ -217,13 +211,11 @@ def is_intertwiner(f: Matrix, source: Module, target: Module) -> bool:
 
 def hom_space(source: Module, target: Module) -> HomSpace:
     """Hom_H(source, target) as the kernel of f rho_S(g) = rho_T(g) f over the
-    generators g; raises ``HomSpaceTooLarge`` above
-    ``GENERIC_HOM_UNKNOWN_LIMIT`` unknowns."""
+    generators g, on source.dim * target.dim unknowns.  No size limit is
+    applied here: the callers are test oracles on small modules."""
     h = _same_algebra(source, target)
     F = h.field
     unknowns = source.dim * target.dim
-    if unknowns > GENERIC_HOM_UNKNOWN_LIMIT:
-        raise HomSpaceTooLarge(f"{unknowns} unknowns for Hom({source.name}, {target.name})")
     ident_s = Matrix.identity(F, source.dim)
     ident_t = Matrix.identity(F, target.dim)
     minus = F.neg(F.one)

@@ -8,6 +8,7 @@ import pytest
 
 from hopfblocks import blocks, catalog, cli, repcat
 from hopfblocks.blocks import (
+    BLOCK_UNKNOWN_LIMIT,
     BlocksError,
     DIRECT,
     GenusCapExceeded,
@@ -18,6 +19,7 @@ from hopfblocks.blocks import (
     block_space,
     bounding_pair_op,
     center_twist_op,
+    default_genus_cap,
     end_twist,
     nonseparating_twist_op,
     restrict_operator,
@@ -26,7 +28,7 @@ from hopfblocks.blocks import (
 from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.hopf import MissingRibbon
 from hopfblocks.linalg import Matrix, operator_order, simultaneous_kernel
-from hopfblocks.repcat import GENERIC_HOM_UNKNOWN_LIMIT, adjoint_module, hom_space, regular_module, trivial_module
+from hopfblocks.repcat import adjoint_module, hom_space, regular_module, trivial_module
 from oracles import (
     bounding_pair_by_hom,
     center_block_full_rows,
@@ -184,6 +186,19 @@ def test_genus_cap():
     h2 = catalog.get("double:Z2")
     with pytest.raises(GenusCapExceeded):
         block_space(h2, 2, genus_cap=1)
+    # the separating twist obeys the same cap, even once it is cached
+    separating_twist_op(h2, 1, 1)
+    with pytest.raises(GenusCapExceeded):
+        separating_twist_op(h2, 1, 1, genus_cap=1)
+    with pytest.raises(GenusCapExceeded):
+        separating_twist_op(h, 1, 2)
+
+
+def test_default_genus_cap_is_the_largest_genus_within_the_limit():
+    # the largest g with max(dim, 2)^g <= 6000; dim 1 counts as 2
+    expected = {1: 12, 2: 12, 4: 6, 6: 4, 8: 4, 9: 3, 16: 3, 36: 2, 64: 2}
+    assert {dim: default_genus_cap(dim) for dim in expected} == expected
+    assert BLOCK_UNKNOWN_LIMIT == 6000
 
 
 def test_end_twist_properties():
@@ -425,9 +440,9 @@ SEPARATING_ORACLE_ALGEBRAS = {
 def test_separating_block_route_matches_hom_route(name):
     # the direct-block operator is conjugate to postcomposition with the twist
     # on Hom(A^g', A^g''): same dimension, certificates (evidence included)
-    # and triviality at every split that fits the guard
+    # and triviality at every split within the default genus cap
     h = SEPARATING_ORACLE_ALGEBRAS[name]()
-    splits = [(a, b) for a, b in ((1, 1), (1, 2), (2, 1)) if h.dim ** (a + b) <= GENERIC_HOM_UNKNOWN_LIMIT]
+    splits = [(a, b) for a, b in ((1, 1), (1, 2), (2, 1)) if h.dim ** (a + b) <= BLOCK_UNKNOWN_LIMIT]
     assert (1, 1) in splits
     for a, b in splits:
         sep = separating_twist_op(h, a, b)

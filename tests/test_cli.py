@@ -285,9 +285,29 @@ def test_ribbon_without_r_matrix_reports_its_order(tmp_path, capsys):
 
 
 def test_hom_space_too_large_exit(capsys):
+    # genus 3 of D(S3): 36^3 > 6000, above the default genus cap of 2
     code, _, err = run(["dehn", "double:S3", "--curve", "sep:1,2"], capsys)
     assert code == 2
-    assert "HOM_SPACE_TOO_LARGE" in err
+    assert "error[BLOCKS]" in err and "exceeds cap 2" in err
+
+
+def test_genus_cap_admits_a_separating_twist(tmp_path, capsys):
+    # a fresh D(S3), so the genus-3 block is not kept on the shared catalog instance
+    path = tmp_path / "ds3.json"
+    catalog.save(catalog.double_of_group(catalog.symmetric_group_3()), path)
+    code, out, err = run(["--genus-cap", "3", "dehn", str(path), "--curve", "sep:1,2", "--format", "json"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["block_dim"] == 2948
+    assert doc["certificate"]["gl_order"]["n"] == doc["certificate"]["pgl_order"]["n"] == 3
+
+
+def test_genus_cap_skips_the_separating_rows(capsys):
+    code, out, err = run(["--genus-cap", "1", "theorems", "double:Z2", "--format", "json"], capsys)
+    assert code == 0, err
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert status["separating-twist-order(1,1)"] == status["johnson-kernel-criterion"] == "skipped"
+    assert "separating-twist-order(1,2)" not in status
 
 
 def _corrupt_file(tmp_path, key, value, name="group:Z2"):
@@ -448,7 +468,21 @@ def ds3_f7_file(tmp_path_factory):
     return str(path)
 
 
-# "@ds3_f7" is the path of D(S3) over F_7, where --cap bounds the order search
+@pytest.fixture(scope="module")
+def k1_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("k1") / "k1.json"
+    catalog.save(catalog.group_algebra(catalog.cyclic_group(1)), path)
+    return str(path)
+
+
+OVER_GENUS_CAP = [
+    ["dehn", "double:S3", "--curve", "sep:2,2"],
+    ["--genus-cap", "1", "dehn", "double:Z2", "--curve", "sep:1,1"],
+    ["blocks", "@k1", "--genus", "13"],
+]
+
+# "@ds3_f7" is the path of D(S3) over F_7, where --cap bounds the order search;
+# "@k1" is the path of the dim-1 algebra k[Z1], whose default genus cap is 12
 BAD_FLAGS = [
     ["blocks", "double:Z2", "--genus", "-1"], ["blocks", "double:Z2", "--genus", "9"],
     ["blocks", "double:Z2", "--genus", "1", "--genus-cap", "-3"],
@@ -463,14 +497,18 @@ BAD_FLAGS = [
     ["theorems", "double:Z2", "--max-genus", "1", "--cap", "-1"],
     ["invariants", "@ds3_f7", "--cap", "-1"], ["invariants", "@ds3_f7", "--cap", "0"],
     ["dehn", "@ds3_f7", "--curve", "nonsep:1", "--cap", "0"],
+    *OVER_GENUS_CAP,
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_FLAGS, ids=[" ".join(a) for a in BAD_FLAGS])
-def test_bad_flags_never_exit_discrepancy(argv, ds3_f7_file, capsys):
-    argv = [ds3_f7_file if a == "@ds3_f7" else a for a in argv]
-    code, _, err = run(argv, capsys)
-    _assert_contract(argv, code, err)
+def test_bad_flags_never_exit_discrepancy(argv, ds3_f7_file, k1_file, capsys):
+    files = {"@ds3_f7": ds3_f7_file, "@k1": k1_file}
+    cmd = [files.get(a, a) for a in argv]
+    code, _, err = run(cmd, capsys)
+    _assert_contract(cmd, code, err)
+    if argv in OVER_GENUS_CAP:
+        assert code == 2 and "error[BLOCKS]" in err, cmd
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -1,6 +1,8 @@
 import pytest
 
 from hopfblocks import catalog, harness
+from hopfblocks.blocks import RELATIVE_CENTER, block_space
+from hopfblocks.catalog import GroupTable, _perm_compose
 from hopfblocks.repcat import adjoint_module, regular_module, tensor_power
 from hopfblocks.harness import (
     Check,
@@ -44,6 +46,45 @@ def test_prop_order_keeps_no_one_shot_twist():
         "sampled module orders: ['Finite(1)', 'Finite(6)', 'Finite(3)', 'Finite(3)']")
 
 
+def _dihedral_group_4():
+    """D4 in S4, closed from the rotation (1,2,3,0) and the reflection (0,3,2,1)."""
+    gens = [(1, 2, 3, 0), (0, 3, 2, 1)]
+    elements = [(0, 1, 2, 3)]
+    for p in elements:
+        for q in gens:
+            r = _perm_compose(p, q)
+            if r not in elements:
+                elements.append(r)
+    index = {p: i for i, p in enumerate(elements)}
+    table = [[index[_perm_compose(p, q)] for q in elements] for p in elements]
+    return GroupTable("D4", [str(p) for p in elements], table, [index[g] for g in gens])
+
+
+def test_run_all_reaches_genus_two_on_a_dim_64_double():
+    # 64^2 = 4096 <= 6000, so the default cap is 2 and no row is skipped
+    h = catalog.double_of_group(_dihedral_group_4())
+    assert h.dim == 64
+    report = harness.run_all(h)
+    assert [c.status for c in report.checks] == ["pass"] * 9
+    assert "(block dim 736)" in report.checks[2].lhs
+
+
+def test_center_twist_keeps_no_ambient_twist():
+    # the center-model meridian twist is restricted and dropped; the verdicts
+    # are those of a run that kept it
+    h = catalog.double_of_group(catalog.symmetric_group_3())
+    report = harness.run_all(h)
+    for g in (1, 2):
+        assert block_space(h, g, RELATIVE_CENTER).ambient._twist is None
+    assert [(c.name, c.status, c.lhs, c.rhs) for c in report.checks[4:6]] == [
+        ("excision-consistency(g=1)", "pass", "direct: dim 8, gl=Finite(6), pgl=Finite(6)",
+         "center: dim 8, gl=Finite(6), pgl=Finite(6)"),
+        ("excision-consistency(g=2)", "pass", "direct: dim 116, gl=Finite(6), pgl=Finite(6)",
+         "center: dim 116, gl=Finite(6), pgl=Finite(6)"),
+    ]
+    assert all(c.status == "pass" for c in report.checks)
+
+
 def test_nonseparating_small():
     for name in ("double:Z2", "double:Z3"):
         checks = verify_nonseparating(catalog.get(name), 2)
@@ -64,7 +105,7 @@ def test_nonseparating_gate_refuses_missing_ribbon():
 
 
 def test_nonseparating_skips_beyond_cap():
-    checks = verify_nonseparating(catalog.get("double:Z3"), 3)  # default cap is 2
+    checks = verify_nonseparating(catalog.get("double:Z3"), 4)  # default cap is 3: 9^4 > 6000
     assert checks[-1].status == "skipped"
     assert all(c.passed for c in checks[:-1])
 
