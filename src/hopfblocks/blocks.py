@@ -142,7 +142,8 @@ def block_space(h: HopfData, genus: int, model: str = DIRECT, genus_cap: int | N
     """The block space of the genus-g handlebody, in the chosen model.
 
     Raises ``GenusCapExceeded`` when genus is above genus_cap (by default
-    ``default_genus_cap``).  Block spaces are cached on the algebra
+    ``default_genus_cap``), and ``BlocksError`` when the genus is too deep
+    to build at all.  Block spaces are cached on the algebra
     (``HopfData._cache``), so they live exactly as long as it does.
     """
     if genus < 0:
@@ -154,10 +155,12 @@ def block_space(h: HopfData, genus: int, model: str = DIRECT, genus_cap: int | N
     _check_genus_cap(h, genus, genus_cap)
     key = ("block", genus, model)
     if key not in h._cache:
-        if model == DIRECT:
-            h._cache[key] = _direct_block(h, genus)
-        else:
-            h._cache[key] = _center_block(h, genus)
+        build = _direct_block if model == DIRECT else _center_block
+        try:
+            h._cache[key] = build(h, genus)
+        except RecursionError as exc:  # each tensor power's action is built on the one below
+            raise BlocksError(f"genus {genus} is too deep: the tensor power A^(x{genus}) "
+                              "exceeds the interpreter's recursion limit") from exc
     return h._cache[key]
 
 

@@ -19,7 +19,6 @@ read; no module is built from it.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from pathlib import Path
 
 from .fields import Field, FieldError, QQ, field_from_json
@@ -199,7 +198,6 @@ def attach_verified_ribbon(h: HopfData, candidates: list[tuple[dict | None, str]
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _group_by_name(name: str) -> GroupTable:
     if name == "Z2":
         return cyclic_group(2)
@@ -337,9 +335,13 @@ def sweedler_double(field: Field = QQ) -> HopfData:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def get(name: str) -> HopfData:
-    """Resolve a catalog name like ``group:S3``, ``double:Z2``, ``sweedler``."""
+    """Resolve a catalog name like ``group:S3``, ``double:Z2``, ``sweedler``.
+
+    Each call builds a fresh algebra: what is computed on one (its
+    ``_cache`` of blocks, twists and actions) is never shared with another
+    caller.
+    """
     if name in ("sweedler", "H4"):
         return sweedler()
     if name in ("double:sweedler", "double:H4", "D(H4)"):

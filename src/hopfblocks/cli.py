@@ -52,9 +52,9 @@ def _render_table(doc: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line.strip("- "))
 
 
-def _load(name: str, full_axioms: bool) -> HopfData:
+def _load(name: str) -> HopfData:
     h = catalog.resolve(name, validate=False)
-    report = h.validate(full=True if full_axioms else None)
+    report = h.validate()
     if not report.passed:
         raise ValidationFailed(report)
     return h
@@ -62,15 +62,14 @@ def _load(name: str, full_axioms: bool) -> HopfData:
 
 def cmd_check(args) -> int:
     h = catalog.resolve(args.algebra, validate=False)
-    report = h.validate(full=True if args.full_axioms else None)
+    report = h.validate()
     doc = report.to_json()
     _emit(doc, args.format)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_invariants(args) -> int:
-    h = _load(args.algebra, args.full_axioms)
-    a = repcat.adjoint_module(h)
+    h = _load(args.algebra)
     commutative, _ = h.is_commutative()
     doc = {
         "report_version": 1,
@@ -81,15 +80,13 @@ def cmd_invariants(args) -> int:
     }
     if h.r_matrix is not None:
         doc["factorizable"] = h.is_factorizable()[0]
-        central = repcat.muger_central(a)
+        central = repcat.torelli_criterion(h)
         doc["end_muger_central"] = central
         doc["torelli_annihilated_predicted"] = central
     if h.ribbon is not None:
         doc["ribbon_order"] = h.ribbon_order(cap=args.cap).to_json()
         if h.r_matrix is not None:  # the double braiding needs R
-            twist_triv = repcat.twist(a).is_identity()
-            braid_triv = repcat.monodromy(a, a).is_identity()
-            doc["johnson_annihilated_predicted"] = twist_triv and braid_triv
+            doc["johnson_annihilated_predicted"] = all(repcat.johnson_criterion(h))
     elif "ribbon_search" in h.flags:
         doc["ribbon_order"] = None
         doc["ribbon_note"] = h.flags["ribbon_search"]
@@ -98,7 +95,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    h = _load(args.algebra, args.full_axioms)
+    h = _load(args.algebra)
     model = blk.DIRECT if args.model == "direct" else blk.RELATIVE_CENTER
     space = blk.block_space(h, args.genus, model, genus_cap=args.genus_cap)
     doc = {
@@ -124,7 +121,7 @@ def _curve_ints(params: str, count: int) -> list[int] | None:
 
 
 def cmd_dehn(args) -> int:
-    h = _load(args.algebra, args.full_axioms)
+    h = _load(args.algebra)
     curve = args.curve
     kind, _, params = curve.partition(":")
     if kind == "nonsep" and (handle := _curve_ints(params, 1)):
@@ -157,7 +154,7 @@ def cmd_theorems(args) -> int:
     if args.max_genus < 1 or args.window < 0:
         _error("BAD_ARGUMENT", "--max-genus must be at least 1 and --window at least 0")
         return EXIT_USAGE
-    h = _load(args.algebra, args.full_axioms)
+    h = _load(args.algebra)
     report = harness.run_all(
         h, max_genus=args.max_genus, window=args.window, cap=args.cap, genus_cap=args.genus_cap
     )
@@ -193,8 +190,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--format", choices=["json", "table"], default=dft("table"))
-    parser.add_argument("--full-axioms", action="store_true", default=dft(False),
-                        help="force full axiom checking")
     parser.add_argument("--cap", type=int, default=dft(None),
                         help="iteration cap for order searches")
     parser.add_argument("--genus-cap", type=int, default=dft(None),

@@ -23,10 +23,10 @@ from .hopf import HopfData
 from .linalg import Matrix, OrderVerdict, inverse, operator_order
 from .repcat import (
     adjoint_module,
-    monodromy,
-    muger_central,
+    johnson_criterion,
     regular_module,
     tensor_power,
+    torelli_criterion,
     trivial_module,
     twist,
 )
@@ -269,9 +269,7 @@ def verify_johnson(h: HopfData, cap: int | None = None, genus_cap: int | None = 
         sep = separating_twist_op(h, 1, 1, cap=cap, genus_cap=genus_cap)
     except GenusCapExceeded as exc:
         return _timed(_skipped(name, statement, exc), t0)
-    a = adjoint_module(h)
-    twist_trivial = twist(a).is_identity()
-    braid_trivial = monodromy(a, a).is_identity()
+    twist_trivial, braid_trivial = johnson_criterion(h)
     predicted = twist_trivial and braid_trivial
     sep_trivial = sep.matrix.is_identity()
     ok = sep_trivial == predicted
@@ -296,13 +294,13 @@ def verify_torelli(h: HopfData) -> Check:
     statement = "the end is in the Mueger center iff the algebra is commutative"
     if h.r_matrix is None:
         raise PreconditionError("RMatrixRequired", h.name, name, statement)
-    a = adjoint_module(h)
-    central = muger_central(a)
+    central = torelli_criterion(h)
     commutative, witness = h.is_commutative()
     ok = central == commutative
     detail = ""
     if commutative and ok:
         F = h.field
+        a = adjoint_module(h)
         iso_trivial = all(
             a.act(i).scalar_value() is not None
             and F.eq(a.act(i).scalar_value(), h.counit[i])

@@ -2,7 +2,7 @@
 
 ``HopfData`` stores the basis-indexed tensors (multiplication, unit,
 comultiplication, counit, antipode, optional R-matrix, optional ribbon
-element) over an exact field, and provides full axiom verification,
+element) over an exact field, and provides complete axiom verification,
 structural predicates, and the Drinfeld double construction.
 
 An element of H is sparse everywhere: a dict from basis index to nonzero
@@ -12,7 +12,9 @@ and so do the rows of ``mult``.  Tensors in H x H are dicts keyed by index
 pairs.  The counit is the one dense vector: a functional, indexed by basis.
 ``validate`` checks every axiom as an identity between sparse combinations
 of ``mult``, ``comult``, ``counit``, ``unit`` and the antipode columns
-S(e_j), which the algebra keeps once (``antipode_columns``).
+S(e_j), which the algebra keeps once (``antipode_columns``).  The counit,
+the antipode and the coproduct act on one leg of a tensor through one
+routine, ``apply_leg``.
 
 Conventions (fixed once, used everywhere):
 
@@ -82,18 +84,17 @@ class AxiomCheck:
 
 class StructureReport:
     __slots__ = ("algebra", "checks", "is_commutative", "commutative_witness", "is_unimodular",
-                 "is_factorizable", "mode")
+                 "is_factorizable")
 
     def __init__(self, algebra: str, checks: list[AxiomCheck] | None = None, is_commutative: bool | None = None,
                  commutative_witness: str | None = None, is_unimodular: bool | None = None,
-                 is_factorizable: bool | None = None, mode: str = "full"):
+                 is_factorizable: bool | None = None):
         self.algebra = algebra
         self.checks = [] if checks is None else checks
         self.is_commutative = is_commutative
         self.commutative_witness = commutative_witness
         self.is_unimodular = is_unimodular
         self.is_factorizable = is_factorizable
-        self.mode = mode
 
     @property
     def passed(self) -> bool:
@@ -106,16 +107,12 @@ class StructureReport:
         return {
             "algebra": self.algebra,
             "passed": self.passed,
-            "mode": self.mode,
             "checks": [c.to_json() for c in self.checks],
             "is_commutative": self.is_commutative,
             "commutative_witness": self.commutative_witness,
             "is_unimodular": self.is_unimodular,
             "is_factorizable": self.is_factorizable,
         }
-
-
-FULL_AXIOM_DIM_LIMIT = 30
 
 
 class HopfData:
@@ -204,14 +201,7 @@ class HopfData:
 
     def comult_of(self, x: dict) -> dict:
         """Delta(x) for a sparse element, as a sparse tensor keyed by index pairs."""
-        F = self.field
-        add, mul = F.add, F.mul
-        out: dict = {}
-        for i, xv in x.items():
-            for jk, c in self.comult[i].items():
-                p = mul(xv, c)
-                out[jk] = add(out[jk], p) if jk in out else p
-        return {k: v for k, v in out.items() if not F.is_zero(v)}
+        return _times_matrix(self.field, x, self.comult)
 
     def antipode_columns(self) -> list[dict]:
         """S(e_j) for every j: the rows of the antipode's transpose, kept on
@@ -257,18 +247,36 @@ class HopfData:
     def t2_unit(self) -> dict:
         return self.t2_pure(self.unit, self.unit)
 
-    def t2_apply_leg(self, t: dict, leg: int, matrix: Matrix) -> dict:
-        """Apply a linear map to one tensor leg (0 or 1)."""
+    def apply_leg(self, t: dict, leg: int, images: list[dict]) -> dict:
+        """(id x ... x f x ... x id)(t): the linear map f: e_i -> images[i]
+        on one leg of a sparse tensor keyed by index tuples.
+
+        Each images[i] is sparse and keyed by the tuple that replaces the
+        leg's index: () for a scalar (the counit), (k,) for an element (the
+        antipode), (p, q) for a tensor (the coproduct, ``comult`` itself).
+        """
         F = self.field
         add, mul = F.add, F.mul
-        cols = matrix.transpose().rows  # cols[src] = {k: matrix[k][src]}
         out: dict = {}
-        for (i, j), c in t.items():
-            for k, m in cols[i if leg == 0 else j].items():
-                key = (k, j) if leg == 0 else (i, k)
+        for key, c in t.items():
+            head, tail = key[:leg], key[leg + 1:]
+            for img, m in images[key[leg]].items():
+                k = head + img + tail
                 p = mul(c, m)
-                out[key] = add(out[key], p) if key in out else p
+                out[k] = add(out[k], p) if k in out else p
         return {k: v for k, v in out.items() if not F.is_zero(v)}
+
+    def leg_images(self) -> tuple[list[dict], list[dict]]:
+        """The counit and the antipode as ``apply_leg`` images."""
+        F = self.field
+        eps = [{(): c} if not F.is_zero(c) else {} for c in self.counit]
+        s = [{(k,): c for k, c in col.items()} for col in self.antipode_columns()]
+        return eps, s
+
+    def t2_multiply(self, t: dict) -> dict:
+        """m(t) in H for a sparse tensor t of H x H."""
+        mult = self.mult
+        return _times_matrix(self.field, t, {(i, j): mult[i][j] for i, j in t})
 
     def monodromy_element(self) -> dict:
         """R21 * R, the double-braiding element of H x H."""
@@ -408,16 +416,19 @@ class HopfData:
 
     # -- validation --------------------------------------------------------------
 
-    def validate(self, full: bool | None = None) -> StructureReport:
+    def validate(self) -> StructureReport:
         """Check every axiom on the structure constants; nothing is sampled.
 
-        Linear axioms are checked on every basis element, associativity on
-        every triple (e_i, e_j, e_k) and the bialgebra axiom on every pair
-        (e_i, e_j).  In generator mode (``full=False``, the default for an
-        algebra of dim at least ``FULL_AXIOM_DIM_LIMIT`` with generators) e_i
-        runs over the generators.  Declared generators must span the
-        algebra in either mode, since every constraint system is built on
-        them (``generating_indices``).
+        Linear axioms are checked on every basis element.  Associativity is
+        checked on the triples (e_i, e_j, e_k) and the bialgebra axiom on the
+        pairs (e_i, e_j) with e_i a generator (``generating_indices``: every
+        basis element when the algebra declares none).  That is complete
+        once ``generators-span`` holds: the a with (ax)y = a(xy) for all x, y
+        include 1 and, with a, every g a for a generator g, as
+        ((ga)x)y = g((ax)y) = g(a(xy)) = (ga)(xy); so they span the algebra.
+        With associativity, the same closure makes Delta and eps
+        multiplicative.  Every constraint system is built on the same
+        generators.
 
         Associativity is checked one structure-constant row at a time: for
         each (i, j), both sides of (e_i e_j) e_k = e_i (e_j e_k) are built for
@@ -427,9 +438,7 @@ class HopfData:
         """
         F = self.field
         add, mul = F.add, F.mul
-        if full is None:
-            full = self.dim < FULL_AXIOM_DIM_LIMIT or self.generators is None
-        report = StructureReport(algebra=self.name, mode="full" if full else "generators")
+        report = StructureReport(algebra=self.name)
         checks = report.checks
 
         def record(name, passed, witness=None):
@@ -463,8 +472,7 @@ class HopfData:
         row_of = [[(k * n + t, c) for k, mk in enumerate(mult[m]) for t, c in mk.items()]
                   for m in range(n)]
         bad = None
-        first = range(self.dim) if full else gens
-        for i in first:
+        for i in gens:
             mult_i = mult[i]
             for j in range(n):
                 lhs: dict = {}
@@ -491,31 +499,20 @@ class HopfData:
         record("associativity", bad is None, bad and f"({bad[0]}, {bad[1]}, {bad[2]})")
 
         # coassociativity and counitality (linear: all basis elements)
+        comult, leg = self.comult, self.apply_leg
+        eps_img, s_img = self.leg_images()
         bad = None
         for i in range(self.dim):
-            left: dict = {}
-            right: dict = {}
-            for (j, k), c in self.comult[i].items():
-                for (p, q), d in self.comult[j].items():
-                    key, v = (p, q, k), mul(c, d)
-                    left[key] = add(left[key], v) if key in left else v
-                for (p, q), d in self.comult[k].items():
-                    key, v = (j, p, q), mul(c, d)
-                    right[key] = add(right[key], v) if key in right else v
-            if not self.sparse_eq(left, right):
+            if not self.sparse_eq(leg(comult[i], 0, comult), leg(comult[i], 1, comult)):
                 bad = labels[i]
                 break
         record("coassociativity", bad is None, bad and f"Delta fails on {bad}")
 
         bad = None
         for i in range(self.dim):
-            left, right = {}, {}
-            for (j, k), c in self.comult[i].items():
-                v = mul(c, self.counit[j])
-                left[k] = add(left[k], v) if k in left else v
-                v = mul(c, self.counit[k])
-                right[j] = add(right[j], v) if j in right else v
-            if not (self.sparse_eq(left, e[i]) and self.sparse_eq(right, e[i])):
+            ei = {(i,): F.one}
+            if not (self.sparse_eq(leg(comult[i], 0, eps_img), ei)
+                    and self.sparse_eq(leg(comult[i], 1, eps_img), ei)):
                 bad = labels[i]
                 break
         record("counitality", bad is None, bad and f"counit fails on {bad}")
@@ -527,7 +524,7 @@ class HopfData:
         if bad is None and not F.eq(self.counit_of(unit), F.one):
             bad = "1 (counit)"
         if bad is None:
-            for i in first:
+            for i in gens:
                 for j in range(self.dim):
                     prod = self.mult[i][j]
                     lhs = self.comult_of(prod)
@@ -542,26 +539,19 @@ class HopfData:
                     break
         record("bialgebra", bad is None, bad)
 
-        # antipode axioms (linear: all basis elements); s_col[j] = S(e_j)
+        # antipode axioms (linear: all basis elements): m(S x id)Delta and
+        # m(id x S)Delta are eps(e_i) 1
         bad = None
-        s_col = self.antipode_columns()
         for i in range(self.dim):
-            left, right = {}, {}
-            for (j, k), c in self.comult[i].items():
-                for t, v in self.product(s_col[j], e[k]).items():
-                    v = mul(c, v)
-                    left[t] = add(left[t], v) if t in left else v
-                for t, v in self.product(e[j], s_col[k]).items():
-                    v = mul(c, v)
-                    right[t] = add(right[t], v) if t in right else v
             target = {t: mul(self.counit[i], u) for t, u in unit.items()}
-            if not (self.sparse_eq(left, target) and self.sparse_eq(right, target)):
+            if not (self.sparse_eq(self.t2_multiply(leg(comult[i], 0, s_img)), target)
+                    and self.sparse_eq(self.t2_multiply(leg(comult[i], 1, s_img)), target)):
                 bad = labels[i]
                 break
         record("antipode", bad is None, bad and f"antipode axiom fails on {bad}")
 
         if self.r_matrix is not None:
-            self._validate_quasitriangular(record)
+            self._validate_quasitriangular(record, eps_img, s_img)
         if self.ribbon is not None:
             self._validate_ribbon(record)
 
@@ -574,24 +564,18 @@ class HopfData:
             report.is_factorizable = self.is_factorizable()[0]
         return report
 
-    def _validate_quasitriangular(self, record):
+    def _validate_quasitriangular(self, record, eps_img: list[dict], s_img: list[dict]):
         F = self.field
         add, mul = F.add, F.mul
-        r = self.r_matrix
+        r, leg = self.r_matrix, self.apply_leg
 
         # (eps x id)R = 1 = (id x eps)R
-        left, right = {}, {}
-        for (i, j), c in r.items():
-            v = mul(c, self.counit[i])
-            left[j] = add(left[j], v) if j in left else v
-            v = mul(c, self.counit[j])
-            right[i] = add(right[i], v) if i in right else v
-        unit = self.unit
-        record("r-counit", self.sparse_eq(left, unit) and self.sparse_eq(right, unit),
+        unit = {(i,): c for i, c in self.unit.items()}
+        record("r-counit", self.sparse_eq(leg(r, 0, eps_img), unit) and self.sparse_eq(leg(r, 1, eps_img), unit),
                "counit legs of R are not 1")
 
         # invertibility: (S x id)R is the two-sided inverse of R
-        sr = self.t2_apply_leg(r, 0, self.antipode)
+        sr = leg(r, 0, s_img)
         inv_ok = self.sparse_eq(self.t2_mult(r, sr), self.t2_unit()) and self.sparse_eq(
             self.t2_mult(sr, r), self.t2_unit()
         )
@@ -608,11 +592,7 @@ class HopfData:
         record("r-intertwines-coproduct", bad is None, bad and f"fails on {bad}")
 
         # hexagons: (Delta x id)R = R13 R23 and (id x Delta)R = R13 R12
-        lhs: dict = {}
-        for (i, j), c in r.items():
-            for (p, q), d in self.comult[i].items():
-                key, v = (p, q, j), mul(c, d)
-                lhs[key] = add(lhs[key], v) if key in lhs else v
+        lhs = leg(r, 0, self.comult)
         rhs: dict = {}
         for (a, b), c in r.items():
             for (a2, b2), c2 in r.items():
@@ -622,11 +602,7 @@ class HopfData:
                     rhs[key] = add(rhs[key], v) if key in rhs else v
         record("r-hexagon-left", self.sparse_eq(lhs, rhs), "(Delta x id)R != R13 R23")
 
-        lhs = {}
-        for (i, j), c in r.items():
-            for (p, q), d in self.comult[j].items():
-                key, v = (i, p, q), mul(c, d)
-                lhs[key] = add(lhs[key], v) if key in lhs else v
+        lhs = leg(r, 1, self.comult)
         rhs = {}
         for (a, b), c in r.items():  # R13
             for (a2, b2), c2 in r.items():  # R12
@@ -637,7 +613,7 @@ class HopfData:
         record("r-hexagon-right", self.sparse_eq(lhs, rhs), "(id x Delta)R != R13 R12")
 
         # consequence: (S x S)R = R
-        ssr = self.t2_apply_leg(self.t2_apply_leg(r, 0, self.antipode), 1, self.antipode)
+        ssr = leg(sr, 1, s_img)
         record("r-antipode-consequence", self.sparse_eq(ssr, r), "(S x S)R != R")
 
     def _validate_ribbon(self, record):
@@ -686,15 +662,8 @@ class HopfData:
         """u = sum S(b_i) a_i for R = sum a_i x b_i."""
         if self.r_matrix is None:
             raise MissingRMatrix(self.name)
-        F = self.field
-        add, mul = F.add, F.mul
-        s_col = self.antipode_columns()
-        out: dict = {}
-        for (i, j), c in self.r_matrix.items():
-            for t, x in self.product(s_col[j], {i: F.one}).items():
-                p = mul(c, x)
-                out[t] = add(out[t], p) if t in out else p
-        return self.element(out)
+        s_img = self.leg_images()[1]
+        return self.element(self.t2_multiply(self.apply_leg(self.t2_flip(self.r_matrix), 0, s_img)))
 
     def is_grouplike(self, x: dict) -> bool:
         F = self.field
@@ -738,18 +707,7 @@ def drinfeld_double(h: HopfData) -> HopfData:
     labels = [f"{h.basis_labels[a]}^*.{h.basis_labels[b]}" for a in range(n) for b in range(n)]
 
     # Delta^2(e_b) as (p, q, r) -> coeff, using (Delta x id)Delta
-    d2: list[dict] = []
-    for b in range(n):
-        acc: dict = {}
-        for (x, r), c in h.comult[b].items():
-            for (p, q), d in h.comult[x].items():
-                key = (p, q, r)
-                s = F.add(acc.get(key, F.zero), F.mul(c, d))
-                if F.is_zero(s):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        d2.append(acc)
+    d2 = [h.apply_leg(h.comult[b], 0, h.comult) for b in range(n)]
 
     # reverse index of the coproduct: (a, t) -> {s: coeff}, i.e. e^a * e^t in H*
     dual_mult: dict = {}

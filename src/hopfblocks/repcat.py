@@ -1,6 +1,7 @@
 """The module category of a Hopf algebra: module constructions, intertwiner
 spaces, the double braiding and the twist from the quasitriangular/ribbon
-data, and Mueger centrality.
+data, Mueger centrality, and the paper's Johnson-kernel and Torelli criteria
+on the end.
 
 Intertwiner spaces are solved one way only: as the stacked kernel of the
 intertwining constraints over the algebra's generating set, on the
@@ -261,3 +262,17 @@ def muger_central(m: Module) -> bool:
     """Trivial double braiding with the regular module (a projective generator)."""
     h = m.algebra
     return monodromy(m, regular_module(h)).is_identity()
+
+
+def johnson_criterion(h: HopfData) -> tuple[bool, bool]:
+    """The two sides of the paper's Johnson-kernel criterion: whether the
+    end's twist and the end's self double braiding are trivial.  Separating
+    twists act trivially iff both are."""
+    a = adjoint_module(h)
+    return twist(a).is_identity(), monodromy(a, a).is_identity()
+
+
+def torelli_criterion(h: HopfData) -> bool:
+    """The paper's Torelli criterion: whether the end is transparent (in the
+    Mueger center)."""
+    return muger_central(adjoint_module(h))

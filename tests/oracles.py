@@ -391,6 +391,58 @@ def double_generators_with_dual_units(h) -> list[int]:
     return sorted(gens)
 
 
+def full_basis_associativity_witness(h) -> str | None:
+    """The first triple (e_i, e_j, e_k) with (e_i e_j) e_k != e_i (e_j e_k),
+    as labels, with e_i over the whole basis; None when there is none.
+
+    The reference for ``HopfData.validate``, which lets e_i run over the
+    generators: the same row loop, once run for every e_i.
+    """
+    F, n, mult, labels = h.field, h.dim, h.mult, h.basis_labels
+    add, mul = F.add, F.mul
+    row_of = [[(k * n + t, c) for k, mk in enumerate(mult[m]) for t, c in mk.items()] for m in range(n)]
+    for i in range(n):
+        mult_i = mult[i]
+        for j in range(n):
+            lhs: dict = {}
+            for m, a in mult_i[j].items():
+                for key, b in row_of[m]:
+                    p = mul(a, b)
+                    lhs[key] = add(lhs[key], p) if key in lhs else p
+            rhs: dict = {}
+            for k, jk in enumerate(mult[j]):
+                for m, a in jk.items():
+                    for t, b in mult_i[m].items():
+                        key, p = k * n + t, mul(a, b)
+                        rhs[key] = add(rhs[key], p) if key in rhs else p
+            bad = [key for key in lhs.keys() | rhs.keys()
+                   if not F.eq(lhs.get(key, F.zero), rhs.get(key, F.zero))]
+            if bad:
+                return f"({labels[i]}, {labels[j]}, {labels[min(bad) // n]})"
+    return None
+
+
+def full_basis_bialgebra_witness(h) -> str | None:
+    """The first failure of Delta(1) = 1 x 1, eps(1) = 1, or of
+    Delta(e_i e_j) = Delta(e_i) Delta(e_j) and eps(e_i e_j) = eps(e_i) eps(e_j)
+    with e_i over the whole basis, in the witness format of ``validate``;
+    None when there is none.  The reference for the generator loop of
+    ``HopfData.validate``."""
+    F, labels = h.field, h.basis_labels
+    if not h.sparse_eq(h.comult_of(h.unit), h.t2_unit()):
+        return "1"
+    if not F.eq(h.counit_of(h.unit), F.one):
+        return "1 (counit)"
+    for i in range(h.dim):
+        for j in range(h.dim):
+            prod = h.mult[i][j]
+            if not h.sparse_eq(h.comult_of(prod), h.t2_mult(h.comult[i], h.comult[j])):
+                return f"Delta({labels[i]}*{labels[j]})"
+            if not F.eq(h.counit_of(prod), F.mul(h.counit[i], h.counit[j])):
+                return f"eps({labels[i]}*{labels[j]})"
+    return None
+
+
 def direct_block_by_transpose(h, genus: int):
     """The kernel basis of the genus-g direct block, from the transpose of
     each generator's action on the tensor power of the adjoint module.

@@ -185,9 +185,8 @@ def test_c09_property_suites():
             d1 = repcat.hom_space(triv, a).dim
             d2 = repcat.hom_space(triv, repcat.tensor_power(a, 2)).dim
             assert d2 >= d1 * d1  # invariant-dimension inequality
-        q = repcat.monodromy(repcat.adjoint_module(catalog.get("double:Z3")),
-                             repcat.regular_module(catalog.get("double:Z3")))
         h3 = catalog.get("double:Z3")
+        q = repcat.monodromy(repcat.adjoint_module(h3), repcat.regular_module(h3))
         mn = repcat.tensor_module(repcat.adjoint_module(h3), repcat.regular_module(h3))
         for g in h3.generating_indices():
             assert q.mul(mn.act(g)) == mn.act(g).mul(q)  # monodromy intertwines

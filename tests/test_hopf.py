@@ -15,6 +15,8 @@ from hopfblocks.hopf import (
 from oracles import (
     double_generators_with_dual_units,
     element_multiplicative_order,
+    full_basis_associativity_witness,
+    full_basis_bialgebra_witness,
     jacobson_radical_dim,
     two_sided_span_closure_dim,
 )
@@ -52,16 +54,6 @@ def test_broken_antipode_fails_with_witness():
     failed = {c.name: c for c in report.failures()}
     assert "antipode" in failed
     assert failed["antipode"].witness
-
-
-def _fresh(name):
-    # not catalog.get: that is cached and shared, and these tests corrupt it
-    s3 = catalog.symmetric_group_3()
-    return {
-        "double:S3": lambda: catalog.double_of_group(s3),
-        "group:S3": lambda: catalog.group_algebra(s3),
-        "double:sweedler": catalog.sweedler_double,
-    }[name]()
 
 
 def _double_one_constant(h, part):
@@ -145,13 +137,20 @@ BROKEN_CONSTANTS = {
 
 @pytest.mark.parametrize("name, part", sorted(BROKEN_CONSTANTS))
 def test_broken_structure_constant_fails_with_witness(name, part):
-    h = _fresh(name)
+    h = catalog.get(name)  # a fresh construction, which the test corrupts
     assert h.validate().passed
     _double_one_constant(h, part)
     report = h.validate()
-    # D(S3) (dim 36) is checked on its generators, the others on every basis triple
-    assert report.mode == ("generators" if name == "double:S3" else "full")
     assert [(c.name, c.witness) for c in report.failures()] == BROKEN_CONSTANTS[name, part]
+    # associativity runs with e_i over the generators only
+    assert _witness_starts_with_generator(h, report)
+
+
+def _witness_starts_with_generator(h, report):
+    """Whether an associativity witness, if any, names a generator first."""
+    gen_labels = {h.basis_labels[g] for g in h.generating_indices()}
+    witness = next((c.witness for c in report.failures() if c.name == "associativity"), None)
+    return witness is None or any(witness.startswith(f"({g}, ") for g in gen_labels)
 
 
 def _associative_at(h, i, j, k):
@@ -159,9 +158,9 @@ def _associative_at(h, i, j, k):
     return h.sparse_eq(h.product(h.mult[i][j], {k: one}), h.product({i: one}, h.mult[j][k]))
 
 
-def first_nonassociative_triple(h, full):
+def first_nonassociative_triple(h):
     """Oracle: the per-triple associativity loop, in the order of ``validate``."""
-    for i in range(h.dim) if full else h.generating_indices():
+    for i in h.generating_indices():
         for j in range(h.dim):
             for k in range(h.dim):
                 if not _associative_at(h, i, j, k):
@@ -169,8 +168,8 @@ def first_nonassociative_triple(h, full):
     return None
 
 
-def _associativity_witness(h, full):
-    check = next(c for c in h.validate(full=full).checks if c.name == "associativity")
+def _associativity_witness(h):
+    check = next(c for c in h.validate().checks if c.name == "associativity")
     return check.witness
 
 
@@ -191,23 +190,21 @@ def test_associativity_witness_is_first_failing_triple(F):
         h.mult[i][j][k] = F.add(h.mult[i][j].get(k, F.zero), F.from_int(rng.choice([1, 2, -1])))
         if F.is_zero(h.mult[i][j][k]):
             del h.mult[i][j][k]
-        for full in (True, False):
-            triple = first_nonassociative_triple(h, full)
-            failed += triple is not None
-            assert _associativity_witness(h, full) == _expected_witness(h, triple)
+        triple = first_nonassociative_triple(h)
+        failed += triple is not None
+        assert _associativity_witness(h) == _expected_witness(h, triple)
     assert failed >= 12  # most corruptions break associativity
 
 
 def test_associativity_witness_is_least_failing_k():
     # doubling (12)*(12) = e breaks (e_i e_j) e_k = e_i (e_j e_k) first at
     # i = j = (12), where k = e and k = (12) still hold and every later k fails
-    h = _fresh("group:S3")
+    h = catalog.get("group:S3")
     h.mult[1][1] = {0: QQ.from_int(2)}
-    i, j, k = first_nonassociative_triple(h, True)
+    i, j, k = first_nonassociative_triple(h)
     failing = [x for x in range(h.dim) if not _associative_at(h, i, j, x)]
     assert (i, j) == (1, 1) and len(failing) > 1 and failing[0] == k > 0
-    for full in (True, False):
-        assert _associativity_witness(h, full) == "((12), (12), (13))"
+    assert _associativity_witness(h) == "((12), (12), (13))"
 
 
 def test_sweedler_axioms_pass():
@@ -215,14 +212,45 @@ def test_sweedler_axioms_pass():
     assert report.passed
 
 
-def test_validation_modes_agree_on_catalog():
-    for name in ALL_CATALOG:
-        h = catalog.get(name)
-        if h.generators is None:
-            continue
-        full = h.validate(full=True)
-        gens = h.validate(full=False)
-        assert full.passed == gens.passed
+def _corruption_cases(F):
+    s3 = catalog.symmetric_group_3()
+    return {
+        "k[S3]": catalog.group_algebra(s3, F),
+        "D(Z2)": catalog.double_of_group(catalog.cyclic_group(2), F),
+        "D(Z3)": catalog.double_of_group(catalog.cyclic_group(3), F),
+        "H4": catalog.sweedler(F),
+        "D(H4)": catalog.sweedler_double(F),
+    }
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7), CyclotomicField(3)], ids=["Q", "F7", "Qzeta3"])
+def test_generator_validation_agrees_with_full_basis_reference(F):
+    # validate runs associativity and the bialgebra axiom with e_i over the
+    # generators; after single-entry corruptions of mult or comult it must
+    # fail exactly when the full-basis loops (or any other check) find a failure
+    rng = random.Random(41)
+    verdicts, left_to_loops = [], 0
+    for name, pristine in _corruption_cases(F).items():
+        assert pristine.validate().passed, name
+        for _ in range(12):
+            h = copy.deepcopy(pristine, {id(F): F})
+            h._cache.clear()
+            i, j, k = (rng.randrange(h.dim) for _ in range(3))
+            table, key = rng.choice([(h.mult[i][j], k), (h.comult[i], (j, k))])
+            table[key] = F.add(table.get(key, F.zero), F.from_int(rng.choice([1, 2, -1])))
+            if F.is_zero(table[key]):
+                del table[key]
+            report = h.validate()
+            reference = {c.name for c in report.failures()} - {"associativity", "bialgebra"}
+            left_to_loops += not reference
+            if full_basis_associativity_witness(h):
+                reference.add("associativity")
+            if full_basis_bialgebra_witness(h):
+                reference.add("bialgebra")
+            assert report.passed == (not reference), (name, i, j, k)
+            verdicts.append(report.passed)
+    assert verdicts.count(False) >= 50  # nearly every corruption is caught
+    assert left_to_loops >= 5  # and some only by the generator loops
 
 
 # -- integrals and unimodularity ---------------------------------------------
@@ -430,7 +458,7 @@ def _generator_outputs(h):
     return {
         "blocks": blocks,
         "theorems": [(c.name, c.status, c.lhs, c.rhs) for c in harness.run_all(h).checks],
-        "validate": (report.mode, [(c.name, c.passed) for c in report.checks]),
+        "validate": [(c.name, c.passed, c.witness) for c in report.checks],
         "integrals": h.integrals(),
     }
 
@@ -470,7 +498,7 @@ def test_generator_mode_catches_single_entry_corruption():
         if F.is_zero(table[key]):
             del table[key]
         report = h.validate()
-        assert report.mode == "generators"
+        assert _witness_starts_with_generator(h, report)
         failed = {c.name for c in report.failures()}
         assert failed, (part, i, j, k)
         # associativity on the generators reaches every row of mult
