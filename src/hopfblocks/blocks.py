@@ -23,9 +23,17 @@ The separating twist that splits g = g' + g'' acts on the genus-g direct
 block by precomposition with I x theta on A^(g') x A^(g''): the block is
 Hom(A^(g') x A^(g''), k) = Hom(A^(g'), (A^(g''))*), and for factorizable H
 the Drinfeld map identifies A* with A, so this is postcomposition with the
-twist on Hom(A^(g'), A^(g'')), up to conjugation.  The bounding pair acts
-on Hom(H x A, H) = Hom_k(A, H) (free-module coordinates f -> f(1 x -)),
-where it is one Kronecker sum over Delta(v^-1); no hom space is solved.
+twist on Hom(A^(g'), A^(g'')), up to conjugation.  Both direct-model twists
+are one slot embedding I x X x I on A^(g), built without identity factors
+of size 1.
+
+Every twist operator takes one path, ``_twist_op``: its ambient operator is
+restricted to the block, certified, cached on the algebra and returned as
+one record, ``MCGOperator``.  A separating twist's record also carries
+``end_orders``, the certificates of the twists on its two end powers.
+The bounding pair acts on Hom(H x A, H) = Hom_k(A, H)
+(free-module coordinates f -> f(1 x -)), where it is one Kronecker sum over
+Delta(v^-1); no hom space is solved.
 
 A block's basis is the sparse ``KernelBasis`` of its invariance constraints.
 The kernel is handed only their nonzero rows: a zero row adds nothing to the
@@ -253,18 +261,19 @@ def restrict_operator(block: BlockSpace, ambient_op: Matrix) -> Matrix:
 
 
 def end_twist(h: HopfData) -> Matrix:
-    """Left multiplication by the ribbon element on the canonical end.
+    """Left multiplication by the ribbon element on the canonical end: the
+    twist of the regular module, the one matrix of L_v.
 
     This is the twist that a meridian Dehn twist induces on the end variable;
     centrality of the ribbon element makes it an intertwiner of the adjoint
-    action (post-checked once per algebra, which then keeps the matrix), and
-    it satisfies rho_M(v * x) = twist(M) rho_M(x) for every module M,
-    matching the end projections.
+    action (post-checked once per algebra), and it satisfies
+    rho_M(v * x) = twist(M) rho_M(x) for every module M, matching the end
+    projections.
     """
     if h.ribbon is None:
         raise MissingRibbon(h.name)
     if "end_twist" not in h._cache:
-        lv = h.left_mult_of(h.ribbon)
+        lv = twist(regular_module(h))
         ad = adjoint_module(h)
         if not is_intertwiner(lv, ad, ad):
             raise BlocksError("end twist failed the adjoint intertwiner post-check")
@@ -273,44 +282,68 @@ def end_twist(h: HopfData) -> Matrix:
 
 
 class MCGOperator:
-    __slots__ = ("kind", "block", "matrix", "certificate")
+    """A twist operator restricted to a block, with its order certificate.
 
-    def __init__(self, kind: str, block: BlockSpace, matrix: Matrix, certificate: OrderCertificate):
+    ``end_orders`` is None for a meridian twist, and for a separating twist
+    the pair of certificates of the twists on the two end powers.
+    """
+
+    __slots__ = ("kind", "block", "matrix", "certificate", "end_orders")
+
+    def __init__(self, kind: str, block: BlockSpace, matrix: Matrix, certificate: OrderCertificate,
+                 end_orders: tuple[OrderCertificate, OrderCertificate] | None = None):
         self.kind = kind
         self.block = block
         self.matrix = matrix
         self.certificate = certificate
+        self.end_orders = end_orders
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "genus": self.block.genus,
-            "model": self.block.model,
-            "block_dim": self.block.dim,
-            "certificate": self.certificate.to_json(),
-        }
+        cert = self.certificate.to_json()
+        if self.end_orders is None:
+            return {"kind": self.kind, "genus": self.block.genus, "model": self.block.model,
+                    "block_dim": self.block.dim, "certificate": cert}
+        left, right = self.end_orders
+        return {"kind": self.kind, "block_dim": self.block.dim, "certificate": cert,
+                "twist_order_left_part": left.to_json(), "twist_order_right_part": right.to_json()}
+
+
+def _twist_op(block: BlockSpace, key: tuple, kind: str, ambient_op, cap: int | None,
+              end_orders=None) -> MCGOperator:
+    """The twist ``kind`` on a block: ambient_op() restricted to the block and
+    certified, with end_orders() the end-power certificates of a separating
+    twist.  Built once and cached on the algebra under key."""
+    cache = block.algebra._cache
+    if key not in cache:
+        mat = restrict_operator(block, ambient_op())
+        cache[key] = MCGOperator(kind, block, mat, operator_order(mat, cap=cap),
+                                 None if end_orders is None else end_orders())
+    return cache[key]
+
+
+def _slot_op(h: HopfData, x: Matrix, before: int, after: int) -> Matrix:
+    """I x X x I on A^(before) x B x A^(after), with no identity factor of
+    size 1 (an empty side is left out)."""
+    F = h.field
+    if after:
+        x = tensor_product(x, Matrix.identity(F, h.dim ** after))
+    if before:
+        x = tensor_product(Matrix.identity(F, h.dim ** before), x)
+    return x
 
 
 def nonseparating_twist_op(block: BlockSpace, handle: int, cap: int | None = None) -> MCGOperator:
     """Twist about the meridian of the given handle (1-based) on a direct-model
-    block; cached on the algebra per (genus, handle, cap)."""
-    h = block.algebra
+    block: the end twist in that slot; cached on the algebra per
+    (genus, handle, cap)."""
     g = block.genus
     if block.model != DIRECT:
         raise BlocksError("nonseparating_twist_op expects a direct-model block")
     if not (1 <= handle <= g):
         raise HandleOutOfRange(f"handle {handle} not in 1..{g}")
-    key = ("nonseparating", g, handle, cap)
-    if key not in h._cache:
-        lv = end_twist(h)
-        F = h.field
-        op = None
-        for i in range(1, g + 1):
-            piece = lv if i == handle else Matrix.identity(F, h.dim)
-            op = piece if op is None else tensor_product(op, piece)
-        mat = restrict_operator(block, op)
-        h._cache[key] = MCGOperator(f"nonseparating(handle={handle})", block, mat, operator_order(mat, cap=cap))
-    return h._cache[key]
+    h = block.algebra
+    return _twist_op(block, ("nonseparating", g, handle, cap), f"nonseparating(handle={handle})",
+                     lambda: _slot_op(h, end_twist(h), handle - 1, g - handle), cap)
 
 
 def center_twist_op(block: BlockSpace, cap: int | None = None) -> MCGOperator:
@@ -324,44 +357,12 @@ def center_twist_op(block: BlockSpace, cap: int | None = None) -> MCGOperator:
         raise BlocksError("center_twist_op expects a relative-center block")
     if h.ribbon is None:
         raise MissingRibbon(h.name)
-    key = ("center_twist", block.genus, cap)
-    if key not in h._cache:
-        mat = restrict_operator(block, block.ambient.act_element(h.ribbon))
-        h._cache[key] = MCGOperator("nonseparating(center-model)", block, mat, operator_order(mat, cap=cap))
-    return h._cache[key]
-
-
-class SeparatingTwist:
-    __slots__ = ("genus_left", "genus_right", "block", "matrix", "certificate", "twist_left_order",
-                 "twist_right_order")
-
-    def __init__(self, genus_left: int, genus_right: int, block: BlockSpace, matrix: Matrix,
-                 certificate: OrderCertificate, twist_left_order: OrderCertificate,
-                 twist_right_order: OrderCertificate):
-        self.genus_left = genus_left
-        self.genus_right = genus_right
-        self.block = block
-        self.matrix = matrix
-        self.certificate = certificate
-        self.twist_left_order = twist_left_order
-        self.twist_right_order = twist_right_order
-
-    @property
-    def dim(self) -> int:
-        return self.block.dim
-
-    def to_json(self):
-        return {
-            "kind": f"separating({self.genus_left},{self.genus_right})",
-            "block_dim": self.dim,
-            "certificate": self.certificate.to_json(),
-            "twist_order_left_part": self.twist_left_order.to_json(),
-            "twist_order_right_part": self.twist_right_order.to_json(),
-        }
+    return _twist_op(block, ("center_twist", block.genus, cap), "nonseparating(center-model)",
+                     lambda: block.ambient.act_element(h.ribbon), cap)
 
 
 def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
-                        cap: int | None = None, genus_cap: int | None = None) -> SeparatingTwist:
+                        cap: int | None = None, genus_cap: int | None = None) -> MCGOperator:
     """Twist about the standard separating meridian splitting handles
     {1..g'} from {g'+1..g}, g = g' + g''.
 
@@ -374,33 +375,28 @@ def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
     ``block_space``, made first), ``MissingRibbon`` without a ribbon
     element, and ``BlocksError`` when the algebra is not factorizable.
 
-    The result is cached on the algebra.
+    The result is cached on the algebra; its ``end_orders`` certify the
+    twists on A^(g') and A^(g'').
     """
     genus = genus_left + genus_right
     _check_genus_cap(h, genus, genus_cap)
-    key = ("separating", genus_left, genus_right, cap)
-    if key in h._cache:
-        return h._cache[key]
     if genus_left < 1 or genus_right < 1:
         raise BlocksError("separating split requires both genera >= 1")
-    a = adjoint_module(h)
-    left = tensor_power(a, genus_left)
-    right = tensor_power(a, genus_right)
     if h.ribbon is None:
         raise MissingRibbon(h.name)
     if h.r_matrix is None or not h.is_factorizable()[0]:
         raise BlocksError(f"{h.name} is not factorizable: separating twists need A* = A through the Drinfeld map")
-    block = block_space(h, genus, DIRECT, genus_cap=genus_cap)
-    theta_left = twist(left)
-    theta_right = twist(right)
-    mat = restrict_operator(block, tensor_product(Matrix.identity(h.field, left.dim), theta_right))
-    left_order = operator_order(theta_left, cap=cap)
-    # for g' = g'' both are the one twist kept on the power: certify it once
-    right_order = left_order if theta_right is theta_left else operator_order(theta_right, cap=cap)
-    result = SeparatingTwist(genus_left, genus_right, block, mat, operator_order(mat, cap=cap),
-                             left_order, right_order)
-    h._cache[key] = result
-    return result
+    a = adjoint_module(h)
+    left, right = tensor_power(a, genus_left), tensor_power(a, genus_right)
+
+    def end_orders():
+        left_order = operator_order(twist(left), cap=cap)
+        # for g' = g'' both are the one power and its one twist: certify it once
+        return left_order, left_order if right is left else operator_order(twist(right), cap=cap)
+
+    return _twist_op(block_space(h, genus, DIRECT, genus_cap=genus_cap),
+                     ("separating", genus_left, genus_right, cap), f"separating({genus_left},{genus_right})",
+                     lambda: _slot_op(h, twist(right), genus_left, 0), cap, end_orders)
 
 
 def bounding_pair_op(h: HopfData) -> Matrix:

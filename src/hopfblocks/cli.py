@@ -131,7 +131,7 @@ def cmd_dehn(args) -> int:
     elif kind == "sep" and (genera := _curve_ints(params, 2)):
         g1, g2 = genera
         sep = blk.separating_twist_op(h, g1, g2, cap=args.cap, genus_cap=args.genus_cap)
-        doc = {"report_version": 1, "algebra": h.name, "genus": g1 + g2, **sep.to_json()}
+        doc = {"report_version": 1, "algebra": h.name, "genus": sep.block.genus, **sep.to_json()}
     elif curve == "bpair":
         mat = blk.bounding_pair_op(h)
         cert = operator_order(mat, cap=args.cap)

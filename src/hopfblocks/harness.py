@@ -4,11 +4,18 @@ algebra.
 Every check computes both sides of the statement it verifies independently
 and records them; gated checks (hypotheses not satisfied) and skipped checks
 (resource caps) are reported explicitly, never silently passed.
+
+Each ``verify_*`` supplies its statement and a body that computes
+(lhs, rhs, ok, detail); one runner, ``_run``, owns the rest of a row: the
+gate (``PreconditionError``, turned into a gated row by ``run_all``), the
+timing, the pass/fail status, and the skipped row for ``GenusCapExceeded``,
+which is caught nowhere else.
 """
 
 from __future__ import annotations
 
 import time
+from functools import reduce
 
 from .blocks import (
     DIRECT,
@@ -112,15 +119,6 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def _timed(check: Check, t0: float) -> Check:
-    check.runtime = time.perf_counter() - t0
-    return check
-
-
-def _skipped(name: str, statement: str, exc: GenusCapExceeded) -> Check:
-    return Check(name, statement, status="skipped", detail=str(exc), reason="GenusCapExceeded")
-
-
 def require_ribbon_factorizable(h: HopfData, name: str, statement: str) -> None:
     """Gate: the twist-order theorems assume a ribbon factorizable algebra
     over a characteristic-zero field.  name and statement are the gated
@@ -134,6 +132,29 @@ def require_ribbon_factorizable(h: HopfData, name: str, statement: str) -> None:
     else:
         return
     raise PreconditionError(code, h.name, name, statement)
+
+
+def _require_r_matrix(h: HopfData, name: str, statement: str) -> None:
+    """Gate: the Torelli criterion needs an R-matrix."""
+    if h.r_matrix is None:
+        raise PreconditionError("RMatrixRequired", h.name, name, statement)
+
+
+def _run(h: HopfData, name: str, statement: str, body, gate=require_ribbon_factorizable) -> Check:
+    """One check row: gate(h, name, statement) raises ``PreconditionError``
+    when the hypotheses fail (no gate when None), body() returns
+    (lhs, rhs, ok, detail), and a ``GenusCapExceeded`` from body is a skipped
+    row.  The runtime covers the gate and the body."""
+    t0 = time.perf_counter()
+    if gate is not None:
+        gate(h, name, statement)
+    try:
+        lhs, rhs, ok, detail = body()
+        check = Check(name, statement, lhs, rhs, "pass" if ok else "fail", detail)
+    except GenusCapExceeded as exc:
+        check = Check(name, statement, status="skipped", detail=str(exc), reason="GenusCapExceeded")
+    check.runtime = time.perf_counter() - t0
+    return check
 
 
 def _verdict_eq(a: OrderVerdict, b: OrderVerdict) -> bool:
@@ -156,220 +177,153 @@ def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
     """Order of the ribbon element equals the order of the twist on a
     projective generator, and bounds the twist order of every module.
 
-    The sampled twists are certified, not kept, except on the regular and
-    adjoint modules, which keep theirs (``repcat.twist``) for later checks;
-    the twists of the trivial module and of A x A are built as rho_M(v),
+    The ribbon element's order is read off its powers in H
+    (``HopfData.ribbon_order``), the twist's off its matrix.  The sampled
+    twists are certified, not kept, except on the regular and adjoint
+    modules, which keep theirs (``repcat.twist``) for later checks; the
+    twists of the trivial module and of A x A are built as rho_M(v),
     certified and dropped.
     """
-    t0 = time.perf_counter()
-    name = "ribbon-element-order"
-    statement = ("order of the generalized ribbon element = order of the twist on the regular module, "
-                 "and the twist order of each sampled module divides it")
-    require_ribbon_factorizable(h, name, statement)
-    ribbon_cert = h.ribbon_order(cap=cap)
-    reg = regular_module(h)
-    reg_cert = operator_order(twist(reg), cap=cap)
-    a = adjoint_module(h)
-    sample = [trivial_module(h), reg, a, tensor_power(a, 2)]
-    sample_orders = [
-        reg_cert.gl_order if m is reg
-        else operator_order(twist(m) if m is a else m.act_element(h.ribbon), cap=cap).gl_order
-        for m in sample
-    ]
-    ok = _verdict_eq(ribbon_cert.gl_order, reg_cert.gl_order)
-    detail = ""
-    if ribbon_cert.gl_order.is_finite:
-        n = ribbon_cert.gl_order.n
-        for m, v in zip(sample, sample_orders):
-            if v.is_finite and n % v.n != 0:
-                ok = False
-                detail = f"|twist({m.name})| = {v.n} does not divide {n}"
-    check = Check(
-        name=name,
-        statement=statement,
-        lhs=f"twist(regular): {reg_cert.gl_order}",
-        rhs=f"ribbon element: {ribbon_cert.gl_order}",
-        status="pass" if ok else "fail",
-        detail=detail or f"sampled module orders: {[str(v) for v in sample_orders]}",
-    )
-    return _timed(check, t0)
+
+    def body():
+        ribbon_cert = h.ribbon_order(cap=cap)
+        reg = regular_module(h)
+        reg_cert = operator_order(twist(reg), cap=cap)
+        a = adjoint_module(h)
+        sample = [trivial_module(h), reg, a, tensor_power(a, 2)]
+        sample_orders = [
+            reg_cert.gl_order if m is reg
+            else operator_order(twist(m) if m is a else m.act_element(h.ribbon), cap=cap).gl_order
+            for m in sample
+        ]
+        ok = _verdict_eq(ribbon_cert.gl_order, reg_cert.gl_order)
+        detail = ""
+        if ribbon_cert.gl_order.is_finite:
+            n = ribbon_cert.gl_order.n
+            for m, v in zip(sample, sample_orders):
+                if v.is_finite and n % v.n != 0:
+                    ok = False
+                    detail = f"|twist({m.name})| = {v.n} does not divide {n}"
+        return (f"twist(regular): {reg_cert.gl_order}", f"ribbon element: {ribbon_cert.gl_order}", ok,
+                detail or f"sampled module orders: {[str(v) for v in sample_orders]}")
+
+    return _run(h, "ribbon-element-order",
+                "order of the generalized ribbon element = order of the twist on the regular module, "
+                "and the twist order of each sampled module divides it", body)
 
 
 def verify_nonseparating(h: HopfData, g_max: int, cap: int | None = None,
                          genus_cap: int | None = None) -> list[Check]:
-    """Every meridian twist acts with PGL order equal to the ribbon twist order."""
+    """Every meridian twist acts with PGL order equal to the ribbon twist order.
+
+    The gate is checked once, under the name of the whole range, before the
+    one row per genus."""
     statement = "PGL order of the twist about each handle meridian equals the ribbon twist order"
     require_ribbon_factorizable(h, f"nonseparating-twist-order(g=1..{g_max})", statement)
-    ribbon = h.ribbon_order(cap=cap)
-    checks = []
-    for g in range(1, g_max + 1):
-        t0 = time.perf_counter()
-        name = f"nonseparating-twist-order(g={g})"
-        try:
-            block = block_space(h, g, DIRECT, genus_cap=genus_cap)
-        except GenusCapExceeded as exc:
-            checks.append(_timed(_skipped(name, statement, exc), t0))
-            continue
-        orders = []
-        ok = True
-        for handle in range(1, g + 1):
-            op = nonseparating_twist_op(block, handle, cap=cap)
-            orders.append(str(op.certificate.pgl_order))
-            if not _verdict_eq(op.certificate.pgl_order, ribbon.gl_order):
-                ok = False
-        checks.append(
-            _timed(
-                Check(
-                    name,
-                    statement,
-                    lhs=f"handles: {orders} (block dim {block.dim})",
-                    rhs=f"|ribbon| = {ribbon.gl_order}",
-                    status="pass" if ok else "fail",
-                ),
-                t0,
-            )
-        )
-    return checks
+    ribbon = h.ribbon_order(cap=cap).gl_order
+
+    def body(g):
+        block = block_space(h, g, DIRECT, genus_cap=genus_cap)
+        pgl = [nonseparating_twist_op(block, handle, cap=cap).certificate.pgl_order for handle in range(1, g + 1)]
+        return (f"handles: {[str(v) for v in pgl]} (block dim {block.dim})", f"|ribbon| = {ribbon}",
+                all(_verdict_eq(v, ribbon) for v in pgl), "")
+
+    return [_run(h, f"nonseparating-twist-order(g={g})", statement, lambda g=g: body(g), gate=None)
+            for g in range(1, g_max + 1)]
 
 
 def verify_separating(h: HopfData, g_left: int, g_right: int, cap: int | None = None,
                       genus_cap: int | None = None) -> Check:
-    """Separating twist order = min of the twist orders of the two end powers."""
-    t0 = time.perf_counter()
-    name = f"separating-twist-order({g_left},{g_right})"
-    statement = "PGL order of the separating twist = min of the twist orders of the end powers"
-    require_ribbon_factorizable(h, name, statement)
-    try:
+    """Separating twist order = min of the twist orders of the end powers."""
+
+    def body():
         sep = separating_twist_op(h, g_left, g_right, cap=cap, genus_cap=genus_cap)
-    except GenusCapExceeded as exc:
-        return _timed(_skipped(name, statement, exc), t0)
-    expected = _verdict_min(sep.twist_left_order.gl_order, sep.twist_right_order.gl_order)
-    ok = _verdict_eq(sep.certificate.pgl_order, expected)
-    return _timed(
-        Check(
-            name=name,
-            statement=statement,
-            lhs=f"operator: {sep.certificate.pgl_order} (block dim {sep.dim})",
-            rhs=f"min({sep.twist_left_order.gl_order}, {sep.twist_right_order.gl_order}) = {expected}",
-            status="pass" if ok else "fail",
-        ),
-        t0,
-    )
+        left, right = (c.gl_order for c in sep.end_orders)
+        expected = _verdict_min(left, right)
+        return (f"operator: {sep.certificate.pgl_order} (block dim {sep.block.dim})",
+                f"min({left}, {right}) = {expected}", _verdict_eq(sep.certificate.pgl_order, expected), "")
+
+    return _run(h, f"separating-twist-order({g_left},{g_right})",
+                "PGL order of the separating twist = min of the twist orders of the end powers", body)
 
 
 def verify_johnson(h: HopfData, cap: int | None = None, genus_cap: int | None = None) -> Check:
     """Separating twists act trivially iff the end twist is trivial and the
     end's self double braiding is trivial; cross-checked on the genus-2
     separating operator."""
-    t0 = time.perf_counter()
-    name = "johnson-kernel-criterion"
-    statement = "separating twists act trivially iff end twist and end self-monodromy are trivial"
-    require_ribbon_factorizable(h, name, statement)
-    try:
+
+    def body():
         sep = separating_twist_op(h, 1, 1, cap=cap, genus_cap=genus_cap)
-    except GenusCapExceeded as exc:
-        return _timed(_skipped(name, statement, exc), t0)
-    twist_trivial, braid_trivial = johnson_criterion(h)
-    predicted = twist_trivial and braid_trivial
-    sep_trivial = sep.matrix.is_identity()
-    ok = sep_trivial == predicted
-    return _timed(
-        Check(
-            name=name,
-            statement=statement,
-            lhs=f"genus-2 separating operator trivial: {sep_trivial}",
-            rhs=f"predicted (twist trivial: {twist_trivial}, double braiding trivial: {braid_trivial}): {predicted}",
-            status="pass" if ok else "fail",
-        ),
-        t0,
-    )
+        twist_trivial, braid_trivial = johnson_criterion(h)
+        predicted = twist_trivial and braid_trivial
+        sep_trivial = sep.matrix.is_identity()
+        return (f"genus-2 separating operator trivial: {sep_trivial}",
+                f"predicted (twist trivial: {twist_trivial}, double braiding trivial: {braid_trivial}): {predicted}",
+                sep_trivial == predicted, "")
+
+    return _run(h, "johnson-kernel-criterion",
+                "separating twists act trivially iff end twist and end self-monodromy are trivial", body)
 
 
 def verify_torelli(h: HopfData) -> Check:
     """The end is transparent (trivial monodromy with a generator) iff the
     algebra is commutative; when commutative, the end is a sum of trivial
     modules."""
-    t0 = time.perf_counter()
-    name = "torelli-criterion"
-    statement = "the end is in the Mueger center iff the algebra is commutative"
-    if h.r_matrix is None:
-        raise PreconditionError("RMatrixRequired", h.name, name, statement)
-    central = torelli_criterion(h)
-    commutative, witness = h.is_commutative()
-    ok = central == commutative
-    detail = ""
-    if commutative and ok:
-        F = h.field
-        a = adjoint_module(h)
-        iso_trivial = all(
-            a.act(i).scalar_value() is not None
-            and F.eq(a.act(i).scalar_value(), h.counit[i])
-            for i in range(h.dim)
-        )
-        ok = iso_trivial
-        detail = f"adjoint action scalar (counit) on all basis elements: {iso_trivial}"
-    elif not commutative:
-        detail = f"noncommutativity witness: {witness}"
-    return _timed(
-        Check(
-            name=name,
-            statement=statement,
-            lhs=f"end transparent: {central}",
-            rhs=f"commutative: {commutative}",
-            status="pass" if ok else "fail",
-            detail=detail,
-        ),
-        t0,
-    )
+
+    def body():
+        central = torelli_criterion(h)
+        commutative, witness = h.is_commutative()
+        ok = central == commutative
+        detail = ""
+        if commutative and ok:
+            F = h.field
+            a = adjoint_module(h)
+            ok = all(
+                a.act(i).scalar_value() is not None
+                and F.eq(a.act(i).scalar_value(), h.counit[i])
+                for i in range(h.dim)
+            )
+            detail = f"adjoint action scalar (counit) on all basis elements: {ok}"
+        elif not commutative:
+            detail = f"noncommutativity witness: {witness}"
+        return f"end transparent: {central}", f"commutative: {commutative}", ok, detail
+
+    return _run(h, "torelli-criterion", "the end is in the Mueger center iff the algebra is commutative",
+                body, gate=_require_r_matrix)
 
 
 def verify_zg(h: HopfData, genus: int, window: int, cap: int | None = None,
               genus_cap: int | None = None) -> Check:
     """The lattice of commuting meridian twists acts with kernel exactly the
     multiples of the ribbon twist order (all-or-nothing per coordinate)."""
-    t0 = time.perf_counter()
-    name = f"commuting-twist-lattice(g={genus}, window={window})"
-    statement = "lattice points acting trivially are exactly the multiples of the ribbon order"
-    require_ribbon_factorizable(h, name, statement)
-    ribbon = h.ribbon_order(cap=cap).gl_order
-    try:
+
+    def body():
+        ribbon = h.ribbon_order(cap=cap).gl_order
         block = block_space(h, genus, DIRECT, genus_cap=genus_cap)
-    except GenusCapExceeded as exc:
-        return _timed(_skipped(name, statement, exc), t0)
-    ops = [nonseparating_twist_op(block, i, cap=cap).matrix for i in range(1, genus + 1)]
-    powers = []
-    for op in ops:
-        table = {0: Matrix.identity(h.field, block.dim)}
-        inv = inverse(op)
-        for k in range(1, window + 1):
-            table[k] = table[k - 1].mul(op)
-            table[-k] = table.get(-(k - 1), table[0]).mul(inv)
-        powers.append(table)
-    trivial_points = []
-    points = _lattice_points(genus, window)
-    for pt in points:
-        if _lattice_point_trivial(powers, pt):
-            trivial_points.append(pt)
-    if ribbon.is_finite:
-        n = ribbon.n
-        expected = [pt for pt in points if all(c % n == 0 for c in pt)]
+        powers = []
+        for i in range(1, genus + 1):
+            op = nonseparating_twist_op(block, i, cap=cap).matrix
+            table = {0: Matrix.identity(h.field, block.dim)}
+            inv = inverse(op)
+            for k in range(1, window + 1):
+                table[k] = table[k - 1].mul(op)
+                table[-k] = table.get(-(k - 1), table[0]).mul(inv)
+            powers.append(table)
+        points = _lattice_points(genus, window)
+        trivial_points = [pt for pt in points if _lattice_point_trivial(powers, pt)]
+        if ribbon.is_finite:
+            n = ribbon.n
+            expected = [pt for pt in points if all(c % n == 0 for c in pt)]
+            rhs = f"multiples of {n} in window: {len(expected)} points"
+        else:
+            expected = [tuple([0] * genus)]
+            rhs = "only the origin (infinite ribbon order)"
         ok = trivial_points == expected
-        rhs = f"multiples of {n} in window: {len(expected)} points"
-    else:
-        expected = [tuple([0] * genus)]
-        ok = trivial_points == expected
-        rhs = "only the origin (infinite ribbon order)"
-    return _timed(
-        Check(
-            name,
-            statement,
-            lhs=f"trivially-acting points: {len(trivial_points)}",
-            rhs=rhs,
-            status="pass" if ok else "fail",
-            detail="" if ok else f"found {trivial_points[:8]}",
-        ),
-        t0,
-    )
+        return (f"trivially-acting points: {len(trivial_points)}", rhs, ok,
+                "" if ok else f"found {trivial_points[:8]}")
+
+    return _run(h, f"commuting-twist-lattice(g={genus}, window={window})",
+                "lattice points acting trivially are exactly the multiples of the ribbon order", body)
 
 
 def _lattice_points(genus: int, window: int) -> list[tuple]:
@@ -380,43 +334,27 @@ def _lattice_points(genus: int, window: int) -> list[tuple]:
 
 
 def _lattice_point_trivial(powers: list[dict], pt: tuple) -> bool:
-    if len(pt) == 2:
-        # compare T1^a = T2^(-b) without another product
-        return powers[0][pt[0]] == powers[1][-pt[1]]
-    acc = None
-    for table, c in zip(powers, pt):
-        acc = table[c] if acc is None else acc.mul(table[c])
-    return acc.is_identity()
+    """T_1^c_1 ... T_g^c_g = I, tested as T_1^c_1 ... T_(g-1)^c_(g-1) = T_g^(-c_g):
+    no product at genus 1 or 2 (genus 1 compares the identity)."""
+    factors = [table[c] for table, c in zip(powers[:-1], pt[:-1])] or [powers[0][0]]
+    return reduce(Matrix.mul, factors) == powers[-1][-pt[-1]]
 
 
 def verify_excision(h: HopfData, genus: int, cap: int | None = None,
                     genus_cap: int | None = None) -> Check:
     """Direct and relative-center models agree in dimension and twist order."""
-    t0 = time.perf_counter()
-    name = f"excision-consistency(g={genus})"
-    statement = "direct and relative-center block models agree (dimension and twist certificate)"
-    require_ribbon_factorizable(h, name, statement)
-    try:
+
+    def body():
         direct = block_space(h, genus, DIRECT, genus_cap=genus_cap)
         center = block_space(h, genus, RELATIVE_CENTER, genus_cap=genus_cap)
-    except GenusCapExceeded as exc:
-        return _timed(_skipped(name, statement, exc), t0)
-    op_d = nonseparating_twist_op(direct, 1, cap=cap)
-    op_c = center_twist_op(center, cap=cap)
-    dims_ok = direct.dim == center.dim
-    cert_ok = _verdict_eq(op_d.certificate.gl_order, op_c.certificate.gl_order) and _verdict_eq(
-        op_d.certificate.pgl_order, op_c.certificate.pgl_order
-    )
-    return _timed(
-        Check(
-            name,
-            statement,
-            lhs=f"direct: dim {direct.dim}, {op_d.certificate}",
-            rhs=f"center: dim {center.dim}, {op_c.certificate}",
-            status="pass" if (dims_ok and cert_ok) else "fail",
-        ),
-        t0,
-    )
+        op_d = nonseparating_twist_op(direct, 1, cap=cap).certificate
+        op_c = center_twist_op(center, cap=cap).certificate
+        ok = (direct.dim == center.dim and _verdict_eq(op_d.gl_order, op_c.gl_order)
+              and _verdict_eq(op_d.pgl_order, op_c.pgl_order))
+        return f"direct: dim {direct.dim}, {op_d}", f"center: dim {center.dim}, {op_c}", ok, ""
+
+    return _run(h, f"excision-consistency(g={genus})",
+                "direct and relative-center block models agree (dimension and twist certificate)", body)
 
 
 def run_all(h: HopfData, max_genus: int = 2, window: int = 4, cap: int | None = None,

@@ -34,10 +34,11 @@ from .linalg import (
     NotInvertible,
     OrderCertificate,
     _RowReducer,
+    _sequence_annihilator,
     _times_matrix,
     inverse,
     linear_combination,
-    operator_order,
+    minpoly_order,
     simultaneous_kernel,
     solve_unique,
 )
@@ -384,12 +385,26 @@ class HopfData:
         return self._cache["factorizable"]
 
     def ribbon_order(self, cap: int | None = None) -> OrderCertificate:
-        """Order of left multiplication by the ribbon element, kept per cap."""
+        """Order of the ribbon element v, kept per cap.
+
+        Its minimal polynomial is read off the powers 1, v, v^2, ... in H, with
+        no matrix built; the regular representation is faithful, so this is
+        also the order of left multiplication by v, computed independently
+        of any twist matrix.
+        """
         if self.ribbon is None:
             raise MissingRibbon(self.name)
         key = ("ribbon_order", cap)
         if key not in self._cache:
-            self._cache[key] = operator_order(self.left_mult_of(self.ribbon), cap=cap)
+
+            def powers():
+                y = self.unit
+                while True:
+                    yield y
+                    y = self.product(y, self.ribbon)
+
+            m = _sequence_annihilator(self.field, self.dim, powers())
+            self._cache[key] = minpoly_order(self.field, m, cap=cap)
         return self._cache[key]
 
     def span_closure_dim(self, indices: list[int]) -> int:

@@ -105,27 +105,6 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "Matrix"):
-        if self.field != other.field:
-            raise FieldMismatch("matrices over different fields")
-
-    def add(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise LinAlgError("shape mismatch in add")
-        F = self.field
-        out = Matrix(F, self.nrows, self.ncols)
-        for i in range(self.nrows):
-            row = dict(self.rows[i])
-            for j, v in other.rows[i].items():
-                s = F.add(row.get(j, F.zero), v)
-                if F.is_zero(s):
-                    row.pop(j, None)
-                else:
-                    row[j] = s
-            out.rows[i] = row
-        return out
-
     def sub(self, other: "Matrix") -> "Matrix":
         F = self.field
         return linear_combination(F, self.nrows, self.ncols, [(F.one, self), (F.neg(F.one), other)])
@@ -140,16 +119,12 @@ class Matrix:
         return out
 
     def mul(self, other: "Matrix") -> "Matrix":
-        self._check(other)
+        if self.field != other.field:
+            raise FieldMismatch("matrices over different fields")
         if self.ncols != other.nrows:
             raise LinAlgError("shape mismatch in mul")
         F = self.field
         return Matrix(F, self.nrows, other.ncols, [_times_matrix(F, row, other.rows) for row in self.rows])
-
-    __matmul__ = mul
-    __mul__ = mul
-    __add__ = add
-    __sub__ = sub
 
     def transpose(self) -> "Matrix":
         out = Matrix(self.field, self.ncols, self.nrows)
@@ -157,11 +132,6 @@ class Matrix:
             for j, v in row.items():
                 out.rows[j][i] = v
         return out
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, left factor major: (A⊗B)(v⊗w) = Av ⊗ Bw."""
-        F = self.field
-        return kron_sum(F, self.nrows * other.nrows, self.ncols * other.ncols, [(F.one, self, other)])
 
     def is_identity(self) -> bool:
         if not self.is_square():
@@ -191,7 +161,9 @@ class Matrix:
 
 
 def tensor_product(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
+    """Kronecker product, left factor major: (A⊗B)(v⊗w) = Av ⊗ Bw."""
+    F = a.field
+    return kron_sum(F, a.nrows * b.nrows, a.ncols * b.ncols, [(F.one, a, b)])
 
 
 def kron_sum(field: Field, nrows: int, ncols: int, terms) -> Matrix:
@@ -775,24 +747,30 @@ DEFAULT_FP_ORDER_CAP = 10_000
 
 
 def operator_order(t: Matrix, cap: int | None = None) -> OrderCertificate:
-    """Certified order of an invertible operator in GL and PGL.
+    """Certified order of an invertible operator in GL and PGL: the order
+    that ``minpoly_order`` reads off its minimal polynomial."""
+    return minpoly_order(t.field, minimal_polynomial(t), cap=cap)
 
-    Characteristic zero: the verdict comes from the minimal polynomial m.
-    If m is not squarefree the operator is not semisimple and no positive
-    power is the identity (or a scalar), hence Infinite(NotSemisimple).
-    Otherwise all candidate orders k satisfy phi(k) <= deg * [F:Q]; stripping
-    cyclotomic factors off m decides finiteness and yields the exact order.
-    The PGL verdict applies the same procedure to the minimal polynomial of
-    the conjugation operator (computed in F[x,y]/(m,m), see module docs).
+
+def minpoly_order(field: Field, m: list, cap: int | None = None) -> OrderCertificate:
+    """Certified GL and PGL orders of an invertible operator (or algebra
+    element) with monic minimal polynomial m, low degree first.
+
+    Characteristic zero: if m is not squarefree the operator is not
+    semisimple and no positive power is the identity (or a scalar), hence
+    Infinite(NotSemisimple).  Otherwise all candidate orders k satisfy
+    phi(k) <= deg * [F:Q]; stripping cyclotomic factors off m decides
+    finiteness and yields the exact order.  The PGL verdict applies the same
+    procedure to the minimal polynomial of the conjugation operator
+    (computed in F[x,y]/(m,m), see module docs).
 
     Over F_p both orders are read off the residues x^k mod m for k up to
     ``cap``; past it the verdict is Unknown(cap).
-    Raises ValueError for a cap below 1.
+    Raises ValueError for a cap below 1 and ``NotInvertible`` when 0 is a root.
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    F = t.field
-    m = minimal_polynomial(t)
+    F = field
     if F.is_zero(m[0]):
         raise NotInvertible("operator is singular (minimal polynomial has root 0)")
     evidence = {"minpoly": _format_poly_list(F, m)}

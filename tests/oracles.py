@@ -295,15 +295,13 @@ def _krylov_stream(t, v: list):
 
 
 def _evaluate_poly_at_matrix(m: list, t):
-    from hopfblocks.linalg import Matrix
+    from hopfblocks.linalg import Matrix, linear_combination
 
     F = t.field
     ident = Matrix.identity(F, t.nrows)
     acc = ident.scale(m[-1])
     for c in reversed(m[:-1]):
-        acc = t.mul(acc)
-        if not F.is_zero(c):
-            acc = acc.add(ident.scale(c))
+        acc = linear_combination(F, t.nrows, t.nrows, [(F.one, t.mul(acc)), (c, ident)])
     return acc
 
 

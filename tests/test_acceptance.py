@@ -103,13 +103,13 @@ def test_c04_separating_twist_orders():
             h = catalog.get(name)
             sep = blocks.separating_twist_op(h, 1, 1)
             lhs = sep.certificate.pgl_order
-            a, b = sep.twist_left_order.gl_order, sep.twist_right_order.gl_order
+            a, b = sep.end_orders[0].gl_order, sep.end_orders[1].gl_order
             rhs = a if (a.is_finite and (not b.is_finite or a.n <= b.n)) else b
             assert lhs.kind == rhs.kind and lhs.n == rhs.n, (name, str(lhs), str(rhs))
         # split (1,2) where dim <= 8
         h = catalog.get("double:Z2")
         sep = blocks.separating_twist_op(h, 1, 2)
-        mins = min(sep.twist_left_order.gl_order.n, sep.twist_right_order.gl_order.n)
+        mins = min(sep.end_orders[0].gl_order.n, sep.end_orders[1].gl_order.n)
         assert sep.certificate.pgl_order.n == mins
         # D(H4) has no ribbon element: the separating operator is gated
         with pytest.raises(PreconditionError):

@@ -205,6 +205,13 @@ def test_end_twist_properties():
     assert cert.gl_order.n == 6
 
 
+def test_end_twist_is_the_regular_twist():
+    # one matrix of L_v: the end twist is the twist kept on the regular module
+    h = catalog.double_of_group(catalog.cyclic_group(3))
+    assert end_twist(h) is repcat.twist(regular_module(h))
+    assert end_twist(h) == h.left_mult_of(h.ribbon)
+
+
 def test_end_twist_commutes_with_all_multiplications():
     # centrality: left multiplication by the ribbon element commutes with
     # every left and right multiplication operator
@@ -269,14 +276,14 @@ def test_separating_z2_identity():
     sep = separating_twist_op(catalog.get("double:Z2"), 1, 1)
     assert sep.matrix.is_identity()
     assert sep.certificate.pgl_order.n == 1
-    assert sep.twist_left_order.gl_order.n == 1
+    assert sep.end_orders[0].gl_order.n == 1
 
 
 def test_separating_gl_order_divides_postcomposed_twist_order():
     for name in ("double:Z2", "double:Z3"):
         sep = separating_twist_op(catalog.get(name), 1, 1)
         gl = sep.certificate.gl_order
-        theta = sep.twist_right_order.gl_order
+        theta = sep.end_orders[1].gl_order
         if gl.is_finite and theta.is_finite:
             assert theta.n % gl.n == 0
 
@@ -359,7 +366,7 @@ def test_separating_powers_match_end_twist_powers():
         h = catalog.get(name)
         sep = separating_twist_op(h, 1, 1)
         theta = twist(adjoint_module(h))
-        order = sep.twist_left_order.gl_order.n
+        order = sep.end_orders[0].gl_order.n
         for p in range(1, order + 1):
             assert matrix_power(sep.matrix, p).is_identity() == matrix_power(theta, p).is_identity(), (name, p)
 
@@ -399,7 +406,7 @@ def test_restrict_operator_checks_every_basis_vector(model):
 def test_block_caches_do_not_pin_the_algebra():
     h = catalog.get("double:Z2")
     assert block_space(h, 1).dim == 4
-    assert separating_twist_op(h, 1, 1).dim == 16
+    assert separating_twist_op(h, 1, 1).block.dim == 16
     ref = weakref.ref(h)
     del h
     gc.collect()
@@ -441,7 +448,7 @@ def test_separating_block_route_matches_hom_route(name):
     for a, b in splits:
         sep = separating_twist_op(h, a, b)
         hom, mat, cert = separating_twist_by_hom(h, a, b)
-        assert sep.dim == hom.dim, (a, b)
+        assert sep.block.dim == hom.dim, (a, b)
         assert sep.certificate.to_json() == cert.to_json(), (a, b)
         assert sep.matrix.is_identity() == mat.is_identity(), (a, b)
 
@@ -489,13 +496,13 @@ def test_equal_split_certifies_its_twist_once(monkeypatch):
     h = catalog.double_of_group(catalog.symmetric_group_3())
     sep = separating_twist_op(h, 1, 1)
     assert twist_certificates(h) == 1
-    assert sep.twist_left_order is sep.twist_right_order
-    assert sep.twist_left_order.gl_order.n == sep.certificate.pgl_order.n == 3
+    assert sep.end_orders[0] is sep.end_orders[1]
+    assert sep.end_orders[0].gl_order.n == sep.certificate.pgl_order.n == 3
     certified.clear()
     h2 = catalog.double_of_group(catalog.cyclic_group(2))
     other = separating_twist_op(h2, 1, 2)
     assert twist_certificates(h2) == 2
-    assert other.twist_left_order is not other.twist_right_order
+    assert other.end_orders[0] is not other.end_orders[1]
 
 
 def test_twist_operators_are_cached_per_cap():

@@ -62,6 +62,35 @@ def test_dehn_separating(capsys):
     assert doc["certificate"]["pgl_order"]["n"] == 1
 
 
+# the dehn report of each curve kind: top-level keys in table order, and the
+# keys of each certificate in it
+_CERTIFICATE_LINES = ["  gl_order", "    kind", "    n", "  pgl_order", "    kind", "    n",
+                      "  minpoly_squarefree", "  evidence", "    minpoly", "    conjugation_minpoly"]
+DEHN_CONTRACT = {
+    "nonsep:1": ["report_version", "algebra", "kind", "genus", "model", "block_dim", "certificate"],
+    "sep:1,1": ["report_version", "algebra", "genus", "kind", "block_dim", "certificate",
+                "twist_order_left_part", "twist_order_right_part"],
+    "bpair": ["report_version", "algebra", "kind", "block_dim", "acts_trivially", "certificate"],
+}
+_CERTIFICATES = {"certificate", "twist_order_left_part", "twist_order_right_part"}
+
+
+@pytest.mark.parametrize("curve", sorted(DEHN_CONTRACT))
+def test_dehn_output_contract(curve, capsys):
+    keys = DEHN_CONTRACT[curve]
+    code, out, _ = run(["dehn", "double:Z2", "--curve", curve, "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == set(keys)
+    for key in _CERTIFICATES & set(keys):
+        assert set(doc[key]) == {"gl_order", "pgl_order", "minpoly_squarefree", "evidence"}
+        assert set(doc[key]["evidence"]) == {"minpoly", "conjugation_minpoly"}
+    code, out, _ = run(["dehn", "double:Z2", "--curve", curve, "--format", "table"], capsys)
+    assert code == 0
+    expected = [line for key in keys for line in [key] + (_CERTIFICATE_LINES if key in _CERTIFICATES else [])]
+    assert [line.split(":")[0] for line in out.splitlines() if line] == expected
+
+
 def test_theorems_exit_zero(capsys):
     code, out, _ = run(["theorems", "double:Z2", "--max-genus", "2", "--window", "4"], capsys)
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 
 from hopfblocks import catalog
 from hopfblocks.fields import QQ, CyclotomicField, PrimeField
-from hopfblocks.linalg import Matrix, linear_combination, operator_order
+from hopfblocks.linalg import Matrix, linear_combination, operator_order, tensor_product
 from hopfblocks.repcat import (
     adjoint_module,
     hom_space,
@@ -147,7 +147,8 @@ def test_hom_free_fast_path_matches_generic():
     assert hs.dim == a.dim * reg.dim
     for f in hs.basis[:4]:
         assert is_intertwiner(f, src, reg)
-    unit_in = from_dense(F, [[h.unit.get(i, F.zero)] for i in range(h.dim)]).kron(Matrix.identity(F, a.dim))
+    unit_in = tensor_product(from_dense(F, [[h.unit.get(i, F.zero)] for i in range(h.dim)]),
+                             Matrix.identity(F, a.dim))
     restrictions = []
     for f in hs.basis:
         g = f.mul(unit_in)
@@ -194,10 +195,16 @@ def test_twist_of_trivial():
 
 
 def test_twist_regular_order_equals_ribbon_order():
-    for name in ("double:Z2", "double:Z3", "double:S3"):
-        h = catalog.get(name)
+    # the ribbon order comes from v's powers in H, the twist's from its matrix
+    s3 = catalog.symmetric_group_3()
+    algebras = [catalog.get(name) for name in ("double:Z2", "double:Z3", "double:S3")] + [
+        catalog.double_of_group(s3, PrimeField(7)),
+        catalog.double_of_group(s3, PrimeField(3)),
+        catalog.double_of_group(catalog.cyclic_group(3), CyclotomicField(12)),
+    ]
+    for h in algebras:
         cert = operator_order(twist(regular_module(h)))
-        assert cert.to_json() == h.ribbon_order().to_json()
+        assert cert.to_json() == h.ribbon_order().to_json(), h.name
 
 
 def test_dual_twist_is_transpose():
