@@ -3,10 +3,12 @@
 Shipped entries: group algebras of Z/2, Z/3, S3; their Drinfeld doubles with
 machine-verified ribbon elements; the 4-dimensional Sweedler algebra H4 and
 its double.  Ribbon data is shipped but never trusted: every candidate must
-pass the full ribbon-axiom battery before it is attached, and for doubles the
-constructor searches the standard candidates (Drinfeld element and grouplike
-shifts) until one verifies.  Candidates are sparse elements, like every
-element of a ``HopfData``.
+pass the full ribbon-axiom battery before it is attached.  Both doubles are
+searched by one routine, ``_attach_double_ribbon``: the Drinfeld element u,
+then u^-1, then u l^-1, l^-1 u, u^-1 l and l u^-1 for each grouplike l the
+constructor supplies (the four of D(H4); none for D(k[G])), until one
+verifies.  Candidates are sparse elements, like every element of a
+``HopfData``.
 
 In the file format ``unit``, ``counit`` and ``ribbon`` are dense lists of
 dim coefficients and every tensor is a sorted list of index tuples with a
@@ -208,26 +210,40 @@ def _group_by_name(name: str) -> GroupTable:
     raise CatalogError(f"unknown group {name}")
 
 
+def _attach_double_ribbon(d: HopfData, grouplikes=()) -> None:
+    """Attach the first ribbon candidate of a double that verifies.
+
+    The candidates, in order: the Drinfeld element u, its inverse, and for
+    each grouplike l the shifts u l^-1, l^-1 u, u^-1 l and l u^-1.
+    ``NoRibbonFound`` when none verifies.
+    """
+    u = d.drinfeld_element()
+    uinv = _element_inverse(d, u)
+    candidates: list[tuple[dict | None, str]] = [(u, "drinfeld_element"), (uinv, "drinfeld_element_inverse")]
+    for i, ell in enumerate(grouplikes):
+        ell_inv = _element_inverse(d, ell)
+        if ell_inv is None:
+            continue
+        candidates.append((d.product(u, ell_inv), f"u*g{i}^-1"))
+        candidates.append((d.product(ell_inv, u), f"g{i}^-1*u"))
+        candidates.append((d.product(uinv, ell), f"u^-1*g{i}"))
+        candidates.append((d.product(ell, uinv), f"g{i}*u^-1"))
+    attach_verified_ribbon(d, candidates)
+
+
 def double_of_group(group: GroupTable, field: Field = QQ) -> HopfData:
     """D(k[G]) with the canonical R-matrix and a verified ribbon element.
+
+    The ribbon candidates are the Drinfeld element u and u^-1, with no
+    grouplike shift.  The element sum_g delta_g x g needs no candidate of its
+    own: it is u^-1, as (delta_g x g^-1)(delta_h x h) = delta_{g,h} delta_g x 1.
 
     It declares as generators the elements delta_a x g, for a in G and g a
     generator of G (``hopf._double_generators``): 12 of the 36 basis
     elements of D(S3).
     """
-    h = group_algebra(group, field)
-    d = drinfeld_double(h)
-    F = field
-    n = group.order
-    u = d.drinfeld_element()
-    w = {g * n + g: F.one for g in range(n)}  # sum over g of (delta_g x g)
-    candidates = [
-        (u, "drinfeld_element"),
-        (_element_inverse(d, u), "drinfeld_element_inverse"),
-        (w, "diagonal_sum"),
-        (_element_inverse(d, w), "diagonal_sum_inverse"),
-    ]
-    attach_verified_ribbon(d, candidates)
+    d = drinfeld_double(group_algebra(group, field))
+    _attach_double_ribbon(d)
     return d
 
 
@@ -312,19 +328,8 @@ def sweedler_double(field: Field = QQ) -> HopfData:
     returned ribbon-free, usable for all non-ribbon checks.
     """
     d = drinfeld_double(sweedler(field))
-    u = d.drinfeld_element()
-    uinv = _element_inverse(d, u)
-    candidates: list[tuple[dict | None, str]] = [(u, "drinfeld_element"), (uinv, "drinfeld_element_inverse")]
-    for i, ell in enumerate(_sweedler_double_grouplikes(d)):
-        ell_inv = _element_inverse(d, ell)
-        if ell_inv is None:
-            continue
-        candidates.append((d.product(u, ell_inv), f"u*g{i}^-1"))
-        candidates.append((d.product(ell_inv, u), f"g{i}^-1*u"))
-        candidates.append((d.product(uinv, ell), f"u^-1*g{i}"))
-        candidates.append((d.product(ell, uinv), f"g{i}*u^-1"))
     try:
-        attach_verified_ribbon(d, candidates)
+        _attach_double_ribbon(d, _sweedler_double_grouplikes(d))
     except NoRibbonFound:
         d.flags["ribbon_search"] = "exhausted: no grouplike shift of the Drinfeld element verifies"
     return d

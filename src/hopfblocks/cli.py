@@ -278,9 +278,6 @@ def main(argv: list[str] | None = None) -> int:
     except MissingRibbon as exc:
         _error("RIBBON_REQUIRED", f"{exc} has no (verified) ribbon element")
         return EXIT_USAGE
-    except harness.PreconditionError as exc:
-        _error("PRECONDITION", str(exc))
-        return EXIT_USAGE
     except blk.BlocksError as exc:
         _error("BLOCKS", str(exc))
         return EXIT_USAGE

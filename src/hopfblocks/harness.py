@@ -295,7 +295,13 @@ def verify_torelli(h: HopfData) -> Check:
 def verify_zg(h: HopfData, genus: int, window: int, cap: int | None = None,
               genus_cap: int | None = None) -> Check:
     """The lattice of commuting meridian twists acts with kernel exactly the
-    multiples of the ribbon twist order (all-or-nothing per coordinate)."""
+    multiples of the ribbon twist order (all-or-nothing per coordinate).
+
+    Raises ValueError for genus < 1 or window < 0, as ``run_all`` does: a
+    genus-0 lattice has no twist, and a negative window no point.
+    """
+    if genus < 1 or window < 0:
+        raise ValueError(f"genus must be at least 1 and window at least 0, got {genus} and {window}")
 
     def body():
         ribbon = h.ribbon_order(cap=cap).gl_order

@@ -389,6 +389,43 @@ def double_generators_with_dual_units(h) -> list[int]:
     return sorted(gens)
 
 
+def _solve_antipode(F, dim, mult, comult, counit, unit):
+    """Solve m(S x id)Delta = unit . counit for the antipode matrix.
+
+    The reference for ``drinfeld_double``, which builds the antipode from its
+    formula instead.  The solution is unique when it exists (a one-sided
+    convolution inverse of the identity is two-sided), so a unique-solution
+    linear solve is safe.
+    """
+    from hopfblocks.linalg import Matrix, solve_unique
+
+    rows = Matrix(F, dim * dim, dim * dim)
+    rhs = [F.zero] * (dim * dim)
+    for x in range(dim):
+        for (alpha, beta), c in comult[x].items():
+            # contributes c * S[q, alpha] * mult[q][beta][w] to equation (x, w)
+            for q in range(dim):
+                for w, m in mult[q][beta].items():
+                    col = q * dim + alpha
+                    row = rows.rows[x * dim + w]
+                    val = F.add(row.get(col, F.zero), F.mul(c, m))
+                    if F.is_zero(val):
+                        row.pop(col, None)
+                    else:
+                        row[col] = val
+        eps_x = counit[x]
+        for w, u in unit.items():
+            rhs[x * dim + w] = F.mul(eps_x, u)
+    sol = solve_unique(rows, rhs)
+    s = Matrix(F, dim, dim)
+    for q in range(dim):
+        for alpha in range(dim):
+            v = sol[q * dim + alpha]
+            if not F.is_zero(v):
+                s.rows[q][alpha] = v
+    return s
+
+
 def full_basis_associativity_witness(h) -> str | None:
     """The first triple (e_i, e_j, e_k) with (e_i e_j) e_k != e_i (e_j e_k),
     as labels, with e_i over the whole basis; None when there is none.

@@ -1,8 +1,8 @@
 """The benchmark's own oracle, run in process on the committed workloads.
 
 Writes the seed-1 algebra files with ``perfbench/inputs.py``, runs every op
-of the ``ds3-q-theorems`` and ``catalog-sweep`` workloads through
-``cli.main`` and checks each with its ``Op.check``, so a break of the output
+of every workload in ``perfbench/workloads.WORKLOADS`` through ``cli.main``
+and checks each with its ``Op.check``, so a break of the output
 contract fails here as well as in a benchmark run.  ``perfbench/`` is only
 imported.
 """
@@ -21,7 +21,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 from hopfblocks import cli  # noqa: E402
 
-NAMES = ["ds3-q-theorems", "catalog-sweep"]
+NAMES = sorted(WORKLOADS)
 OPS = [(name, i) for name in NAMES for i in range(len(WORKLOADS[name]["ops"]))]
 
 

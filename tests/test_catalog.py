@@ -156,6 +156,23 @@ def test_resolve_path(tmp_path):
     assert loaded.dim == 3
 
 
+RIBBON_FIELDS = {"Q": QQ, "F2": PrimeField(2), "F3": PrimeField(3), "F7": PrimeField(7),
+                 "Qzeta3": CyclotomicField(3)}
+RIBBON_CHOICES = {"Z2": "drinfeld_element", "Z3": "drinfeld_element_inverse", "S3": "drinfeld_element_inverse"}
+
+
+@pytest.mark.parametrize("field", sorted(RIBBON_FIELDS))
+@pytest.mark.parametrize("group", sorted(RIBBON_CHOICES))
+def test_group_double_ribbon_choice(group, field):
+    table = catalog._group_by_name(group)
+    d = double_of_group(table, RIBBON_FIELDS[field])
+    assert d.flags["ribbon_choice"] == RIBBON_CHOICES[group]
+    # sum_g delta_g x g is u^-1, so it needs no candidate of its own
+    F, n = d.field, table.order
+    w = {g * n + g: F.one for g in range(n)}
+    assert d.sparse_eq(w, d.element_inverse(d.drinfeld_element()))
+
+
 def test_solver_defects_are_not_read_as_non_invertible(monkeypatch):
     # only a LinAlgError means "no inverse"; any other error is a defect
     h = double_of_group(cyclic_group(2))

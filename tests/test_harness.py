@@ -143,6 +143,13 @@ def test_zg_genus_one():
     assert check.passed
 
 
+@pytest.mark.parametrize("genus, window", [(0, 4), (2, -1)], ids=["genus0", "window-1"])
+def test_zg_rejects_genus_below_one_and_negative_window(genus, window):
+    # genus 0 has no meridian twist; a negative window has no lattice point
+    with pytest.raises(ValueError):
+        verify_zg(catalog.get("double:Z2"), genus, window)
+
+
 def test_excision_small():
     for name in ("double:Z2", "double:Z3"):
         for g in (1, 2):

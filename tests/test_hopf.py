@@ -13,6 +13,7 @@ from hopfblocks.hopf import (
     drinfeld_double,
 )
 from oracles import (
+    _solve_antipode,
     double_generators_with_dual_units,
     element_multiplicative_order,
     full_basis_associativity_witness,
@@ -20,6 +21,7 @@ from oracles import (
     jacobson_radical_dim,
     two_sided_span_closure_dim,
 )
+from test_harness import _dihedral_group_4
 
 ALL_CATALOG = [
     "group:Z2",
@@ -395,6 +397,31 @@ def test_double_requires_invertible_antipode():
     h.antipode = Matrix(QQ, 2, 2)
     with pytest.raises(AntipodeNotInvertible):
         drinfeld_double(h)
+
+
+ANTIPODE_FIELDS = {"Q": QQ, "F2": PrimeField(2), "F3": PrimeField(3), "F7": PrimeField(7),
+                   "Qzeta3": CyclotomicField(3), "Qzeta12": CyclotomicField(12)}
+ANTIPODE_CASES = {
+    **{f"k[{g}]/{f}": (g, f) for g in ("Z2", "Z3", "S3") for f in ANTIPODE_FIELDS},
+    "H4/Q": ("H4", "Q"),
+    "H4/F3": ("H4", "F3"),
+    "k[D4]/Q": ("D4", "Q"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANTIPODE_CASES))
+def test_double_antipode_formula_equals_solved_antipode(case):
+    # S(e^a x e_b) = (eps x S(e_b)) (e^a o S^-1 x 1) against the solution
+    # of the antipode axiom m(S x id)Delta = eta eps on dim^2 unknowns
+    name, f = ANTIPODE_CASES[case]
+    F = ANTIPODE_FIELDS[f]
+    if name == "H4":
+        h = catalog.sweedler(F)
+    else:
+        group = _dihedral_group_4() if name == "D4" else catalog._group_by_name(name)
+        h = catalog.group_algebra(group, F)
+    d = drinfeld_double(h)
+    assert d.antipode == _solve_antipode(F, d.dim, d.mult, d.comult, d.counit, d.unit)
 
 
 def test_antipode_squared_inner_via_grouplike_on_double():
