@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .fields import Field, FieldError, QQ, field_from_json
 from .hopf import DimensionMismatch, HopfData, Matrix, StructureReport, drinfeld_double
-from .linalg import LinAlgError
 
 
 class CatalogError(Exception):
@@ -176,18 +175,9 @@ def ribbon_axioms_pass(h: HopfData, v: dict) -> bool:
     return h.r_matrix is not None and all(passed for _, passed, _ in h.ribbon_battery(v))
 
 
-def _element_inverse(h: HopfData, v: dict) -> dict | None:
-    try:
-        return h.element_inverse(v)
-    except LinAlgError:
-        return None
-
-
-def attach_verified_ribbon(h: HopfData, candidates: list[tuple[dict | None, str]]) -> None:
+def attach_verified_ribbon(h: HopfData, candidates: list[tuple[dict, str]]) -> None:
     """Attach the first candidate passing the ribbon axioms; record the choice."""
     for vec, label in candidates:
-        if vec is None:
-            continue
         if ribbon_axioms_pass(h, vec):
             h.ribbon = h.element(vec)
             h.flags["ribbon_choice"] = label
@@ -218,12 +208,10 @@ def _attach_double_ribbon(d: HopfData, grouplikes=()) -> None:
     ``NoRibbonFound`` when none verifies.
     """
     u = d.drinfeld_element()
-    uinv = _element_inverse(d, u)
-    candidates: list[tuple[dict | None, str]] = [(u, "drinfeld_element"), (uinv, "drinfeld_element_inverse")]
+    uinv = d.element_inverse(u)
+    candidates = [(u, "drinfeld_element"), (uinv, "drinfeld_element_inverse")]
     for i, ell in enumerate(grouplikes):
-        ell_inv = _element_inverse(d, ell)
-        if ell_inv is None:
-            continue
+        ell_inv = d.element_inverse(ell)
         candidates.append((d.product(u, ell_inv), f"u*g{i}^-1"))
         candidates.append((d.product(ell_inv, u), f"g{i}^-1*u"))
         candidates.append((d.product(uinv, ell), f"u^-1*g{i}"))

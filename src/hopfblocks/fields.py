@@ -92,17 +92,6 @@ class Field:
             total = self.add(total, v)
         return total
 
-    def pow(self, a, k: int):
-        if k < 0:
-            a, k = self.inv(a), -k
-        result = self.one
-        while k:
-            if k & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return result
-
     # degree of the field over Q; 0 marks positive characteristic
     def rational_degree(self) -> int:
         return 0

@@ -14,7 +14,10 @@ pairs.  The counit is the one dense vector: a functional, indexed by basis.
 of ``mult``, ``comult``, ``counit``, ``unit`` and the antipode columns
 S(e_j), which the algebra keeps once (``antipode_columns``).  The counit,
 the antipode and the coproduct act on one leg of a tensor through one
-routine, ``apply_leg``.
+routine, ``apply_leg``.  An element's minimal polynomial is read off its
+powers 1, x, x^2, ... in H (``element_minpoly``); the order of the ribbon
+element and the inverse of any element are both read off it, so no matrix
+of H is built or solved for either.
 
 Conventions (fixed once, used everywhere):
 
@@ -40,7 +43,6 @@ from .linalg import (
     linear_combination,
     minpoly_order,
     simultaneous_kernel,
-    solve_unique,
 )
 
 
@@ -310,10 +312,6 @@ class HopfData:
             self._cache[key] = m
         return self._cache[key]
 
-    def left_mult_of(self, x: dict) -> Matrix:
-        terms = [(c, self.left_mult_matrix(i)) for i, c in x.items()]
-        return linear_combination(self.field, self.dim, self.dim, terms)
-
     def right_mult_of(self, x: dict) -> Matrix:
         terms = [(c, self.right_mult_matrix(i)) for i, c in x.items()]
         return linear_combination(self.field, self.dim, self.dim, terms)
@@ -340,15 +338,14 @@ class HopfData:
         if "integrals" in self._cache:
             return self._cache["integrals"]
         F = self.field
-        gens = self.generating_indices()
-        left_mats, right_mats = [], []
-        for i in gens:
-            eps = self.counit[i]
-            scaled_id = Matrix.identity(F, self.dim).scale(eps)
-            left_mats.append(self.left_mult_matrix(i).sub(scaled_id))
-            right_mats.append(self.right_mult_matrix(i).sub(scaled_id))
-        left = simultaneous_kernel(left_mats).columns
-        right = simultaneous_kernel(right_mats).columns
+        n, ident = self.dim, Matrix.identity(F, self.dim)
+
+        def shifted(mats):  # M_i - eps(e_i) I for each generator e_i
+            return [linear_combination(F, n, n, [(F.one, mats(i)), (F.neg(self.counit[i]), ident)])
+                    for i in self.generating_indices()]
+
+        left = simultaneous_kernel(shifted(self.left_mult_matrix)).columns
+        right = simultaneous_kernel(shifted(self.right_mult_matrix)).columns
         if len(left) != 1 or len(right) != 1:
             raise IntegralSpaceNotOneDimensional(
                 f"{self.name}: left dim {len(left)}, right dim {len(right)}"
@@ -384,27 +381,31 @@ class HopfData:
             self._cache["factorizable"] = (nullity == 0, f"Drinfeld map has nullity {nullity}" if nullity else None)
         return self._cache["factorizable"]
 
-    def ribbon_order(self, cap: int | None = None) -> OrderCertificate:
-        """Order of the ribbon element v, kept per cap.
+    def element_minpoly(self, x: dict) -> list:
+        """Monic minimal polynomial of x in H, low degree first.
 
-        Its minimal polynomial is read off the powers 1, v, v^2, ... in H, with
-        no matrix built; the regular representation is faithful, so this is
-        also the order of left multiplication by v, computed independently
-        of any twist matrix.
+        Read off the powers 1, x, x^2, ... in H, with no matrix built; the
+        regular representation is faithful, so this is also the minimal
+        polynomial of left multiplication by x.
         """
+
+        def powers():
+            y = self.unit
+            while True:
+                yield y
+                y = self.product(y, x)
+
+        return _sequence_annihilator(self.field, self.dim, powers())
+
+    def ribbon_order(self, cap: int | None = None) -> OrderCertificate:
+        """Order of the ribbon element v, kept per cap, from its minimal
+        polynomial in H (``element_minpoly``), independently of any twist
+        matrix."""
         if self.ribbon is None:
             raise MissingRibbon(self.name)
         key = ("ribbon_order", cap)
         if key not in self._cache:
-
-            def powers():
-                y = self.unit
-                while True:
-                    yield y
-                    y = self.product(y, self.ribbon)
-
-            m = _sequence_annihilator(self.field, self.dim, powers())
-            self._cache[key] = minpoly_order(self.field, m, cap=cap)
+            self._cache[key] = minpoly_order(self.field, self.element_minpoly(self.ribbon), cap=cap)
         return self._cache[key]
 
     def span_closure_dim(self, indices: list[int]) -> int:
@@ -668,10 +669,23 @@ class HopfData:
             yield "ribbon-coproduct", self.sparse_eq(lhs, rhs), "Delta(v) != (R21 R)(v x v)"
 
     def element_inverse(self, x: dict) -> dict:
-        """The inverse of x, from x y = 1; a ``LinAlgError`` when x has none."""
+        """The inverse of x, read off its minimal polynomial m in H.
+
+        m(x) = m_0 + m_1 x + ... + x^d = 0 gives
+        x^-1 = -m_0^-1 (m_1 + m_2 x + ... + x^(d-1)), evaluated by Horner on x.
+        ``NotInvertible`` when m_0 = 0: then x is a zero divisor.
+        """
         F = self.field
-        y = solve_unique(self.left_mult_of(x), [self.unit.get(i, F.zero) for i in range(self.dim)])
-        return {i: c for i, c in enumerate(y) if not F.is_zero(c)}
+        m = self.element_minpoly(x)
+        if F.is_zero(m[0]):
+            raise NotInvertible(f"{self.name}: element is a zero divisor (minimal polynomial has root 0)")
+        y = self.unit
+        for c in reversed(m[1:-1]):
+            y = self.product(y, x)
+            for i, e in self.unit.items():
+                y[i] = F.add(y.get(i, F.zero), F.mul(c, e))
+        s = F.neg(F.inv(m[0]))
+        return self.element({i: F.mul(s, c) for i, c in y.items()})
 
     def drinfeld_element(self) -> dict:
         """u = sum S(b_i) a_i for R = sum a_i x b_i."""

@@ -1,9 +1,9 @@
 """Sparse exact matrices, kernels, minimal polynomials, and
 certified operator orders in GL and PGL.
 
-Every elimination in this module -- kernels, inverses, unique solves, the
-annihilators behind minimal polynomials, and subalgebra spans -- is read off
-the reduced row echelon form of its system: the pivot is the least column of
+Every elimination in this module -- kernels, inverses, the annihilators
+behind minimal polynomials, and subalgebra spans -- is read off the
+reduced row echelon form of its system: the pivot is the least column of
 its row, the row is 1 there and 0 in every other pivot column.  That form is
 unique for a given row space, so results are exact by construction and need
 no certificate.  One exact sparse row reducer, ``_RowReducer``, builds it
@@ -104,19 +104,6 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.kind}, nnz={self.nnz()})"
 
     # -- arithmetic ----------------------------------------------------------
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        return linear_combination(F, self.nrows, self.ncols, [(F.one, self), (F.neg(F.one), other)])
-
-    def scale(self, c) -> "Matrix":
-        F = self.field
-        out = Matrix(F, self.nrows, self.ncols)
-        if F.is_zero(c):
-            return out
-        for i, row in enumerate(self.rows):
-            out.rows[i] = {j: F.mul(c, v) for j, v in row.items()}
-        return out
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -472,21 +459,6 @@ class _RowReducer:
                     column_rows[j].add(p)
         self.pivots[lead] = new
         return reduced
-
-
-def solve_unique(a: Matrix, b: list) -> list:
-    """The unique x with A x = b; raises if no solution or not unique."""
-    F, n = a.field, a.ncols
-    if len(b) != a.nrows:
-        raise LinAlgError("right-hand side length does not match the rows")
-    red = _RowReducer(F)
-    for row, v in zip(a.rows, b):
-        red.add({**row, n: F.neg(v)})
-    # [A | -b] has a unique kernel vector (x | 1) iff every column of A is a
-    # pivot column and the column of -b is not
-    if n in red.pivots or any(c not in red.pivots for c in range(n)):
-        raise LinAlgError("system has no unique solution")
-    return [F.neg(red.pivots[c].get(n, F.zero)) for c in range(n)]
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -37,6 +37,19 @@ def to_dense(m) -> list[list]:
     return [[row.get(j, z) for j in range(m.ncols)] for row in m.rows]
 
 
+def field_pow(F, a, k: int):
+    """a^k in the field F, by binary powering; a negative k inverts a first."""
+    if k < 0:
+        a, k = F.inv(a), -k
+    result = F.one
+    while k:
+        if k & 1:
+            result = F.mul(result, a)
+        a = F.mul(a, a)
+        k >>= 1
+    return result
+
+
 def diagonal(field, entries):
     """The square matrix with the given diagonal."""
     from hopfblocks.linalg import Matrix
@@ -299,7 +312,7 @@ def _evaluate_poly_at_matrix(m: list, t):
 
     F = t.field
     ident = Matrix.identity(F, t.nrows)
-    acc = ident.scale(m[-1])
+    acc = linear_combination(F, t.nrows, t.nrows, [(m[-1], ident)])
     for c in reversed(m[:-1]):
         acc = linear_combination(F, t.nrows, t.nrows, [(F.one, t.mul(acc)), (c, ident)])
     return acc
@@ -342,6 +355,35 @@ def minimal_polynomial_by_evaluation(t) -> list:
         col = [residue.rows[i].get(witness, F.zero) for i in range(n)]
         q = _dense_sequence_annihilator(F, _krylov_stream(t, col))
         m = P.pmul(F, m, q)
+
+
+def solve_unique(a, b: list) -> list:
+    """The unique x with A x = b; raises if no solution or not unique.
+
+    The reference for ``HopfData.element_inverse``, which reads an inverse
+    off the element's minimal polynomial in H, and for ``_solve_antipode``.
+    """
+    from hopfblocks.linalg import LinAlgError, _RowReducer
+
+    F, n = a.field, a.ncols
+    if len(b) != a.nrows:
+        raise LinAlgError("right-hand side length does not match the rows")
+    red = _RowReducer(F)
+    for row, v in zip(a.rows, b):
+        red.add({**row, n: F.neg(v)})
+    # [A | -b] has a unique kernel vector (x | 1) iff every column of A is a
+    # pivot column and the column of -b is not
+    if n in red.pivots or any(c not in red.pivots for c in range(n)):
+        raise LinAlgError("system has no unique solution")
+    return [F.neg(red.pivots[c].get(n, F.zero)) for c in range(n)]
+
+
+def left_mult_of(h, x: dict):
+    """L_x, the matrix of left multiplication by the element x of h."""
+    from hopfblocks.linalg import linear_combination
+
+    terms = [(c, h.left_mult_matrix(i)) for i, c in x.items()]
+    return linear_combination(h.field, h.dim, h.dim, terms)
 
 
 def two_sided_span_closure_dim(h, indices: list[int]) -> int:
@@ -397,7 +439,7 @@ def _solve_antipode(F, dim, mult, comult, counit, unit):
     convolution inverse of the identity is two-sided), so a unique-solution
     linear solve is safe.
     """
-    from hopfblocks.linalg import Matrix, solve_unique
+    from hopfblocks.linalg import Matrix
 
     rows = Matrix(F, dim * dim, dim * dim)
     rhs = [F.zero] * (dim * dim)

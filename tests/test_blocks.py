@@ -33,6 +33,7 @@ from oracles import (
     bounding_pair_by_hom,
     center_block_full_rows,
     direct_block_by_transpose,
+    left_mult_of,
     matrix_power,
     separating_twist_by_hom,
 )
@@ -209,7 +210,7 @@ def test_end_twist_is_the_regular_twist():
     # one matrix of L_v: the end twist is the twist kept on the regular module
     h = catalog.double_of_group(catalog.cyclic_group(3))
     assert end_twist(h) is repcat.twist(regular_module(h))
-    assert end_twist(h) == h.left_mult_of(h.ribbon)
+    assert end_twist(h) == left_mult_of(h, h.ribbon)
 
 
 def test_end_twist_commutes_with_all_multiplications():

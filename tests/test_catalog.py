@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hopfblocks import catalog, hopf, linalg
+from hopfblocks import catalog, hopf
 from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.catalog import (
     CatalogError,
@@ -180,11 +180,8 @@ def test_solver_defects_are_not_read_as_non_invertible(monkeypatch):
     def broken(*args):
         raise TypeError("defect in the solver")
 
-    monkeypatch.setattr(linalg, "solve_unique", broken)
-    monkeypatch.setattr(hopf, "solve_unique", broken)
+    monkeypatch.setattr(hopf, "_sequence_annihilator", broken)
     with pytest.raises(TypeError):
         ribbon_axioms_pass(h, h.ribbon)
-    with pytest.raises(TypeError):
-        catalog._element_inverse(h, h.ribbon)
     with pytest.raises(TypeError):
         h.element_inverse(h.ribbon)

@@ -12,6 +12,7 @@ from hopfblocks.hopf import (
     MissingRibbon,
     drinfeld_double,
 )
+from hopfblocks.linalg import NotInvertible
 from oracles import (
     _solve_antipode,
     double_generators_with_dual_units,
@@ -19,6 +20,8 @@ from oracles import (
     full_basis_associativity_witness,
     full_basis_bialgebra_witness,
     jacobson_radical_dim,
+    left_mult_of,
+    solve_unique,
     two_sided_span_closure_dim,
 )
 from test_harness import _dihedral_group_4
@@ -341,7 +344,7 @@ def test_left_and_right_multiplication_same_certificate():
 
     for name in ("double:Z2", "double:S3"):
         h = catalog.get(name)
-        lv = h.left_mult_of(h.ribbon)
+        lv = left_mult_of(h, h.ribbon)
         rv = h.right_mult_of(h.ribbon)
         assert lv == rv  # the ribbon element is central
         assert operator_order(lv).to_json() == operator_order(rv).to_json()
@@ -422,6 +425,45 @@ def test_double_antipode_formula_equals_solved_antipode(case):
         h = catalog.group_algebra(group, F)
     d = drinfeld_double(h)
     assert d.antipode == _solve_antipode(F, d.dim, d.mult, d.comult, d.counit, d.unit)
+
+
+INVERSE_CASES = {
+    **{f"D(k[{g}])/{f}": (g, f) for g in ("Z2", "Z3", "S3") for f in ANTIPODE_FIELDS},
+    **{f"D(H4)/{f}": ("H4", f) for f in ("Q", "F3", "Qzeta3")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+def test_element_inverse_equals_solved_inverse(case):
+    # x^-1 read off the minimal polynomial of x in H against the solution of
+    # L_x y = 1, for u and v of the group doubles, u and the grouplikes of D(H4)
+    name, f = INVERSE_CASES[case]
+    F = ANTIPODE_FIELDS[f]
+    if name == "H4":
+        d = catalog.sweedler_double(F)
+        elements = [d.drinfeld_element(), *catalog._sweedler_double_grouplikes(d)]
+    else:
+        d = catalog.double_of_group(catalog._group_by_name(name), F)
+        elements = [d.drinfeld_element(), d.ribbon]
+    unit = [d.unit.get(i, F.zero) for i in range(d.dim)]
+    for x in elements:
+        solved = solve_unique(left_mult_of(d, x), unit)
+        assert d.element_inverse(x) == d.element(dict(enumerate(solved))), case
+
+
+def test_zero_divisors_have_no_element_inverse():
+    h4 = catalog.sweedler()
+    x = {2: QQ.one}
+    assert h4.product(x, x) == {}
+    d = catalog.sweedler_double()
+    integral, _ = d.integrals()
+    assert d.field.is_zero(d.counit_of(integral)) and d.product(integral, integral) == {}
+    for alg, z in ((h4, x), (d, integral)):
+        with pytest.raises(NotInvertible):
+            alg.element_inverse(z)
+    # nothing of the ribbon battery is checked past a failed invertibility
+    assert [(name, passed) for name, passed, _ in d.ribbon_battery(integral)] == [
+        ("ribbon-central", True), ("ribbon-invertible", False)]
 
 
 def test_antipode_squared_inner_via_grouplike_on_double():
