@@ -308,15 +308,14 @@ class MCGOperator:
                 "twist_order_left_part": left.to_json(), "twist_order_right_part": right.to_json()}
 
 
-def _twist_op(block: BlockSpace, key: tuple, kind: str, ambient_op, cap: int | None,
-              end_orders=None) -> MCGOperator:
+def _twist_op(block: BlockSpace, key: tuple, kind: str, ambient_op, end_orders=None) -> MCGOperator:
     """The twist ``kind`` on a block: ambient_op() restricted to the block and
     certified, with end_orders() the end-power certificates of a separating
     twist.  Built once and cached on the algebra under key."""
     cache = block.algebra._cache
     if key not in cache:
         mat = restrict_operator(block, ambient_op())
-        cache[key] = MCGOperator(kind, block, mat, operator_order(mat, cap=cap),
+        cache[key] = MCGOperator(kind, block, mat, operator_order(mat),
                                  None if end_orders is None else end_orders())
     return cache[key]
 
@@ -332,24 +331,24 @@ def _slot_op(h: HopfData, x: Matrix, before: int, after: int) -> Matrix:
     return x
 
 
-def nonseparating_twist_op(block: BlockSpace, handle: int, cap: int | None = None) -> MCGOperator:
+def nonseparating_twist_op(block: BlockSpace, handle: int) -> MCGOperator:
     """Twist about the meridian of the given handle (1-based) on a direct-model
     block: the end twist in that slot; cached on the algebra per
-    (genus, handle, cap)."""
+    (genus, handle)."""
     g = block.genus
     if block.model != DIRECT:
         raise BlocksError("nonseparating_twist_op expects a direct-model block")
     if not (1 <= handle <= g):
         raise HandleOutOfRange(f"handle {handle} not in 1..{g}")
     h = block.algebra
-    return _twist_op(block, ("nonseparating", g, handle, cap), f"nonseparating(handle={handle})",
-                     lambda: _slot_op(h, end_twist(h), handle - 1, g - handle), cap)
+    return _twist_op(block, ("nonseparating", g, handle), f"nonseparating(handle={handle})",
+                     lambda: _slot_op(h, end_twist(h), handle - 1, g - handle))
 
 
-def center_twist_op(block: BlockSpace, cap: int | None = None) -> MCGOperator:
+def center_twist_op(block: BlockSpace) -> MCGOperator:
     """The meridian twist on a relative-center block: the ribbon action on the
     ambient module restricted to the center (precomposition with the twist of
-    the generator under Hom(G, N) = N).  Cached on the algebra per (genus, cap);
+    the generator under Hom(G, N) = N).  Cached on the algebra per genus;
     the ambient action of the ribbon element is built for the restriction and
     not kept on the ambient."""
     h = block.algebra
@@ -357,12 +356,12 @@ def center_twist_op(block: BlockSpace, cap: int | None = None) -> MCGOperator:
         raise BlocksError("center_twist_op expects a relative-center block")
     if h.ribbon is None:
         raise MissingRibbon(h.name)
-    return _twist_op(block, ("center_twist", block.genus, cap), "nonseparating(center-model)",
-                     lambda: block.ambient.act_element(h.ribbon), cap)
+    return _twist_op(block, ("center_twist", block.genus), "nonseparating(center-model)",
+                     lambda: block.ambient.act_element(h.ribbon))
 
 
 def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
-                        cap: int | None = None, genus_cap: int | None = None) -> MCGOperator:
+                        genus_cap: int | None = None) -> MCGOperator:
     """Twist about the standard separating meridian splitting handles
     {1..g'} from {g'+1..g}, g = g' + g''.
 
@@ -390,13 +389,13 @@ def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
     left, right = tensor_power(a, genus_left), tensor_power(a, genus_right)
 
     def end_orders():
-        left_order = operator_order(twist(left), cap=cap)
+        left_order = operator_order(twist(left))
         # for g' = g'' both are the one power and its one twist: certify it once
-        return left_order, left_order if right is left else operator_order(twist(right), cap=cap)
+        return left_order, left_order if right is left else operator_order(twist(right))
 
     return _twist_op(block_space(h, genus, DIRECT, genus_cap=genus_cap),
-                     ("separating", genus_left, genus_right, cap), f"separating({genus_left},{genus_right})",
-                     lambda: _slot_op(h, twist(right), genus_left, 0), cap, end_orders)
+                     ("separating", genus_left, genus_right), f"separating({genus_left},{genus_right})",
+                     lambda: _slot_op(h, twist(right), genus_left, 0), end_orders)
 
 
 def bounding_pair_op(h: HopfData) -> Matrix:

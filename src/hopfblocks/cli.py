@@ -25,7 +25,12 @@ EXIT_VALIDATION = 3
 
 
 def _error(code: str, message: str) -> None:
-    print(f"error[{code}]: {message}", file=sys.stderr)
+    try:
+        print(f"error[{code}]: {message}", file=sys.stderr)
+    except BrokenPipeError:
+        # the reader closed stderr; point it at devnull so the exit code
+        # stays the one the caller returns
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def _emit(doc: dict, fmt: str, table: str | None = None) -> None:
@@ -84,7 +89,7 @@ def cmd_invariants(args) -> int:
         doc["end_muger_central"] = central
         doc["torelli_annihilated_predicted"] = central
     if h.ribbon is not None:
-        doc["ribbon_order"] = h.ribbon_order(cap=args.cap).to_json()
+        doc["ribbon_order"] = h.ribbon_order().to_json()
         if h.r_matrix is not None:  # the double braiding needs R
             doc["johnson_annihilated_predicted"] = all(repcat.johnson_criterion(h))
     elif "ribbon_search" in h.flags:
@@ -126,15 +131,15 @@ def cmd_dehn(args) -> int:
     kind, _, params = curve.partition(":")
     if kind == "nonsep" and (handle := _curve_ints(params, 1)):
         space = blk.block_space(h, args.genus, blk.DIRECT, genus_cap=args.genus_cap)
-        op = blk.nonseparating_twist_op(space, handle[0], cap=args.cap)
+        op = blk.nonseparating_twist_op(space, handle[0])
         doc = {"report_version": 1, "algebra": h.name, **op.to_json()}
     elif kind == "sep" and (genera := _curve_ints(params, 2)):
         g1, g2 = genera
-        sep = blk.separating_twist_op(h, g1, g2, cap=args.cap, genus_cap=args.genus_cap)
+        sep = blk.separating_twist_op(h, g1, g2, genus_cap=args.genus_cap)
         doc = {"report_version": 1, "algebra": h.name, "genus": sep.block.genus, **sep.to_json()}
     elif curve == "bpair":
         mat = blk.bounding_pair_op(h)
-        cert = operator_order(mat, cap=args.cap)
+        cert = operator_order(mat)
         doc = {
             "report_version": 1,
             "algebra": h.name,
@@ -155,9 +160,7 @@ def cmd_theorems(args) -> int:
         _error("BAD_ARGUMENT", "--max-genus must be at least 1 and --window at least 0")
         return EXIT_USAGE
     h = _load(args.algebra)
-    report = harness.run_all(
-        h, max_genus=args.max_genus, window=args.window, cap=args.cap, genus_cap=args.genus_cap
-    )
+    report = harness.run_all(h, max_genus=args.max_genus, window=args.window, genus_cap=args.genus_cap)
     _emit(report.to_json(), args.format, table=report.to_table())
     return EXIT_DISCREPANCY if report.has_failures else EXIT_OK
 
@@ -190,8 +193,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--format", choices=["json", "table"], default=dft("table"))
-    parser.add_argument("--cap", type=int, default=dft(None),
-                        help="iteration cap for order searches")
     parser.add_argument("--genus-cap", type=int, default=dft(None),
                         help="override the genus resource cap")
 
@@ -243,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cap is not None and args.cap < 1:
-        _error("BAD_ARGUMENT", "--cap must be at least 1")
-        return EXIT_USAGE
     if args.genus_cap is not None and args.genus_cap < 0:
         _error("BAD_ARGUMENT", "--genus-cap must be at least 0")
         return EXIT_USAGE
@@ -260,8 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         _error("IO_ERROR", "stdout was closed before the report was written")
         return EXIT_USAGE
     except ValidationFailed as exc:
-        _error("VALIDATION_FAILED", str(exc))
-        print(json.dumps(exc.report.to_json(), indent=1, sort_keys=True), file=sys.stderr)
+        _error("VALIDATION_FAILED", f"{exc}\n{json.dumps(exc.report.to_json(), indent=1, sort_keys=True)}")
         return EXIT_VALIDATION
     except ParseError as exc:
         _error("PARSE_ERROR", str(exc))

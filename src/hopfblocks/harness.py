@@ -6,10 +6,11 @@ and records them; gated checks (hypotheses not satisfied) and skipped checks
 (resource caps) are reported explicitly, never silently passed.
 
 Each ``verify_*`` supplies its statement and a body that computes
-(lhs, rhs, ok, detail); one runner, ``_run``, owns the rest of a row: the
-gate (``PreconditionError``, turned into a gated row by ``run_all``), the
-timing, the pass/fail status, and the skipped row for ``GenusCapExceeded``,
-which is caught nowhere else.
+(lhs, rhs, ok, detail); one runner, ``_run``, builds every row: the gated
+row when the gate names a missing hypothesis, the timing, the pass/fail
+status, and the skipped row for ``GenusCapExceeded``, which is caught
+nowhere else.  A ``verify_*`` never raises for a gated hypothesis, so
+``run_all`` only collects rows.
 """
 
 from __future__ import annotations
@@ -37,20 +38,6 @@ from .repcat import (
     trivial_module,
     twist,
 )
-
-
-class PreconditionError(Exception):
-    """A theorem's hypotheses are not met by the input algebra.
-
-    ``name`` and ``statement`` are those of the check that was gated, so its
-    row in a report reads like the check it stands for.
-    """
-
-    def __init__(self, code: str, detail: str, name: str, statement: str):
-        self.code = code
-        self.name = name
-        self.statement = statement
-        super().__init__(f"{code}: {detail}")
 
 
 class Check:
@@ -119,40 +106,40 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def require_ribbon_factorizable(h: HopfData, name: str, statement: str) -> None:
+def ribbon_factorizable_gap(h: HopfData) -> str | None:
     """Gate: the twist-order theorems assume a ribbon factorizable algebra
-    over a characteristic-zero field.  name and statement are the gated
-    check's."""
+    over a characteristic-zero field.  The code of the first missing
+    hypothesis, or None when all hold."""
     if h.field.kind == "Fp":
-        code = "CharacteristicZeroRequired"
-    elif h.r_matrix is None or not h.is_factorizable()[0]:
-        code = "FactorizableRequired"
-    elif h.ribbon is None:
-        code = "RibbonRequired"
-    else:
-        return
-    raise PreconditionError(code, h.name, name, statement)
+        return "CharacteristicZeroRequired"
+    if h.r_matrix is None or not h.is_factorizable()[0]:
+        return "FactorizableRequired"
+    if h.ribbon is None:
+        return "RibbonRequired"
+    return None
 
 
-def _require_r_matrix(h: HopfData, name: str, statement: str) -> None:
+def _r_matrix_gap(h: HopfData) -> str | None:
     """Gate: the Torelli criterion needs an R-matrix."""
-    if h.r_matrix is None:
-        raise PreconditionError("RMatrixRequired", h.name, name, statement)
+    return "RMatrixRequired" if h.r_matrix is None else None
 
 
-def _run(h: HopfData, name: str, statement: str, body, gate=require_ribbon_factorizable) -> Check:
-    """One check row: gate(h, name, statement) raises ``PreconditionError``
-    when the hypotheses fail (no gate when None), body() returns
-    (lhs, rhs, ok, detail), and a ``GenusCapExceeded`` from body is a skipped
-    row.  The runtime covers the gate and the body."""
+def _run(h: HopfData, name: str, statement: str, body, gate=ribbon_factorizable_gap) -> Check:
+    """One check row.  gate(h) returns the code of a missing hypothesis (no
+    gate when None); then the row is gated, with detail "<code>: <algebra>",
+    and body is not called.  Otherwise body() returns (lhs, rhs, ok, detail),
+    and a ``GenusCapExceeded`` from body is a skipped row.  The runtime
+    covers the gate and the body."""
     t0 = time.perf_counter()
-    if gate is not None:
-        gate(h, name, statement)
-    try:
-        lhs, rhs, ok, detail = body()
-        check = Check(name, statement, lhs, rhs, "pass" if ok else "fail", detail)
-    except GenusCapExceeded as exc:
-        check = Check(name, statement, status="skipped", detail=str(exc), reason="GenusCapExceeded")
+    code = None if gate is None else gate(h)
+    if code is not None:
+        check = Check(name, statement, status="gated", detail=f"{code}: {h.name}", reason=code)
+    else:
+        try:
+            lhs, rhs, ok, detail = body()
+            check = Check(name, statement, lhs, rhs, "pass" if ok else "fail", detail)
+        except GenusCapExceeded as exc:
+            check = Check(name, statement, status="skipped", detail=str(exc), reason="GenusCapExceeded")
     check.runtime = time.perf_counter() - t0
     return check
 
@@ -173,7 +160,7 @@ def _verdict_min(a: OrderVerdict, b: OrderVerdict) -> OrderVerdict:
     return b
 
 
-def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
+def verify_prop_order(h: HopfData) -> Check:
     """Order of the ribbon element equals the order of the twist on a
     projective generator, and bounds the twist order of every module.
 
@@ -186,14 +173,14 @@ def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
     """
 
     def body():
-        ribbon_cert = h.ribbon_order(cap=cap)
+        ribbon_cert = h.ribbon_order()
         reg = regular_module(h)
-        reg_cert = operator_order(twist(reg), cap=cap)
+        reg_cert = operator_order(twist(reg))
         a = adjoint_module(h)
         sample = [trivial_module(h), reg, a, tensor_power(a, 2)]
         sample_orders = [
             reg_cert.gl_order if m is reg
-            else operator_order(twist(m) if m is a else m.act_element(h.ribbon), cap=cap).gl_order
+            else operator_order(twist(m) if m is a else m.act_element(h.ribbon)).gl_order
             for m in sample
         ]
         ok = _verdict_eq(ribbon_cert.gl_order, reg_cert.gl_order)
@@ -212,19 +199,19 @@ def verify_prop_order(h: HopfData, cap: int | None = None) -> Check:
                 "and the twist order of each sampled module divides it", body)
 
 
-def verify_nonseparating(h: HopfData, g_max: int, cap: int | None = None,
-                         genus_cap: int | None = None) -> list[Check]:
+def verify_nonseparating(h: HopfData, g_max: int, genus_cap: int | None = None) -> list[Check]:
     """Every meridian twist acts with PGL order equal to the ribbon twist order.
 
-    The gate is checked once, under the name of the whole range, before the
-    one row per genus."""
+    The gate is checked once: when it fails, the one gated row carries the
+    name of the whole range; otherwise there is one row per genus."""
     statement = "PGL order of the twist about each handle meridian equals the ribbon twist order"
-    require_ribbon_factorizable(h, f"nonseparating-twist-order(g=1..{g_max})", statement)
-    ribbon = h.ribbon_order(cap=cap).gl_order
+    if ribbon_factorizable_gap(h) is not None:
+        return [_run(h, f"nonseparating-twist-order(g=1..{g_max})", statement, None)]
+    ribbon = h.ribbon_order().gl_order
 
     def body(g):
         block = block_space(h, g, DIRECT, genus_cap=genus_cap)
-        pgl = [nonseparating_twist_op(block, handle, cap=cap).certificate.pgl_order for handle in range(1, g + 1)]
+        pgl = [nonseparating_twist_op(block, handle).certificate.pgl_order for handle in range(1, g + 1)]
         return (f"handles: {[str(v) for v in pgl]} (block dim {block.dim})", f"|ribbon| = {ribbon}",
                 all(_verdict_eq(v, ribbon) for v in pgl), "")
 
@@ -232,12 +219,11 @@ def verify_nonseparating(h: HopfData, g_max: int, cap: int | None = None,
             for g in range(1, g_max + 1)]
 
 
-def verify_separating(h: HopfData, g_left: int, g_right: int, cap: int | None = None,
-                      genus_cap: int | None = None) -> Check:
+def verify_separating(h: HopfData, g_left: int, g_right: int, genus_cap: int | None = None) -> Check:
     """Separating twist order = min of the twist orders of the end powers."""
 
     def body():
-        sep = separating_twist_op(h, g_left, g_right, cap=cap, genus_cap=genus_cap)
+        sep = separating_twist_op(h, g_left, g_right, genus_cap=genus_cap)
         left, right = (c.gl_order for c in sep.end_orders)
         expected = _verdict_min(left, right)
         return (f"operator: {sep.certificate.pgl_order} (block dim {sep.block.dim})",
@@ -247,13 +233,13 @@ def verify_separating(h: HopfData, g_left: int, g_right: int, cap: int | None = 
                 "PGL order of the separating twist = min of the twist orders of the end powers", body)
 
 
-def verify_johnson(h: HopfData, cap: int | None = None, genus_cap: int | None = None) -> Check:
+def verify_johnson(h: HopfData, genus_cap: int | None = None) -> Check:
     """Separating twists act trivially iff the end twist is trivial and the
     end's self double braiding is trivial; cross-checked on the genus-2
     separating operator."""
 
     def body():
-        sep = separating_twist_op(h, 1, 1, cap=cap, genus_cap=genus_cap)
+        sep = separating_twist_op(h, 1, 1, genus_cap=genus_cap)
         twist_trivial, braid_trivial = johnson_criterion(h)
         predicted = twist_trivial and braid_trivial
         sep_trivial = sep.matrix.is_identity()
@@ -279,8 +265,7 @@ def verify_torelli(h: HopfData) -> Check:
             F = h.field
             a = adjoint_module(h)
             ok = all(
-                a.act(i).scalar_value() is not None
-                and F.eq(a.act(i).scalar_value(), h.counit[i])
+                (c := a.act(i).scalar_value()) is not None and F.eq(c, h.counit[i])
                 for i in range(h.dim)
             )
             detail = f"adjoint action scalar (counit) on all basis elements: {ok}"
@@ -289,11 +274,10 @@ def verify_torelli(h: HopfData) -> Check:
         return f"end transparent: {central}", f"commutative: {commutative}", ok, detail
 
     return _run(h, "torelli-criterion", "the end is in the Mueger center iff the algebra is commutative",
-                body, gate=_require_r_matrix)
+                body, gate=_r_matrix_gap)
 
 
-def verify_zg(h: HopfData, genus: int, window: int, cap: int | None = None,
-              genus_cap: int | None = None) -> Check:
+def verify_zg(h: HopfData, genus: int, window: int, genus_cap: int | None = None) -> Check:
     """The lattice of commuting meridian twists acts with kernel exactly the
     multiples of the ribbon twist order (all-or-nothing per coordinate).
 
@@ -304,11 +288,11 @@ def verify_zg(h: HopfData, genus: int, window: int, cap: int | None = None,
         raise ValueError(f"genus must be at least 1 and window at least 0, got {genus} and {window}")
 
     def body():
-        ribbon = h.ribbon_order(cap=cap).gl_order
+        ribbon = h.ribbon_order().gl_order
         block = block_space(h, genus, DIRECT, genus_cap=genus_cap)
         powers = []
         for i in range(1, genus + 1):
-            op = nonseparating_twist_op(block, i, cap=cap).matrix
+            op = nonseparating_twist_op(block, i).matrix
             table = {0: Matrix.identity(h.field, block.dim)}
             inv = inverse(op)
             for k in range(1, window + 1):
@@ -346,15 +330,14 @@ def _lattice_point_trivial(powers: list[dict], pt: tuple) -> bool:
     return reduce(Matrix.mul, factors) == powers[-1][-pt[-1]]
 
 
-def verify_excision(h: HopfData, genus: int, cap: int | None = None,
-                    genus_cap: int | None = None) -> Check:
+def verify_excision(h: HopfData, genus: int, genus_cap: int | None = None) -> Check:
     """Direct and relative-center models agree in dimension and twist order."""
 
     def body():
         direct = block_space(h, genus, DIRECT, genus_cap=genus_cap)
         center = block_space(h, genus, RELATIVE_CENTER, genus_cap=genus_cap)
-        op_d = nonseparating_twist_op(direct, 1, cap=cap).certificate
-        op_c = center_twist_op(center, cap=cap).certificate
+        op_d = nonseparating_twist_op(direct, 1).certificate
+        op_c = center_twist_op(center).certificate
         ok = (direct.dim == center.dim and _verdict_eq(op_d.gl_order, op_c.gl_order)
               and _verdict_eq(op_d.pgl_order, op_c.pgl_order))
         return f"direct: dim {direct.dim}, {op_d}", f"center: dim {center.dim}, {op_c}", ok, ""
@@ -363,45 +346,18 @@ def verify_excision(h: HopfData, genus: int, cap: int | None = None,
                 "direct and relative-center block models agree (dimension and twist certificate)", body)
 
 
-def run_all(h: HopfData, max_genus: int = 2, window: int = 4, cap: int | None = None,
-            genus_cap: int | None = None) -> TheoremReport:
-    """The full theorem suite; checks whose hypotheses fail are gated.
+def run_all(h: HopfData, max_genus: int = 2, window: int = 4, genus_cap: int | None = None) -> TheoremReport:
+    """The full theorem suite; checks whose hypotheses fail are gated rows.
 
     Raises ValueError for max_genus < 1 or window < 0 before any check runs.
     """
     if max_genus < 1 or window < 0:
         raise ValueError(f"max_genus must be at least 1 and window at least 0, got {max_genus} and {window}")
-    report = TheoremReport(algebra=h.name)
-
-    def gated(fn, *args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            result = fn(*args, **kwargs)
-            if isinstance(result, list):
-                report.checks.extend(result)
-            else:
-                report.checks.append(result)
-        except PreconditionError as exc:
-            report.checks.append(
-                Check(
-                    name=exc.name,
-                    statement=exc.statement,
-                    status="gated",
-                    detail=str(exc),
-                    runtime=time.perf_counter() - t0,
-                    reason=exc.code,
-                )
-            )
-
-    gated(verify_prop_order, h, cap=cap)
-    gated(verify_nonseparating, h, max_genus, cap=cap, genus_cap=genus_cap)
-    gated(verify_separating, h, 1, 1, cap=cap, genus_cap=genus_cap)
+    checks = [verify_prop_order(h), *verify_nonseparating(h, max_genus, genus_cap=genus_cap),
+              verify_separating(h, 1, 1, genus_cap=genus_cap)]
     if h.dim <= 8 and (genus_cap is None or genus_cap >= 3):
-        gated(verify_separating, h, 1, 2, cap=cap, genus_cap=genus_cap)
-    for g in range(1, min(max_genus, 2) + 1):
-        gated(verify_excision, h, g, cap=cap, genus_cap=genus_cap)
-    gated(verify_johnson, h, cap=cap, genus_cap=genus_cap)
-    gated(verify_torelli, h)
-    zg_genus = min(2, max_genus)
-    gated(verify_zg, h, zg_genus, window, cap=cap, genus_cap=genus_cap)
-    return report
+        checks.append(verify_separating(h, 1, 2, genus_cap=genus_cap))
+    checks += [verify_excision(h, g, genus_cap=genus_cap) for g in range(1, min(max_genus, 2) + 1)]
+    checks += [verify_johnson(h, genus_cap=genus_cap), verify_torelli(h),
+               verify_zg(h, min(2, max_genus), window, genus_cap=genus_cap)]
+    return TheoremReport(h.name, checks)

@@ -397,16 +397,15 @@ class HopfData:
 
         return _sequence_annihilator(self.field, self.dim, powers())
 
-    def ribbon_order(self, cap: int | None = None) -> OrderCertificate:
-        """Order of the ribbon element v, kept per cap, from its minimal
-        polynomial in H (``element_minpoly``), independently of any twist
-        matrix."""
+    def ribbon_order(self) -> OrderCertificate:
+        """Order of the ribbon element v, kept on the algebra, from its
+        minimal polynomial in H (``element_minpoly``), independently of any
+        twist matrix."""
         if self.ribbon is None:
             raise MissingRibbon(self.name)
-        key = ("ribbon_order", cap)
-        if key not in self._cache:
-            self._cache[key] = minpoly_order(self.field, self.element_minpoly(self.ribbon), cap=cap)
-        return self._cache[key]
+        if "ribbon_order" not in self._cache:
+            self._cache["ribbon_order"] = minpoly_order(self.field, self.element_minpoly(self.ribbon))
+        return self._cache["ribbon_order"]
 
     def span_closure_dim(self, indices: list[int]) -> int:
         """Dimension of the unital subalgebra generated by the given basis elements.

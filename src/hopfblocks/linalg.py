@@ -29,11 +29,11 @@ Order certification reads everything off m = minpoly(T) through one
 residue sequence, x^k mod m (``polys.power_residues``); no power of T and no
 conjugation operator on the full matrix space is built.  Over F_p, T^k is
 the scalar c exactly when x^k mod m is the constant c, so both orders come
-from walking the residues up to the cap.  In characteristic 0 the PGL order
-is the GL order of the conjugation operator X -> T X T^(-1), whose minimal
-polynomial is that of x/y in F[x,y]/(m(x), m(y)) (the matrix space is a
-faithful module over that commutative algebra); its powers are the
-rank-one grids (x^k mod m) (y^(-k) mod m).
+from walking the residues up to ``FP_ORDER_CAP``.  In characteristic 0 the
+PGL order is the GL order of the conjugation operator X -> T X T^(-1),
+whose minimal polynomial is that of x/y in F[x,y]/(m(x), m(y)) (the matrix
+space is a faithful module over that commutative algebra); its powers are
+the rank-one grids (x^k mod m) (y^(-k) mod m).
 """
 
 from __future__ import annotations
@@ -121,16 +121,11 @@ class Matrix:
         return out
 
     def is_identity(self) -> bool:
-        if not self.is_square():
-            return False
-        F = self.field
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                if j != i and not F.is_zero(v):
-                    return False
-            if not F.eq(row.get(i, F.zero), F.one):
-                return False
-        return True
+        """Square, and 0 x 0 or the scalar one."""
+        if self.nrows == 0:
+            return self.ncols == 0
+        c = self.scalar_value()
+        return c is not None and self.field.eq(c, self.field.one)
 
     def scalar_value(self):
         """The scalar c if this matrix equals c*I, else None."""
@@ -715,16 +710,16 @@ def _order_by_iteration(field: Field, m: list, cap: int) -> tuple[OrderVerdict, 
     return unknown(cap), pgl or unknown(cap)
 
 
-DEFAULT_FP_ORDER_CAP = 10_000
+FP_ORDER_CAP = 10_000
 
 
-def operator_order(t: Matrix, cap: int | None = None) -> OrderCertificate:
+def operator_order(t: Matrix) -> OrderCertificate:
     """Certified order of an invertible operator in GL and PGL: the order
     that ``minpoly_order`` reads off its minimal polynomial."""
-    return minpoly_order(t.field, minimal_polynomial(t), cap=cap)
+    return minpoly_order(t.field, minimal_polynomial(t))
 
 
-def minpoly_order(field: Field, m: list, cap: int | None = None) -> OrderCertificate:
+def minpoly_order(field: Field, m: list) -> OrderCertificate:
     """Certified GL and PGL orders of an invertible operator (or algebra
     element) with monic minimal polynomial m, low degree first.
 
@@ -737,17 +732,15 @@ def minpoly_order(field: Field, m: list, cap: int | None = None) -> OrderCertifi
     (computed in F[x,y]/(m,m), see module docs).
 
     Over F_p both orders are read off the residues x^k mod m for k up to
-    ``cap``; past it the verdict is Unknown(cap).
-    Raises ValueError for a cap below 1 and ``NotInvertible`` when 0 is a root.
+    ``FP_ORDER_CAP``; past it the verdict is Unknown(cap=10000).
+    Raises ``NotInvertible`` when 0 is a root.
     """
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
     F = field
     if F.is_zero(m[0]):
         raise NotInvertible("operator is singular (minimal polynomial has root 0)")
     evidence = {"minpoly": _format_poly_list(F, m)}
     if F.kind == "Fp":
-        gl, pgl = _order_by_iteration(F, m, cap or DEFAULT_FP_ORDER_CAP)
+        gl, pgl = _order_by_iteration(F, m, FP_ORDER_CAP)
         sf = P.is_squarefree(F, m)
         return OrderCertificate(gl, pgl, sf, evidence)
     sf = P.is_squarefree(F, m)

@@ -205,7 +205,7 @@ def evaluation_full_rank(hom) -> bool:
     return simultaneous_kernel([mat]).dim == 0
 
 
-def separating_twist_by_hom(h, genus_left: int, genus_right: int, cap: int | None = None):
+def separating_twist_by_hom(h, genus_left: int, genus_right: int):
     """The separating twist as postcomposition with the twist of the right
     end power on Hom(A^(g'), A^(g'')), one basis map at a time.
 
@@ -226,7 +226,7 @@ def separating_twist_by_hom(h, genus_left: int, genus_right: int, cap: int | Non
         assert hom.combination(coords) == image, "the twist left the hom space"
         for k, c in coords.items():
             out.rows[k][j] = c
-    return hom, out, operator_order(out, cap=cap)
+    return hom, out, operator_order(out)
 
 
 def bounding_pair_by_hom(h):

@@ -11,7 +11,6 @@ import pytest
 
 from hopfblocks import blocks, catalog, harness, repcat
 from hopfblocks.fields import CyclotomicField, QQ
-from hopfblocks.harness import PreconditionError
 from hopfblocks.linalg import operator_order, tensor_product
 from oracles import diagonal, element_multiplicative_order, field_pow, from_dense
 
@@ -92,8 +91,8 @@ def test_c03_nonseparating_twist_orders():
         # harness must gate rather than fabricate an operator.
         ds = catalog.get("double:sweedler")
         assert ds.ribbon is None and "ribbon_search" in ds.flags
-        with pytest.raises(PreconditionError):
-            harness.verify_nonseparating(ds, 1)
+        [gated] = harness.verify_nonseparating(ds, 1)
+        assert (gated.status, gated.reason) == ("gated", "RibbonRequired")
         assert time.time() - t0 < 600.0  # genus-2 D(S3) runtime target
 
 
@@ -112,8 +111,8 @@ def test_c04_separating_twist_orders():
         mins = min(sep.end_orders[0].gl_order.n, sep.end_orders[1].gl_order.n)
         assert sep.certificate.pgl_order.n == mins
         # D(H4) has no ribbon element: the separating operator is gated
-        with pytest.raises(PreconditionError):
-            harness.verify_separating(catalog.get("double:sweedler"), 1, 1)
+        gated = harness.verify_separating(catalog.get("double:sweedler"), 1, 1)
+        assert (gated.status, gated.reason) == ("gated", "RibbonRequired")
 
 
 def test_c05_excision_consistency():

@@ -483,9 +483,9 @@ def test_equal_split_certifies_its_twist_once(monkeypatch):
     # fresh doubles, so no earlier test has certified a twist on them
     certified = []
 
-    def counting(t, cap=None):
+    def counting(t):
         certified.append(t)
-        return operator_order(t, cap=cap)
+        return operator_order(t)
 
     monkeypatch.setattr(blocks, "operator_order", counting)
 
@@ -506,16 +506,14 @@ def test_equal_split_certifies_its_twist_once(monkeypatch):
     assert other.end_orders[0] is not other.end_orders[1]
 
 
-def test_twist_operators_are_cached_per_cap():
+def test_twist_operators_are_cached():
     h = catalog.double_of_group(catalog.cyclic_group(2))
     block = block_space(h, 2)
     op = nonseparating_twist_op(block, 1)
     assert nonseparating_twist_op(block, 1) is op
-    other = nonseparating_twist_op(block, 1, cap=50)
-    assert other is not op
-    assert nonseparating_twist_op(block, 1, cap=50) is other
+    assert nonseparating_twist_op(block, 2) is not op
     center = block_space(h, 2, RELATIVE_CENTER)
     assert center_twist_op(center) is center_twist_op(center)
-    assert center_twist_op(center) is not center_twist_op(center, cap=50)
+    assert separating_twist_op(h, 1, 1) is separating_twist_op(h, 1, 1)
     assert h.ribbon_order() is h.ribbon_order()
-    assert h.ribbon_order() is not h.ribbon_order(cap=50)
+    assert {"ribbon_order", ("nonseparating", 2, 1), ("center_twist", 2), ("separating", 1, 1)} <= set(h._cache)

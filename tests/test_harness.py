@@ -6,7 +6,6 @@ from hopfblocks.catalog import GroupTable, _perm_compose
 from hopfblocks.repcat import adjoint_module, regular_module, tensor_power
 from hopfblocks.harness import (
     Check,
-    PreconditionError,
     TheoremReport,
     verify_excision,
     verify_johnson,
@@ -93,15 +92,14 @@ def test_nonseparating_small():
 
 def test_nonseparating_gate_refuses_nonfactorizable():
     h = _trivially_ribboned_z2()
-    with pytest.raises(PreconditionError) as err:
-        verify_nonseparating(h, 1)
-    assert err.value.code == "FactorizableRequired"
+    [check] = verify_nonseparating(h, 1)
+    assert (check.status, check.reason) == ("gated", "FactorizableRequired")
+    assert check.detail == f"FactorizableRequired: {h.name}"
 
 
 def test_nonseparating_gate_refuses_missing_ribbon():
-    with pytest.raises(PreconditionError) as err:
-        verify_nonseparating(catalog.get("double:sweedler"), 1)
-    assert err.value.code == "RibbonRequired"
+    [check] = verify_nonseparating(catalog.get("double:sweedler"), 3)
+    assert (check.name, check.status, check.reason) == ("nonseparating-twist-order(g=1..3)", "gated", "RibbonRequired")
 
 
 def test_nonseparating_skips_beyond_cap():
@@ -162,6 +160,37 @@ def test_run_all_gates_sweedler_double():
     assert statuses["torelli-criterion"] == "pass"
     assert any(s == "gated" for s in statuses.values())
     assert not report.has_failures
+
+
+def _row(c: Check) -> tuple:
+    return c.name, c.statement, c.status, c.detail, c.reason
+
+
+@pytest.mark.parametrize("name, reasons", [
+    ("double:sweedler", {"RibbonRequired"}),
+    ("double:Z3/F7", {"CharacteristicZeroRequired"}),
+    ("group:S3", {"FactorizableRequired", "RMatrixRequired"}),
+], ids=["D(H4)", "D(Z3)/F7", "k[S3]"])
+def test_direct_calls_give_the_rows_of_run_all(name, reasons):
+    # a gated hypothesis is a row from every verify_*, never an exception,
+    # and run_all only collects those rows
+    if name == "double:Z3/F7":
+        from hopfblocks.fields import PrimeField
+
+        h = catalog.double_of_group(catalog.cyclic_group(3), PrimeField(7))
+    else:
+        h = catalog.get(name)
+    direct = [verify_prop_order(h), *verify_nonseparating(h, 2), verify_separating(h, 1, 1)]
+    if h.dim <= 8:
+        direct.append(verify_separating(h, 1, 2))
+    direct += [verify_excision(h, 1), verify_excision(h, 2), verify_johnson(h), verify_torelli(h),
+               verify_zg(h, 2, 4)]
+    report = harness.run_all(h)
+    assert [_row(c) for c in direct] == [_row(c) for c in report.checks]
+    gated = [c for c in report.checks if c.status == "gated"]
+    assert {c.reason for c in gated} == reasons
+    assert all(c.detail == f"{c.reason}: {h.name}" for c in gated)
+    assert "nonseparating-twist-order(g=1..2)" in [c.name for c in gated]
 
 
 @pytest.mark.parametrize("kwargs", [{"max_genus": 0}, {"window": -1}], ids=["max_genus=0", "window=-1"])

@@ -9,7 +9,9 @@ from hopfblocks.linalg import (
     LinAlgError,
     Matrix,
     NotInvertible,
+    FP_ORDER_CAP,
     _RowReducer,
+    _order_by_iteration,
     _unity_candidates,
     finite,
     inverse,
@@ -595,24 +597,23 @@ def test_order_not_invertible():
 
 def test_order_prime_field_iteration():
     F = PrimeField(7)
-    cert = operator_order(diagonal(F, [3, 3]), cap=100)
+    cert = operator_order(diagonal(F, [3, 3]))
     assert cert.gl_order.n == 6  # 3 has order 6 mod 7
     assert cert.pgl_order.n == 1
 
 
 def test_order_prime_field_cap():
+    # 3 and 5 both have order 6 mod 7, and 3/5 = 2 has order 3: below either
+    # order the search stops at Unknown(cap)
     F = PrimeField(7)
-    cert = operator_order(diagonal(F, [3, 5]), cap=2)
-    assert cert.gl_order.kind == "unknown" and cert.gl_order.cap == 2
-
-
-@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
-def test_order_rejects_cap_below_one(F):
     t = diagonal(F, [3, 5])
-    for cap in (0, -1):
-        with pytest.raises(ValueError):
-            operator_order(t, cap=cap)
-    assert operator_order(t, cap=1).gl_order.kind == ("unknown" if F.kind == "Fp" else "infinite")
+    m = minimal_polynomial(t)
+    for cap in (1, 2, 5):
+        gl, pgl = _order_by_iteration(F, m, cap)
+        assert gl.kind == "unknown" and gl.cap == cap
+        assert (gl, pgl) == order_by_matrix_powers(t, cap)
+    cert = operator_order(t)
+    assert (cert.gl_order, cert.pgl_order) == (finite(6), finite(3)) == order_by_matrix_powers(t, FP_ORDER_CAP)
 
 
 @FIELDS
@@ -632,9 +633,11 @@ def test_fp_orders_match_matrix_powers():
             t = rand_matrix(rng, F, n, n)
             while F.is_zero(minimal_polynomial(t)[0]):
                 t = rand_matrix(rng, F, n, n)
-        for cap in (1, 2, 5, 10000):
-            cert = operator_order(t, cap=cap)
-            assert (cert.gl_order, cert.pgl_order) == order_by_matrix_powers(t, cap), (to_dense(t), cap)
+        m = minimal_polynomial(t)
+        for cap in (1, 2, 5):
+            assert _order_by_iteration(F, m, cap) == order_by_matrix_powers(t, cap), (to_dense(t), cap)
+        cert = operator_order(t)
+        assert (cert.gl_order, cert.pgl_order) == order_by_matrix_powers(t, FP_ORDER_CAP), to_dense(t)
 
 
 def conjugation_operator(t: Matrix) -> Matrix:
