@@ -31,10 +31,6 @@ class CatalogError(Exception):
     pass
 
 
-class NotAGroup(CatalogError):
-    pass
-
-
 class NoRibbonFound(CatalogError):
     pass
 
@@ -51,70 +47,50 @@ class ValidationFailed(CatalogError):
 
 
 # ---------------------------------------------------------------------------
-# Finite groups as multiplication tables
+# Finite groups as permutations
 # ---------------------------------------------------------------------------
 
 
-class GroupTable:
-    """A finite group given by labels, a multiplication table, and generators."""
+def _perm_compose(p: tuple, q: tuple) -> tuple:
+    # (p q)(x) = p(q(x))
+    return tuple(p[q[i]] for i in range(len(p)))
 
-    def __init__(self, name: str, labels: list[str], table: list[list[int]], generators: list[int]):
+
+class GroupTable:
+    """A finite group given by its elements as permutations, with labels and
+    generators (indices into the elements).
+
+    Each element is an image tuple, p[x] the image of x, and the list must be
+    closed under composition.  The multiplication table, the identity and
+    the inverses are read off the permutations: ``table[i][j]`` is the index
+    of elements[i] elements[j] (``_perm_compose``), ``identity`` the index of
+    the identity permutation and ``inverse[i]`` that of the inverse of
+    elements[i].  Composition of permutations is associative, so the table
+    needs no audit; a list that is not closed fails at the index lookup.
+    """
+
+    def __init__(self, name: str, labels: list[str], elements: list[tuple], generators: list[int]):
         self.name = name
         self.labels = labels
-        self.table = [list(row) for row in table]
         self.generators = list(generators)
-        self.order = len(labels)
-        self._check()
-        self.identity = self._find_identity()
-        self.inverse = self._find_inverses()
-
-    def _check(self):
-        n = self.order
-        if len(self.table) != n or any(len(r) != n for r in self.table):
-            raise NotAGroup("table is not square")
-        for row in self.table:
-            if sorted(row) != list(range(n)):
-                raise NotAGroup("table rows are not permutations")
-        for col in range(n):
-            if sorted(self.table[r][col] for r in range(n)) != list(range(n)):
-                raise NotAGroup("table columns are not permutations")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                        raise NotAGroup(f"not associative at ({i},{j},{k})")
-
-    def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][j] == j and self.table[j][e] == j for j in range(self.order)):
-                return e
-        raise NotAGroup("no identity element")
-
-    def _find_inverses(self) -> list[int]:
-        inv = [None] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.table[i][j] == self.identity:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise NotAGroup(f"no inverse for element {i}")
-        return inv
+        self.order = len(elements)
+        index = {p: i for i, p in enumerate(elements)}
+        self.table = [[index[_perm_compose(p, q)] for q in elements] for p in elements]
+        points = range(len(elements[0]))
+        self.identity = index[tuple(points)]
+        # sorting the points by their images lists the preimage of each point
+        self.inverse = [index[tuple(sorted(points, key=p.__getitem__))] for p in elements]
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
 
 def cyclic_group(n: int) -> GroupTable:
+    """Z/n as the shifts x -> x + k mod n, k = 0..n-1."""
     labels = [f"g{k}" if k else "e" for k in range(n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    shifts = [tuple((x + k) % n for x in range(n)) for k in range(n)]
     gens = [1] if n > 1 else []
-    return GroupTable(f"Z{n}", labels, table, gens)
-
-
-def _perm_compose(p: tuple, q: tuple) -> tuple:
-    # (p q)(x) = p(q(x))
-    return tuple(p[q[i]] for i in range(len(p)))
+    return GroupTable(f"Z{n}", labels, shifts, gens)
 
 
 def symmetric_group_3() -> GroupTable:
@@ -127,9 +103,7 @@ def symmetric_group_3() -> GroupTable:
         (2, 0, 1),
     ]
     labels = ["e", "(12)", "(13)", "(23)", "(123)", "(132)"]
-    index = {p: i for i, p in enumerate(elements)}
-    table = [[index[_perm_compose(p, q)] for q in elements] for p in elements]
-    return GroupTable("S3", labels, table, generators=[1, 4])
+    return GroupTable("S3", labels, elements, generators=[1, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -164,28 +138,6 @@ def group_algebra(group: GroupTable, field: Field = QQ) -> HopfData:
 
 
 # ---------------------------------------------------------------------------
-# Ribbon candidates and attachment
-# ---------------------------------------------------------------------------
-
-
-def ribbon_axioms_pass(h: HopfData, v: dict) -> bool:
-    """The full ribbon battery of ``HopfData.ribbon_battery`` (central,
-    invertible, eps(v)=1, S(v)=v, Delta(v) = (R21 R)(v x v)); an algebra
-    without an R-matrix has no ribbon element."""
-    return h.r_matrix is not None and all(passed for _, passed, _ in h.ribbon_battery(v))
-
-
-def attach_verified_ribbon(h: HopfData, candidates: list[tuple[dict, str]]) -> None:
-    """Attach the first candidate passing the ribbon axioms; record the choice."""
-    for vec, label in candidates:
-        if ribbon_axioms_pass(h, vec):
-            h.ribbon = h.element(vec)
-            h.flags["ribbon_choice"] = label
-            return
-    raise NoRibbonFound(h.name)
-
-
-# ---------------------------------------------------------------------------
 # Doubles
 # ---------------------------------------------------------------------------
 
@@ -201,10 +153,14 @@ def _group_by_name(name: str) -> GroupTable:
 
 
 def _attach_double_ribbon(d: HopfData, grouplikes=()) -> None:
-    """Attach the first ribbon candidate of a double that verifies.
+    """Attach the first ribbon candidate of a double that verifies, and
+    record its label as ``ribbon_choice``.
 
     The candidates, in order: the Drinfeld element u, its inverse, and for
-    each grouplike l the shifts u l^-1, l^-1 u, u^-1 l and l u^-1.
+    each grouplike l the shifts u l^-1, l^-1 u, u^-1 l and l u^-1.  A
+    candidate verifies when it passes the whole battery of
+    ``HopfData.ribbon_battery``: central, invertible, eps(v) = 1, S(v) = v
+    and Delta(v) = (R21 R)(v x v); every double carries its R-matrix.
     ``NoRibbonFound`` when none verifies.
     """
     u = d.drinfeld_element()
@@ -216,7 +172,12 @@ def _attach_double_ribbon(d: HopfData, grouplikes=()) -> None:
         candidates.append((d.product(ell_inv, u), f"g{i}^-1*u"))
         candidates.append((d.product(uinv, ell), f"u^-1*g{i}"))
         candidates.append((d.product(ell, uinv), f"g{i}*u^-1"))
-    attach_verified_ribbon(d, candidates)
+    for vec, label in candidates:
+        if all(passed for _, passed, _ in d.ribbon_battery(vec)):
+            d.ribbon = d.element(vec)
+            d.flags["ribbon_choice"] = label
+            return
+    raise NoRibbonFound(d.name)
 
 
 def double_of_group(group: GroupTable, field: Field = QQ) -> HopfData:

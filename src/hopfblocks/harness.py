@@ -8,9 +8,11 @@ and records them; gated checks (hypotheses not satisfied) and skipped checks
 Each ``verify_*`` supplies its statement and a body that computes
 (lhs, rhs, ok, detail); one runner, ``_run``, builds every row: the gated
 row when the gate names a missing hypothesis, the timing, the pass/fail
-status, and the skipped row for ``GenusCapExceeded``, which is caught
-nowhere else.  A ``verify_*`` never raises for a gated hypothesis, so
-``run_all`` only collects rows.
+status, and the skipped row for ``GenusCapExceeded`` or ``OrderUnknown``,
+which are caught nowhere else.  A body raises ``OrderUnknown`` when it reads
+an Unknown order verdict (no order found up to the search cap): such a
+verdict can neither confirm nor refute a statement.  A ``verify_*`` never
+raises for a gated hypothesis, so ``run_all`` only collects rows.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from .repcat import (
     trivial_module,
     twist,
 )
+
+
+class OrderUnknown(Exception):
+    """A check read an Unknown order verdict; its row is skipped."""
 
 
 class Check:
@@ -128,8 +134,8 @@ def _run(h: HopfData, name: str, statement: str, body, gate=ribbon_factorizable_
     """One check row.  gate(h) returns the code of a missing hypothesis (no
     gate when None); then the row is gated, with detail "<code>: <algebra>",
     and body is not called.  Otherwise body() returns (lhs, rhs, ok, detail),
-    and a ``GenusCapExceeded`` from body is a skipped row.  The runtime
-    covers the gate and the body."""
+    and a ``GenusCapExceeded`` or ``OrderUnknown`` from body is a skipped row
+    with that reason.  The runtime covers the gate and the body."""
     t0 = time.perf_counter()
     code = None if gate is None else gate(h)
     if code is not None:
@@ -138,14 +144,21 @@ def _run(h: HopfData, name: str, statement: str, body, gate=ribbon_factorizable_
         try:
             lhs, rhs, ok, detail = body()
             check = Check(name, statement, lhs, rhs, "pass" if ok else "fail", detail)
-        except GenusCapExceeded as exc:
-            check = Check(name, statement, status="skipped", detail=str(exc), reason="GenusCapExceeded")
+        except (GenusCapExceeded, OrderUnknown) as exc:
+            check = Check(name, statement, status="skipped", detail=str(exc), reason=type(exc).__name__)
     check.runtime = time.perf_counter() - t0
     return check
 
 
+def _known(v: OrderVerdict) -> OrderVerdict:
+    """v, unless it is Unknown; then ``OrderUnknown``."""
+    if v.kind == "unknown":
+        raise OrderUnknown(f"order verdict {v}: no order found up to the cap")
+    return v
+
+
 def _verdict_eq(a: OrderVerdict, b: OrderVerdict) -> bool:
-    if a.kind != b.kind:
+    if _known(a).kind != _known(b).kind:
         return False
     if a.is_finite:
         return a.n == b.n
@@ -153,7 +166,7 @@ def _verdict_eq(a: OrderVerdict, b: OrderVerdict) -> bool:
 
 
 def _verdict_min(a: OrderVerdict, b: OrderVerdict) -> OrderVerdict:
-    if a.is_finite and b.is_finite:
+    if _known(a).is_finite and _known(b).is_finite:
         return a if a.n <= b.n else b
     if a.is_finite:
         return a
@@ -179,8 +192,8 @@ def verify_prop_order(h: HopfData) -> Check:
         a = adjoint_module(h)
         sample = [trivial_module(h), reg, a, tensor_power(a, 2)]
         sample_orders = [
-            reg_cert.gl_order if m is reg
-            else operator_order(twist(m) if m is a else m.act_element(h.ribbon)).gl_order
+            _known(reg_cert.gl_order if m is reg
+                   else operator_order(twist(m) if m is a else m.act_element(h.ribbon)).gl_order)
             for m in sample
         ]
         ok = _verdict_eq(ribbon_cert.gl_order, reg_cert.gl_order)
@@ -288,7 +301,7 @@ def verify_zg(h: HopfData, genus: int, window: int, genus_cap: int | None = None
         raise ValueError(f"genus must be at least 1 and window at least 0, got {genus} and {window}")
 
     def body():
-        ribbon = h.ribbon_order().gl_order
+        ribbon = _known(h.ribbon_order().gl_order)
         block = block_space(h, genus, DIRECT, genus_cap=genus_cap)
         powers = []
         for i in range(1, genus + 1):

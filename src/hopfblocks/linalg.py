@@ -6,9 +6,11 @@ behind minimal polynomials, and subalgebra spans -- is read off the
 reduced row echelon form of its system: the pivot is the least column of
 its row, the row is 1 there and 0 in every other pivot column.  That form is
 unique for a given row space, so results are exact by construction and need
-no certificate.  One exact sparse row reducer, ``_RowReducer``, builds it
-(over Q each new row is first cleared of denominators and content to keep
-entries small).
+no certificate.  One exact sparse row reducer, ``_RowReducer``, builds it.
+Each new pivot row is scaled once, by the inverse of its pivot entry, and
+every stored entry is normalised: over Q an integral value is then an
+``int``, not a ``Fraction`` with denominator 1, and every later elimination
+against that row runs on the cheaper type.
 
 A kernel basis (``KernelBasis``) comes from one of two routes, chosen by row
 length.  When every row of the stacked system has at most two nonzeros --
@@ -39,10 +41,9 @@ the rank-one grids (x^k mod m) (y^(-k) mod m).
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
-from .fields import Field, FieldMismatch, QQ, is_prime
+from .fields import Field, FieldMismatch, is_prime
 from . import polys as P
 
 
@@ -359,30 +360,15 @@ def _reduced_kernel(field: Field, n: int, mats: list[Matrix]) -> KernelBasis:
     return KernelBasis(F, columns, free, n)
 
 
-def _primitive_row(field: Field, row: dict) -> dict:
-    """Over Q, divide a sparse row by its content to keep entries small."""
-    if field is not QQ or not row:
-        return row
-    denom = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {j: int(v * denom) if isinstance(v, Fraction) else v * denom for j, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {j: v // g for j, v in ints.items()}
-    return ints
-
-
 class _RowReducer:
     """Sparse reduced row echelon form, grown one row at a time.
 
     ``pivots`` maps each pivot column to its row (column -> nonzero value).
     Invariant: the pivot is the least column of its row, the row is 1 there
-    and 0 in every other pivot column.  Rows are sparse dicts over ``field``;
-    over Q a new row is made primitive before it is normalised.
+    and 0 in every other pivot column.  Rows are sparse dicts over ``field``.
+    A new pivot row is scaled by the inverse of its pivot entry and each
+    entry normalised (``Field.normalize``), so over Q its integral entries
+    are ``int``, on which the eliminations against it are faster.
 
     ``column_rows`` maps each non-pivot column to the pivot columns whose
     rows are nonzero there, so a new pivot finds the rows it must be cleared
@@ -426,10 +412,9 @@ class _RowReducer:
         reduced = self.reduce(row)
         if not reduced:
             return reduced
-        new = _primitive_row(F, reduced)
-        lead = min(new)
-        inv = F.inv(new[lead])
-        new = {j: mul(inv, v) for j, v in new.items()}
+        lead = min(reduced)
+        inv, norm = F.inv(reduced[lead]), F.normalize
+        new = {j: norm(mul(inv, v)) for j, v in reduced.items()}
         column_rows = self.column_rows
         rows_at_lead = column_rows.pop(lead, ())
         for j in new:

@@ -677,6 +677,84 @@ def simple_modules(h) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Finite groups: D4, the group axioms of a table, and the Dijkgraaf-Witten
+# count of the block spaces of D(k[G])
+# ---------------------------------------------------------------------------
+
+
+def dihedral_group_4():
+    """D4 in S4, closed from the rotation (1,2,3,0) and the reflection (0,3,2,1)."""
+    from hopfblocks.catalog import GroupTable, _perm_compose
+
+    gens = [(1, 2, 3, 0), (0, 3, 2, 1)]
+    elements = [(0, 1, 2, 3)]
+    for p in elements:
+        for q in gens:
+            r = _perm_compose(p, q)
+            if r not in elements:
+                elements.append(r)
+    return GroupTable("D4", [str(p) for p in elements], elements, [elements.index(g) for g in gens])
+
+
+def group_table_defect(group) -> str | None:
+    """The first group axiom that ``group.table`` breaks, or None.
+
+    The table is square, each row and column is a permutation of the
+    indices, it is associative on all n^3 triples, ``group.identity`` is a
+    two-sided identity and ``group.inverse[i]`` a two-sided inverse of i.
+    """
+    t, n = group.table, group.order
+    indices = list(range(n))
+    if len(t) != n or any(len(row) != n for row in t):
+        return "table is not square"
+    if any(sorted(row) != indices for row in t):
+        return "a row is not a permutation"
+    if any(sorted(t[i][j] for i in indices) != indices for j in indices):
+        return "a column is not a permutation"
+    for i in indices:
+        for j in indices:
+            for k in indices:
+                if t[t[i][j]][k] != t[i][t[j][k]]:
+                    return f"not associative at ({i}, {j}, {k})"
+    e = group.identity
+    if any(t[e][j] != j or t[j][e] != j for j in indices):
+        return f"{e} is not an identity"
+    for i in indices:
+        if t[i][group.inverse[i]] != e or t[group.inverse[i]][i] != e:
+            return f"{group.inverse[i]} is not an inverse of {i}"
+    return None
+
+
+def dijkgraaf_witten_twist(group, genus: int) -> list[int]:
+    """The handle-1 meridian twist of the genus-g block of D(k[G]), as a
+    permutation of the block's basis (Dijkgraaf-Witten, Commun. Math. Phys.
+    129, 1990).
+
+    The basis is indexed by the orbits of simultaneous conjugation on the
+    tuples (a_1, b_1, ..., a_g, b_g) with prod [a_i, b_i] = 1, where
+    [a, b] = a b a^-1 b^-1, so the block dimension is the length of the
+    result.  The twist sends the orbit of a tuple to that of the tuple with
+    b_1 replaced by b_1 a_1 ([a, b a] = [a, b], so the relation holds);
+    entry i is the index of the image of orbit i.
+    """
+    from itertools import product
+
+    mul, inv, e = group.mul, group.inverse, group.identity
+    orbit_of: dict[tuple, int] = {}
+    reps = []
+    for t in product(range(group.order), repeat=2 * genus):
+        c = e
+        for a, b in zip(t[::2], t[1::2]):
+            c = mul(c, mul(mul(a, b), mul(inv[a], inv[b])))
+        if c != e or t in orbit_of:
+            continue
+        for x in range(group.order):
+            orbit_of[tuple(mul(mul(x, y), inv[x]) for y in t)] = len(reps)
+        reps.append(t)
+    return [orbit_of[(t[0], mul(t[1], t[0])) + t[2:]] for t in reps]
+
+
+# ---------------------------------------------------------------------------
 # Q(zeta_n) arithmetic on private Fraction-list polynomial helpers: the
 # reduction table, the reduction of long coefficient lists and the inverse
 # as ``CyclotomicField`` computed them before it used ``polys``.

@@ -32,10 +32,13 @@ from hopfblocks.repcat import adjoint_module, hom_space, regular_module, trivial
 from oracles import (
     bounding_pair_by_hom,
     center_block_full_rows,
+    dihedral_group_4,
+    dijkgraaf_witten_twist,
     direct_block_by_transpose,
     left_mult_of,
     matrix_power,
     separating_twist_by_hom,
+    trace,
 )
 
 
@@ -54,6 +57,29 @@ def test_models_agree_on_dimension():
         h = catalog.get(name)
         for g in (1, 2):
             assert block_space(h, g, DIRECT).dim == block_space(h, g, RELATIVE_CENTER).dim
+
+
+DIJKGRAAF_WITTEN_DIMS = {("Z2", 1): 4, ("Z2", 2): 16, ("Z2", 3): 64, ("Z3", 1): 9, ("Z3", 2): 81,
+                         ("S3", 1): 8, ("S3", 2): 116, ("D4", 1): 22, ("D4", 2): 736}
+
+
+@pytest.mark.parametrize("group, genus", sorted(DIJKGRAAF_WITTEN_DIMS))
+def test_group_double_blocks_match_dijkgraaf_witten(group, genus):
+    # the genus-g block of D(k[G]) has a basis of conjugation orbits of
+    # tuples with prod [a_i, b_i] = 1, which the handle-1 meridian twist
+    # permutes; over Q, equal traces of all powers make T conjugate to that
+    # permutation matrix, and k up to 12 covers every twist order here
+    G = dihedral_group_4() if group == "D4" else catalog._group_by_name(group)
+    perm = dijkgraaf_witten_twist(G, genus)
+    block = block_space(catalog.double_of_group(G), genus, DIRECT)
+    assert block.dim == len(perm) == DIJKGRAAF_WITTEN_DIMS[group, genus]
+    if genus > 2:
+        return
+    t = nonseparating_twist_op(block, 1).matrix
+    power, image = t, list(perm)
+    for k in range(1, 13):
+        assert trace(power) == sum(image[i] == i for i in range(len(perm))), k
+        power, image = power.mul(t), [perm[i] for i in image]
 
 
 def _seeded_file_algebra(name: str, seed: int, out_dir: Path):

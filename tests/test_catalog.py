@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,7 +8,6 @@ from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.catalog import (
     CatalogError,
     GroupTable,
-    NotAGroup,
     ParseError,
     ValidationFailed,
     cyclic_group,
@@ -15,12 +15,11 @@ from hopfblocks.catalog import (
     from_json,
     group_algebra,
     load,
-    ribbon_axioms_pass,
     save,
     symmetric_group_3,
     to_json,
 )
-from oracles import element_multiplicative_order
+from oracles import dihedral_group_4, element_multiplicative_order, group_table_defect
 
 
 def test_group_tables():
@@ -29,13 +28,24 @@ def test_group_tables():
     s3 = symmetric_group_3()
     assert s3.order == 6
     assert sorted(s3.inverse) == list(range(6))
+    groups = [cyclic_group(n) for n in range(1, 7)] + [s3, dihedral_group_4()]
+    assert [group_table_defect(g) for g in groups] == [None] * 8
+    assert [g.order for g in groups] == [1, 2, 3, 4, 5, 6, 6, 8]
+    with pytest.raises(KeyError):  # not closed: (1,2,0)^2 = (2,0,1) is missing
+        GroupTable("bad", ["e", "r"], [(0, 1, 2), (1, 2, 0)], [1])
 
 
-def test_not_a_group():
-    with pytest.raises(NotAGroup):
-        GroupTable("bad", ["a", "b"], [[0, 0], [1, 1]], [])
-    with pytest.raises(NotAGroup):
-        GroupTable("bad", ["a", "b"], [[1, 0], [1, 0]], [])
+def test_group_table_oracle_flags_broken_tables():
+    def table(rows, identity=0, inverse=(0, 1)):
+        return SimpleNamespace(table=rows, order=len(rows), identity=identity, inverse=list(inverse))
+
+    assert group_table_defect(table([[0, 0], [1, 1]])) == "a row is not a permutation"
+    assert group_table_defect(table([[1, 0], [1, 0]])) == "a column is not a permutation"
+    assert group_table_defect(table([[0, 1], [1, 0]], identity=1)) == "1 is not an identity"
+    assert group_table_defect(table([[0, 1], [1, 0]], inverse=(0, 0))) == "0 is not an inverse of 1"
+    assert group_table_defect(table([[0, 1], [1, 0], [0, 1]])) == "table is not square"
+    # x * y = -x - y mod 3: a Latin square, not associative
+    assert group_table_defect(table([[0, 2, 1], [2, 1, 0], [1, 0, 2]])) == "not associative at (0, 0, 1)"
 
 
 def test_group_algebra_shapes():
@@ -57,7 +67,7 @@ def test_double_names_and_orders():
 def test_shipped_ribbons_verified():
     for name in ("double:Z2", "double:Z3", "double:S3"):
         d = catalog.get(name)
-        assert ribbon_axioms_pass(d, d.ribbon)
+        assert all(passed for _, passed, _ in d.ribbon_battery(d.ribbon))
         assert "ribbon_choice" in d.flags
 
 
@@ -182,6 +192,6 @@ def test_solver_defects_are_not_read_as_non_invertible(monkeypatch):
 
     monkeypatch.setattr(hopf, "_sequence_annihilator", broken)
     with pytest.raises(TypeError):
-        ribbon_axioms_pass(h, h.ribbon)
+        all(passed for _, passed, _ in h.ribbon_battery(h.ribbon))
     with pytest.raises(TypeError):
         h.element_inverse(h.ribbon)

@@ -2,7 +2,7 @@ import pytest
 
 from hopfblocks import catalog, harness
 from hopfblocks.blocks import RELATIVE_CENTER, block_space
-from hopfblocks.catalog import GroupTable, _perm_compose
+from hopfblocks.linalg import OrderCertificate, finite, infinite, unknown
 from hopfblocks.repcat import adjoint_module, regular_module, tensor_power
 from hopfblocks.harness import (
     Check,
@@ -15,6 +15,7 @@ from hopfblocks.harness import (
     verify_torelli,
     verify_zg,
 )
+from oracles import dihedral_group_4
 
 
 def _trivially_ribboned_z2():
@@ -45,23 +46,9 @@ def test_prop_order_keeps_no_one_shot_twist():
         "sampled module orders: ['Finite(1)', 'Finite(6)', 'Finite(3)', 'Finite(3)']")
 
 
-def _dihedral_group_4():
-    """D4 in S4, closed from the rotation (1,2,3,0) and the reflection (0,3,2,1)."""
-    gens = [(1, 2, 3, 0), (0, 3, 2, 1)]
-    elements = [(0, 1, 2, 3)]
-    for p in elements:
-        for q in gens:
-            r = _perm_compose(p, q)
-            if r not in elements:
-                elements.append(r)
-    index = {p: i for i, p in enumerate(elements)}
-    table = [[index[_perm_compose(p, q)] for q in elements] for p in elements]
-    return GroupTable("D4", [str(p) for p in elements], table, [index[g] for g in gens])
-
-
 def test_run_all_reaches_genus_two_on_a_dim_64_double():
     # 64^2 = 4096 <= 6000, so the default cap is 2 and no row is skipped
-    h = catalog.double_of_group(_dihedral_group_4())
+    h = catalog.double_of_group(dihedral_group_4())
     assert h.dim == 64
     report = harness.run_all(h)
     assert [c.status for c in report.checks] == ["pass"] * 9
@@ -146,6 +133,48 @@ def test_zg_rejects_genus_below_one_and_negative_window(genus, window):
     # genus 0 has no meridian twist; a negative window has no lattice point
     with pytest.raises(ValueError):
         verify_zg(catalog.get("double:Z2"), genus, window)
+
+
+def test_a_row_reading_unknown_orders_is_skipped():
+    # Unknown means no order up to the cap: it neither confirms nor refutes
+    # a statement, not even when both sides read it
+    def body():
+        return "", "", harness._verdict_eq(unknown(10000), unknown(10000)), ""
+
+    check = harness._run(catalog.get("double:Z2"), "x", "s", body)
+    assert (check.status, check.reason) == ("skipped", "OrderUnknown")
+    assert "Unknown(cap=10000)" in check.detail
+    assert TheoremReport("X", [check]).passed and not check.passed
+
+
+def _ribbon_order_reads(monkeypatch, h, verdict):
+    cert = OrderCertificate(verdict, verdict, verdict.is_finite)
+    monkeypatch.setattr(h, "ribbon_order", lambda: cert)
+
+
+def test_zg_skips_an_unknown_ribbon_order(monkeypatch):
+    h = catalog.get("double:Z2")
+    _ribbon_order_reads(monkeypatch, h, unknown(10000))
+    check = verify_zg(h, 1, 4)
+    assert (check.status, check.reason) == ("skipped", "OrderUnknown")
+
+
+def test_zg_expects_only_the_origin_for_an_infinite_ribbon_order(monkeypatch):
+    # the meridian twist of D(Z2) has order 2, so the claim is refuted
+    h = catalog.get("double:Z2")
+    _ribbon_order_reads(monkeypatch, h, infinite("NotSemisimple"))
+    check = verify_zg(h, 1, 4)
+    assert (check.status, check.lhs, check.rhs) == (
+        "fail", "trivially-acting points: 5", "only the origin (infinite ribbon order)")
+
+
+def test_verdict_comparisons():
+    assert not harness._verdict_eq(finite(2), infinite("NotSemisimple"))
+    assert harness._verdict_eq(infinite("NotSemisimple"), infinite("RootNotUnity"))
+    assert harness._verdict_min(finite(3), infinite("RootNotUnity")) == finite(3)
+    assert harness._verdict_min(infinite("RootNotUnity"), finite(3)) == finite(3)
+    with pytest.raises(harness.OrderUnknown):
+        harness._verdict_min(finite(3), unknown(10000))
 
 
 def test_excision_small():

@@ -15,6 +15,7 @@ from hopfblocks.hopf import (
 from hopfblocks.linalg import NotInvertible
 from oracles import (
     _solve_antipode,
+    dihedral_group_4,
     double_generators_with_dual_units,
     element_multiplicative_order,
     full_basis_associativity_witness,
@@ -24,7 +25,6 @@ from oracles import (
     solve_unique,
     two_sided_span_closure_dim,
 )
-from test_harness import _dihedral_group_4
 
 ALL_CATALOG = [
     "group:Z2",
@@ -421,7 +421,7 @@ def test_double_antipode_formula_equals_solved_antipode(case):
     if name == "H4":
         h = catalog.sweedler(F)
     else:
-        group = _dihedral_group_4() if name == "D4" else catalog._group_by_name(name)
+        group = dihedral_group_4() if name == "D4" else catalog._group_by_name(name)
         h = catalog.group_algebra(group, F)
     d = drinfeld_double(h)
     assert d.antipode == _solve_antipode(F, d.dim, d.mult, d.comult, d.counit, d.unit)
