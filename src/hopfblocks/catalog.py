@@ -31,10 +31,6 @@ class CatalogError(Exception):
     pass
 
 
-class NoRibbonFound(CatalogError):
-    pass
-
-
 class ParseError(CatalogError):
     pass
 
@@ -154,14 +150,14 @@ def _group_by_name(name: str) -> GroupTable:
 
 def _attach_double_ribbon(d: HopfData, grouplikes=()) -> None:
     """Attach the first ribbon candidate of a double that verifies, and
-    record its label as ``ribbon_choice``.
+    record its label as ``ribbon_choice``; when none verifies, record that in
+    ``ribbon_search`` and leave the double ribbon-free.
 
     The candidates, in order: the Drinfeld element u, its inverse, and for
     each grouplike l the shifts u l^-1, l^-1 u, u^-1 l and l u^-1.  A
     candidate verifies when it passes the whole battery of
     ``HopfData.ribbon_battery``: central, invertible, eps(v) = 1, S(v) = v
     and Delta(v) = (R21 R)(v x v); every double carries its R-matrix.
-    ``NoRibbonFound`` when none verifies.
     """
     u = d.drinfeld_element()
     uinv = d.element_inverse(u)
@@ -177,7 +173,7 @@ def _attach_double_ribbon(d: HopfData, grouplikes=()) -> None:
             d.ribbon = d.element(vec)
             d.flags["ribbon_choice"] = label
             return
-    raise NoRibbonFound(d.name)
+    d.flags["ribbon_search"] = "exhausted: no grouplike shift of the Drinfeld element verifies"
 
 
 def double_of_group(group: GroupTable, field: Field = QQ) -> HopfData:
@@ -277,10 +273,7 @@ def sweedler_double(field: Field = QQ) -> HopfData:
     returned ribbon-free, usable for all non-ribbon checks.
     """
     d = drinfeld_double(sweedler(field))
-    try:
-        _attach_double_ribbon(d, _sweedler_double_grouplikes(d))
-    except NoRibbonFound:
-        d.flags["ribbon_search"] = "exhausted: no grouplike shift of the Drinfeld element verifies"
+    _attach_double_ribbon(d, _sweedler_double_grouplikes(d))
     return d
 
 
@@ -338,19 +331,13 @@ def _coeff_from_json(field: Field, s):
 
 def to_json(h: HopfData) -> dict:
     F = h.field
-    mult = []
-    for i in range(h.dim):
-        for j in range(h.dim):
-            for k, c in h.mult[i][j].items():
-                mult.append([i, j, k, _coeff_to_json(F, c)])
-    comult = []
-    for i in range(h.dim):
-        for (j, k), c in h.comult[i].items():
-            comult.append([i, j, k, _coeff_to_json(F, c)])
-    antipode = []
-    for i, row in enumerate(h.antipode.rows):
-        for j, c in row.items():
-            antipode.append([i, j, _coeff_to_json(F, c)])
+    basis = range(h.dim)
+
+    def tensor(entries) -> list[list]:
+        # (indices, coefficient) pairs as the file's sorted [*indices, coefficient]
+        # lists; the indices of one tensor are unique, so the coefficient never sorts
+        return sorted([*idx, _coeff_to_json(F, c)] for idx, c in entries)
+
     doc = {
         "name": h.name,
         "field": F.to_json(),
@@ -358,15 +345,12 @@ def to_json(h: HopfData) -> dict:
         "basis": h.basis_labels,
         "unit": _dense_to_json(F, h.dim, h.unit),
         "counit": [_coeff_to_json(F, c) for c in h.counit],
-        "mult": sorted(mult, key=lambda t: t[:3]),
-        "comult": sorted(comult, key=lambda t: t[:3]),
-        "antipode": sorted(antipode, key=lambda t: t[:2]),
+        "mult": tensor(((i, j, k), c) for i in basis for j in basis for k, c in h.mult[i][j].items()),
+        "comult": tensor(((i, *jk), c) for i in basis for jk, c in h.comult[i].items()),
+        "antipode": tensor(((i, j), c) for i, row in enumerate(h.antipode.rows) for j, c in row.items()),
     }
     if h.r_matrix is not None:
-        doc["r_matrix"] = sorted(
-            [[i, j, _coeff_to_json(F, c)] for (i, j), c in h.r_matrix.items()],
-            key=lambda t: t[:2],
-        )
+        doc["r_matrix"] = tensor(h.r_matrix.items())
     if h.ribbon is not None:
         doc["ribbon"] = _dense_to_json(F, h.dim, h.ribbon)
     if h.generators is not None:

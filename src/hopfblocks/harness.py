@@ -200,10 +200,10 @@ def verify_prop_order(h: HopfData) -> Check:
         detail = ""
         if ribbon_cert.gl_order.is_finite:
             n = ribbon_cert.gl_order.n
-            for m, v in zip(sample, sample_orders):
-                if v.is_finite and n % v.n != 0:
+            for m, v in zip(sample, sample_orders):  # v^n = 1 bounds every twist
+                if not v.is_finite or n % v.n != 0:
                     ok = False
-                    detail = f"|twist({m.name})| = {v.n} does not divide {n}"
+                    detail = f"|twist({m.name})| = {v.n if v.is_finite else v} does not divide {n}"
         return (f"twist(regular): {reg_cert.gl_order}", f"ribbon element: {ribbon_cert.gl_order}", ok,
                 detail or f"sampled module orders: {[str(v) for v in sample_orders]}")
 

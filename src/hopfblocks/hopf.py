@@ -431,6 +431,11 @@ class HopfData:
 
     # -- validation --------------------------------------------------------------
 
+    def _first_failing(self, holds) -> str | None:
+        """The label of the first basis element e_i with ``holds(i)`` false,
+        or None: the witness of every axiom checked on each basis element."""
+        return next((self.basis_labels[i] for i in range(self.dim) if not holds(i)), None)
+
     def validate(self) -> StructureReport:
         """Check every axiom on the structure constants; nothing is sampled.
 
@@ -472,12 +477,8 @@ class HopfData:
         unit = self.unit
 
         # unitality
-        bad = None
-        for i in range(self.dim):
-            if not (self.sparse_eq(self.product(unit, e[i]), e[i])
-                    and self.sparse_eq(self.product(e[i], unit), e[i])):
-                bad = labels[i]
-                break
+        bad = self._first_failing(lambda i: self.sparse_eq(self.product(unit, e[i]), e[i])
+                                  and self.sparse_eq(self.product(e[i], unit), e[i]))
         record("unitality", bad is None, bad and f"unit fails on {bad}")
 
         # associativity, keyed by k * n + t for the coefficient of e_t:
@@ -516,20 +517,11 @@ class HopfData:
         # coassociativity and counitality (linear: all basis elements)
         comult, leg = self.comult, self.apply_leg
         eps_img, s_img = self.leg_images()
-        bad = None
-        for i in range(self.dim):
-            if not self.sparse_eq(leg(comult[i], 0, comult), leg(comult[i], 1, comult)):
-                bad = labels[i]
-                break
+        bad = self._first_failing(lambda i: self.sparse_eq(leg(comult[i], 0, comult), leg(comult[i], 1, comult)))
         record("coassociativity", bad is None, bad and f"Delta fails on {bad}")
 
-        bad = None
-        for i in range(self.dim):
-            ei = {(i,): F.one}
-            if not (self.sparse_eq(leg(comult[i], 0, eps_img), ei)
-                    and self.sparse_eq(leg(comult[i], 1, eps_img), ei)):
-                bad = labels[i]
-                break
+        bad = self._first_failing(lambda i: all(self.sparse_eq(leg(comult[i], side, eps_img), {(i,): F.one})
+                                                for side in (0, 1)))
         record("counitality", bad is None, bad and f"counit fails on {bad}")
 
         # bialgebra: Delta and counit are algebra maps
@@ -556,13 +548,11 @@ class HopfData:
 
         # antipode axioms (linear: all basis elements): m(S x id)Delta and
         # m(id x S)Delta are eps(e_i) 1
-        bad = None
-        for i in range(self.dim):
+        def antipodal(i):
             target = {t: mul(self.counit[i], u) for t, u in unit.items()}
-            if not (self.sparse_eq(self.t2_multiply(leg(comult[i], 0, s_img)), target)
-                    and self.sparse_eq(self.t2_multiply(leg(comult[i], 1, s_img)), target)):
-                bad = labels[i]
-                break
+            return all(self.sparse_eq(self.t2_multiply(leg(comult[i], side, s_img)), target) for side in (0, 1))
+
+        bad = self._first_failing(antipodal)
         record("antipode", bad is None, bad and f"antipode axiom fails on {bad}")
 
         if self.r_matrix is not None:
@@ -582,7 +572,7 @@ class HopfData:
     def _validate_quasitriangular(self, record, eps_img: list[dict], s_img: list[dict]):
         F = self.field
         add, mul = F.add, F.mul
-        r, leg = self.r_matrix, self.apply_leg
+        r, leg, comult = self.r_matrix, self.apply_leg, self.comult
 
         # (eps x id)R = 1 = (id x eps)R
         unit = {(i,): c for i, c in self.unit.items()}
@@ -597,17 +587,12 @@ class HopfData:
         record("r-invertible", inv_ok, "(S x id)R is not inverse to R")
 
         # intertwining: Delta^op(x) R = R Delta(x) on all basis elements
-        bad = None
-        for i in range(self.dim):
-            d = self.comult[i]
-            dop = self.t2_flip(d)
-            if not self.sparse_eq(self.t2_mult(dop, r), self.t2_mult(r, d)):
-                bad = self.basis_labels[i]
-                break
+        bad = self._first_failing(lambda i: self.sparse_eq(self.t2_mult(self.t2_flip(comult[i]), r),
+                                                           self.t2_mult(r, comult[i])))
         record("r-intertwines-coproduct", bad is None, bad and f"fails on {bad}")
 
         # hexagons: (Delta x id)R = R13 R23 and (id x Delta)R = R13 R12
-        lhs = leg(r, 0, self.comult)
+        lhs = leg(r, 0, comult)
         rhs: dict = {}
         for (a, b), c in r.items():
             for (a2, b2), c2 in r.items():
@@ -617,7 +602,7 @@ class HopfData:
                     rhs[key] = add(rhs[key], v) if key in rhs else v
         record("r-hexagon-left", self.sparse_eq(lhs, rhs), "(Delta x id)R != R13 R23")
 
-        lhs = leg(r, 1, self.comult)
+        lhs = leg(r, 1, comult)
         rhs = {}
         for (a, b), c in r.items():  # R13
             for (a2, b2), c2 in r.items():  # R12
@@ -643,12 +628,7 @@ class HopfData:
         after a failed invertibility check is yielded.
         """
         F = self.field
-        bad = None
-        for i in range(self.dim):
-            e = {i: F.one}
-            if not self.sparse_eq(self.product(v, e), self.product(e, v)):
-                bad = self.basis_labels[i]
-                break
+        bad = self._first_failing(lambda i: self.sparse_eq(self.product(v, {i: F.one}), self.product({i: F.one}, v)))
         yield "ribbon-central", bad is None, bad and f"v does not commute with {bad}"
 
         try:
@@ -713,6 +693,12 @@ def drinfeld_double(h: HopfData) -> HopfData:
     R = sum_i (eps x e_i) x (e^i x 1) to satisfy the quasitriangularity
     axioms (checked by validate() on every constructed double).
 
+    The product is read off one table, the cross relation
+    (eps x b)(f x 1) = sum (b_1 ⇀ f ↼ S^-1(b_3)) x b_2, kept for every pair
+    of basis elements b = e_b, f = e^c:
+    (e^a x e_b)(e^c x e_d) = (e^a x 1) (eps x e_b)(e^c x 1) (eps x e_d),
+    with e^a e^t from the coproduct of H and e_q e_d from its product.
+
     The antipode is its formula (Kassel, Quantum Groups, ch. IX): f x a is
     (f x 1)(eps x a), and the antipode of the dual side H*^cop is
     f -> f o S^-1, so S(e^a x e_b) = (eps x S(e_b)) (e^a o S^-1 x 1), a
@@ -739,9 +725,6 @@ def drinfeld_double(h: HopfData) -> HopfData:
 
     labels = [f"{h.basis_labels[a]}^*.{h.basis_labels[b]}" for a in range(n) for b in range(n)]
 
-    # Delta^2(e_b) as (p, q, r) -> coeff, using (Delta x id)Delta
-    d2 = [h.apply_leg(h.comult[b], 0, h.comult) for b in range(n)]
-
     # reverse index of the coproduct: (a, t) -> {s: coeff}, i.e. e^a * e^t in H*
     dual_mult: dict = {}
     for s in range(n):
@@ -755,45 +738,31 @@ def drinfeld_double(h: HopfData) -> HopfData:
             for a, c in h.mult[j][k].items():
                 mult_rev[a].append((j, k, c))
 
-    # dressed functionals: for used (p, r), dress[(p, r)][c] = [(t, coeff)]
-    # where e_p ⇀ e^c ↼ S^{-1}(e_r) = sum_t coeff * e^t,
-    # coeff = e^c( S^{-1}(e_r) * e_t * e_p )
-    used_pr = {(p, r) for acc in d2 for (p, _q, r) in acc}
+    # cross[b][c] = (eps x e_b)(e^c x 1), keyed (t, q) for the coefficient of
+    # e^t x e_q, over Delta^2(e_b) = sum w e_p x e_q x e_r;
+    # e_p ⇀ e^c ↼ S^{-1}(e_r) = sum_t e^c(S^{-1}(e_r) e_t e_p) e^t
     sinv_col = s_inv.transpose().rows  # sinv_col[r] = S^{-1}(e_r)
-    dress: dict = {}
-    for (p, r) in used_pr:
-        table: list[dict] = [dict() for _ in range(n)]  # index c -> {t: coeff}
-        for t in range(n):
-            for c, val in h.product(h.product(sinv_col[r], {t: F.one}), {p: F.one}).items():
-                table[c][t] = val
-        dress[(p, r)] = table
-
     add, mul = F.add, F.mul
-    mult: list[list[dict]] = [[{} for _ in range(dim)] for _ in range(dim)]
+    cross: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for b in range(n):
-        for (p, q, r), c_d2 in d2[b].items():
-            table = dress[(p, r)]
-            for c in range(n):
-                tmap = table[c]
-                if not tmap:
-                    continue
-                for d in range(n):
-                    hpart = h.mult[q][d]
-                    if not hpart:
-                        continue
-                    for t, c_t in tmap.items():
-                        for a in range(n):
-                            fpart = dual_mult.get((a, t))
-                            if not fpart:
-                                continue
-                            coeff_base = mul(c_d2, c_t)
-                            row = mult[idx(a, b)][idx(c, d)]
-                            for s, c_s in fpart.items():
-                                for y, c_y in hpart.items():
-                                    key = idx(s, y)
-                                    val = mul(mul(coeff_base, c_s), c_y)
-                                    row[key] = add(row[key], val) if key in row else val
-    mult = [[{k: v for k, v in row.items() if not F.is_zero(v)} for row in rows] for rows in mult]
+        for (p, q, r), w in h.apply_leg(h.comult[b], 0, h.comult).items():
+            for t in range(n):
+                for c, val in h.product(sinv_col[r], h.mult[t][p]).items():
+                    row, key, v = cross[b][c], (t, q), mul(w, val)
+                    row[key] = add(row[key], v) if key in row else v
+
+    def product(a: int, b: int, c: int, d: int) -> dict:
+        # (e^a x e_b)(e^c x e_d) = (e^a x 1) cross[b][c] (eps x e_d)
+        out: dict = {}
+        for (t, q), w in cross[b][c].items():
+            for s, c_s in dual_mult.get((a, t), {}).items():
+                ws = mul(w, c_s)
+                for y, c_y in h.mult[q][d].items():
+                    key, v = idx(s, y), mul(ws, c_y)
+                    out[key] = add(out[key], v) if key in out else v
+        return {k: v for k, v in out.items() if not F.is_zero(v)}
+
+    mult = [[product(a, b, c, d) for c in range(n) for d in range(n)] for a in range(n) for b in range(n)]
 
     # coproduct with reversed dual side:
     # Delta(e^a x e_b) = sum m_{jk}^a d_b^{pq} (e^k x e_p) x (e^j x e_q);

@@ -468,6 +468,51 @@ def _solve_antipode(F, dim, mult, comult, counit, unit):
     return s
 
 
+def double_mult_by_definition(h) -> list[list[dict]]:
+    """The product table of D(H) on the basis e^a x e_b (index a n + b),
+    one coefficient at a time.
+
+    The coefficient of e^s x e_y in (e^a x e_b)(e^c x e_d) is
+    sum [s_1 = a] u e^c(S^-1(e_r) e_{s_2} e_p) w e^y(e_q e_d), over
+    Delta(e_s) = sum u e_{s_1} x e_{s_2} and
+    Delta^2(e_b) = sum w e_p x e_q x e_r.  The reference for
+    ``drinfeld_double``, which reads the product off one cross-relation
+    table; here each S^-1(e_r) is solved for on its own.
+    """
+    from itertools import product
+
+    F, n = h.field, h.dim
+    add, mul = F.add, F.mul
+    s_inv = [sparse(F, solve_unique(h.antipode, [F.one if i == r else F.zero for i in range(n)]))
+             for r in range(n)]
+    delta2 = []
+    for b in range(n):
+        terms: dict = {}
+        for (i, r), c in h.comult[b].items():
+            for (p, q), c2 in h.comult[i].items():
+                terms[p, q, r] = add(terms.get((p, q, r), F.zero), mul(c, c2))
+        delta2.append(terms)
+    dressed: dict = {}  # (r, s_2, p) -> S^-1(e_r) e_{s_2} e_p
+
+    def functional(c, r, s2, p):
+        if (r, s2, p) not in dressed:
+            dressed[r, s2, p] = h.product(h.product(s_inv[r], {s2: F.one}), {p: F.one})
+        return dressed[r, s2, p].get(c, F.zero)
+
+    table = [[{} for _ in range(n * n)] for _ in range(n * n)]
+    for a, b, c, d in product(range(n), repeat=4):
+        entry = table[a * n + b][c * n + d]
+        for s in range(n):
+            for (s1, s2), u in h.comult[s].items():
+                if s1 != a:
+                    continue
+                for (p, q, r), w in delta2[b].items():
+                    uwf = mul(mul(u, w), functional(c, r, s2, p))
+                    for y, m in h.mult[q][d].items():
+                        entry[s * n + y] = add(entry.get(s * n + y, F.zero), mul(uwf, m))
+    return [[{k: v for k, v in e.items() if not F.is_zero(v)} for e in row] for row in table]
+
+
 def full_basis_associativity_witness(h) -> str | None:
     """The first triple (e_i, e_j, e_k) with (e_i e_j) e_k != e_i (e_j e_k),
     as labels, with e_i over the whole basis; None when there is none.
@@ -725,17 +770,21 @@ def group_table_defect(group) -> str | None:
     return None
 
 
-def dijkgraaf_witten_twist(group, genus: int) -> list[int]:
-    """The handle-1 meridian twist of the genus-g block of D(k[G]), as a
-    permutation of the block's basis (Dijkgraaf-Witten, Commun. Math. Phys.
-    129, 1990).
+def dijkgraaf_witten_twist(group, genus: int, separating: int = 0) -> list[int]:
+    """The handle-1 meridian twist of the genus-g block of D(k[G]), or the
+    twist about the curve that separates the first ``separating`` handles,
+    as a permutation of the block's basis (Dijkgraaf-Witten, Commun. Math.
+    Phys. 129, 1990).
 
     The basis is indexed by the orbits of simultaneous conjugation on the
     tuples (a_1, b_1, ..., a_g, b_g) with prod [a_i, b_i] = 1, where
     [a, b] = a b a^-1 b^-1, so the block dimension is the length of the
-    result.  The twist sends the orbit of a tuple to that of the tuple with
-    b_1 replaced by b_1 a_1 ([a, b a] = [a, b], so the relation holds);
-    entry i is the index of the image of orbit i.
+    result.  The meridian twist sends the orbit of a tuple to that of the
+    tuple with b_1 replaced by b_1 a_1 ([a, b a] = [a, b], so the relation
+    holds).  The separating twist about c = prod_{i <= g'} [a_i, b_i]
+    conjugates a_i and b_i by c for i <= g' (which fixes c, the product of
+    their commutators, so the relation holds).  Entry i is the index of the
+    image of orbit i.
     """
     from itertools import product
 
@@ -751,7 +800,86 @@ def dijkgraaf_witten_twist(group, genus: int) -> list[int]:
         for x in range(group.order):
             orbit_of[tuple(mul(mul(x, y), inv[x]) for y in t)] = len(reps)
         reps.append(t)
-    return [orbit_of[(t[0], mul(t[1], t[0])) + t[2:]] for t in reps]
+    if not separating:
+        return [orbit_of[(t[0], mul(t[1], t[0])) + t[2:]] for t in reps]
+    images = []
+    for t in reps:
+        c = e
+        for a, b in zip(t[:2 * separating:2], t[1:2 * separating:2]):
+            c = mul(c, mul(mul(a, b), mul(inv[a], inv[b])))
+        images.append(orbit_of[tuple(mul(mul(c, y), inv[c]) for y in t[:2 * separating]) + t[2 * separating:]])
+    return images
+
+
+# ---------------------------------------------------------------------------
+# The Taft algebras T_n (E. Taft, PNAS 68, 1971) and the grouplikes of their
+# doubles, the non-semisimple inputs that the catalog does not ship yet
+# ---------------------------------------------------------------------------
+
+
+def taft(n: int, field, zeta):
+    """T_n for a primitive n-th root of unity zeta of the field: g^n = 1,
+    x^n = 0, x g = zeta g x, Delta(g) = g x g, Delta(x) = x x 1 + g x x.
+
+    The basis element g^i x^j has index i + n j, so T_2 at zeta = -1 is
+    the Sweedler algebra on {1, g, x, gx}.  Its structure constants:
+    (g^i x^j)(g^k x^l) = zeta^(jk) g^(i+k) x^(j+l);
+    Delta(g^i x^j) = sum_m [j m]_zeta g^(i+m) x^(j-m) x g^i x^m, with the
+    Gaussian binomial [j m]_zeta; S(g^i x^j) is
+    (-1)^j zeta^(-j(j-1)/2 - ij) g^(-i-j) x^j.
+    """
+    from hopfblocks.hopf import HopfData
+    from hopfblocks.linalg import Matrix
+
+    F = field
+
+    def zp(k):
+        return field_pow(F, zeta, k)
+
+    binom = [[F.one]]  # binom[j][m] = [j m]_zeta = [j-1 m-1] + zeta^m [j-1 m]
+    for j in range(1, n):
+        prev = binom[-1] + [F.zero]
+        binom.append([F.add(prev[m - 1] if m else F.zero, F.mul(zp(m), prev[m])) for m in range(j + 1)])
+
+    def idx(i, j):
+        return i % n + n * j
+
+    def label(i, j):
+        word = ("g" if i == 1 else f"g{i}" if i else "") + ("x" if j == 1 else f"x{j}" if j else "")
+        return word or "1"
+
+    dim = n * n
+    mult = [[{} for _ in range(dim)] for _ in range(dim)]
+    comult = [{} for _ in range(dim)]
+    antipode = Matrix(F, dim, dim)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n - j):
+                    mult[idx(i, j)][idx(k, l)] = {idx(i + k, j + l): zp(j * k)}
+            comult[idx(i, j)] = {(idx(i + m, j - m), idx(i, m)): binom[j][m] for m in range(j + 1)}
+            antipode.rows[idx(-i - j, j)][idx(i, j)] = F.mul(F.from_int((-1) ** j), zp(-j * (j - 1) // 2 - i * j))
+    return HopfData(
+        name=f"T{n}",
+        field=F,
+        dim=dim,
+        basis_labels=[label(i, j) for j in range(n) for i in range(n)],
+        mult=mult,
+        unit={0: F.one},
+        comult=comult,
+        counit=[F.one if a < n else F.zero for a in range(dim)],
+        antipode=antipode,
+        generators=[1, n],
+    )
+
+
+def taft_double_grouplikes(d, n: int, zeta) -> list[dict]:
+    """The n^2 grouplikes chi_k x g^l of D(T_n), k-major, where chi_k is the
+    character with chi_k(g) = zeta^k and chi_k(x) = 0: the element
+    sum_i zeta^(ki) e^(g^i) x g^l of the double's basis e^a x e_b
+    (index a n^2 + b)."""
+    F = d.field
+    return [{i * n * n + l: field_pow(F, zeta, k * i) for i in range(n)} for k in range(n) for l in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,26 @@ def test_group_double_blocks_match_dijkgraaf_witten(group, genus):
         power, image = power.mul(t), [perm[i] for i in image]
 
 
+SEPARATING_ORDERS = {"Z2": 1, "Z3": 1, "S3": 3, "D4": 1}
+
+
+@pytest.mark.parametrize("group", sorted(SEPARATING_ORDERS))
+def test_group_double_separating_twist_matches_dijkgraaf_witten(group):
+    # the twist about c = [a_1, b_1] conjugates the first handle by c and
+    # permutes the orbits; equal traces of T^k, k = 1..12, make the genus-2
+    # separating(1,1) operator conjugate to that permutation matrix over Q
+    G = dihedral_group_4() if group == "D4" else catalog._group_by_name(group)
+    perm = dijkgraaf_witten_twist(G, 2, separating=1)
+    sep = separating_twist_op(catalog.double_of_group(G), 1, 1)
+    assert sep.block.dim == len(perm) == DIJKGRAAF_WITTEN_DIMS[group, 2]
+    assert str(sep.certificate.gl_order) == f"Finite({SEPARATING_ORDERS[group]})"
+    t = sep.matrix
+    power, image = t, list(perm)
+    for k in range(1, 13):
+        assert trace(power) == sum(image[i] == i for i in range(len(perm))), k
+        power, image = power.mul(t), [perm[i] for i in image]
+
+
 def _seeded_file_algebra(name: str, seed: int, out_dir: Path):
     """The algebra of the benchmark's seeded input file (a relabelled basis)."""
     spec = importlib.util.spec_from_file_location(

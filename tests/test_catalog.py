@@ -19,7 +19,7 @@ from hopfblocks.catalog import (
     symmetric_group_3,
     to_json,
 )
-from oracles import dihedral_group_4, element_multiplicative_order, group_table_defect
+from oracles import dihedral_group_4, element_multiplicative_order, group_table_defect, taft
 
 
 def test_group_tables():
@@ -181,6 +181,19 @@ def test_group_double_ribbon_choice(group, field):
     F, n = d.field, table.order
     w = {g * n + g: F.one for g in range(n)}
     assert d.sparse_eq(w, d.element_inverse(d.drinfeld_element()))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), CyclotomicField(3), CyclotomicField(12)], ids=str)
+def test_taft_two_is_the_sweedler_algebra(field):
+    # T_2 at zeta = -1 is H4 entry for entry; only the name differs
+    t2 = taft(2, field, field.from_int(-1))
+    assert {**to_json(t2), "name": "H4"} == to_json(catalog.sweedler(field))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_taft_algebras_validate(n):
+    F = CyclotomicField(n)
+    assert taft(n, F, F.zeta()).validate().passed
 
 
 def test_solver_defects_are_not_read_as_non_invertible(monkeypatch):

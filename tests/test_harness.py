@@ -1,7 +1,9 @@
 import pytest
 
 from hopfblocks import catalog, harness
-from hopfblocks.blocks import RELATIVE_CENTER, block_space
+from hopfblocks.blocks import DIRECT, RELATIVE_CENTER, block_space, center_twist_op, nonseparating_twist_op
+from hopfblocks.fields import CyclotomicField, PrimeField
+from hopfblocks.hopf import drinfeld_double
 from hopfblocks.linalg import OrderCertificate, finite, infinite, unknown
 from hopfblocks.repcat import adjoint_module, regular_module, tensor_power
 from hopfblocks.harness import (
@@ -15,7 +17,7 @@ from hopfblocks.harness import (
     verify_torelli,
     verify_zg,
 )
-from oracles import dihedral_group_4
+from oracles import dihedral_group_4, taft, taft_double_grouplikes
 
 
 def _trivially_ribboned_z2():
@@ -44,6 +46,21 @@ def test_prop_order_keeps_no_one_shot_twist():
     assert (check.status, check.lhs, check.rhs, check.detail) == (
         "pass", "twist(regular): Finite(6)", "ribbon element: Finite(6)",
         "sampled module orders: ['Finite(1)', 'Finite(6)', 'Finite(3)', 'Finite(3)']")
+
+
+def test_prop_order_fails_an_infinite_sampled_twist(monkeypatch):
+    # v^n = 1 gives every module twist a finite order dividing n, so an
+    # infinite verdict on a sampled module refutes the statement
+    real = harness.operator_order
+
+    def order(t):
+        if t.nrows == 1:  # the twist of the trivial module of D(Z2)
+            return OrderCertificate(infinite("NotSemisimple"), infinite("NotSemisimple"), False)
+        return real(t)
+
+    monkeypatch.setattr(harness, "operator_order", order)
+    check = verify_prop_order(catalog.get("double:Z2"))
+    assert (check.status, check.detail) == ("fail", "|twist(trivial)| = Infinite(NotSemisimple) does not divide 2")
 
 
 def test_run_all_reaches_genus_two_on_a_dim_64_double():
@@ -266,3 +283,23 @@ def test_gated_rows_name_their_checks():
     for c, line in zip(report.checks, table_rows, strict=True):
         assert line.startswith(c.name)
         assert ("RibbonRequired" in line) == (c.status == "gated")
+
+
+@pytest.mark.parametrize("field, zeta, order", [(CyclotomicField(3), None, "Infinite(NotSemisimple)"),
+                                                (PrimeField(7), 2, "Finite(21)")], ids=["Qzeta3", "F7"])
+def test_taft_double_at_genus_one(field, zeta, order):
+    # D(T_3), the non-semisimple ribbon double, through the catalog's ribbon
+    # search; over F_7 the harness gates the rows, so the orders are read
+    # off the blocks directly
+    zeta = field.zeta() if zeta is None else zeta
+    d = drinfeld_double(taft(3, field, zeta))
+    catalog._attach_double_ribbon(d, taft_double_grouplikes(d, 3, zeta))
+    assert d.validate().passed and d.flags["ribbon_choice"] == "u^-1*g4"
+    direct, center = block_space(d, 1, DIRECT), block_space(d, 1, RELATIVE_CENTER)
+    assert direct.dim == center.dim == 12
+    for cert in (d.ribbon_order(), nonseparating_twist_op(direct, 1).certificate,
+                 center_twist_op(center).certificate):
+        assert (str(cert.gl_order), str(cert.pgl_order)) == (order, order)
+    if field.kind != "Fp":
+        checks = [*verify_nonseparating(d, 1), verify_excision(d, 1), verify_zg(d, 1, 4)]
+        assert [c.status for c in checks] == ["pass"] * 3

@@ -17,6 +17,7 @@ from oracles import (
     _solve_antipode,
     dihedral_group_4,
     double_generators_with_dual_units,
+    double_mult_by_definition,
     element_multiplicative_order,
     full_basis_associativity_witness,
     full_basis_bialgebra_witness,
@@ -425,6 +426,22 @@ def test_double_antipode_formula_equals_solved_antipode(case):
         h = catalog.group_algebra(group, F)
     d = drinfeld_double(h)
     assert d.antipode == _solve_antipode(F, d.dim, d.mult, d.comult, d.counit, d.unit)
+
+
+PRODUCT_FIELDS = ("Q", "F2", "F3", "F7", "Qzeta3")
+
+
+@pytest.mark.parametrize("name", ("Z2", "Z3", "S3", "D4", "H4"))
+def test_double_product_matches_its_definition(name):
+    # every structure constant of the double's product against the sum over
+    # Delta(e_s) and Delta^2(e_b) that defines it, coefficient by coefficient
+    for f in PRODUCT_FIELDS:
+        F = ANTIPODE_FIELDS[f]
+        h = catalog.sweedler(F) if name == "H4" else catalog.group_algebra(
+            dihedral_group_4() if name == "D4" else catalog._group_by_name(name), F)
+        d = drinfeld_double(h)
+        expected = double_mult_by_definition(h)
+        assert all(d.sparse_eq(got, want) for row, ref in zip(d.mult, expected) for got, want in zip(row, ref)), f
 
 
 INVERSE_CASES = {
