@@ -134,6 +134,8 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
+        if a == 1 or a == -1:  # its own inverse, kept an int
+            return int(a)
         return self.normalize(Fraction(1, 1) / a)
 
     def div(self, a, b):

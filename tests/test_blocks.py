@@ -169,6 +169,26 @@ def test_block_constraints_have_no_zero_rows(monkeypatch):
             assert sum(m.nrows for m in mats) < len(mats) * h.dim ** genus, (genus, model)
 
 
+def test_block_constraints_force_each_zero_once(monkeypatch):
+    """A one-term row c x_k says x_k = 0; the kernel is handed one such row
+    per column across all generators of a block, not one per generator."""
+    seen = []
+
+    def record(mats):
+        seen.append(mats)
+        return simultaneous_kernel(mats)
+
+    monkeypatch.setattr(blocks, "simultaneous_kernel", record)
+    h = catalog.get("double:S3")
+    for model in (DIRECT, RELATIVE_CENTER):
+        seen.clear()
+        block_space(h, 2, model)
+        (mats,) = seen
+        forced = [k for m in mats for row in m.rows if len(row) == 1 for k in row]
+        assert forced and len(forced) == len(set(forced)), model
+        assert sum(m.nrows for m in mats) == 1685, model
+
+
 def test_direct_block_keeps_no_top_power_action():
     h = catalog.get("double:S3")
     block_space(h, 2)

@@ -19,6 +19,8 @@ def test_rational_basics():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert QQ.normalize(Fraction(4, 2)) == 2
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+    for a, want in ((1, 1), (-1, -1), (Fraction(-1), -1)):
+        assert QQ.inv(a) == want and type(QQ.inv(a)) is int, a
     with pytest.raises(DivisionByZero):
         QQ.inv(0)
 

@@ -256,7 +256,7 @@ def random_two_term_system(F, rng, n):
 
 
 @FIELDS
-def test_two_term_kernel_matches_reducer(F):
+def test_two_term_systems_match_reducer(F):
     rng = random.Random(11)
     n = 24
     systems = [random_two_term_system(F, rng, n) for _ in range(40)]
