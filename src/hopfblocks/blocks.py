@@ -61,6 +61,8 @@ the same check.
 
 from __future__ import annotations
 
+import sys
+
 from .hopf import HopfData, MissingRibbon
 from .linalg import (
     KernelBasis,
@@ -120,11 +122,13 @@ def default_genus_cap(dim: int) -> int:
 
 
 def _check_genus_cap(h: HopfData, genus: int, genus_cap: int | None) -> None:
-    """Raise ``GenusCapExceeded`` when genus is above genus_cap, or, when that
-    is None, above ``default_genus_cap(h.dim)``."""
+    """Raise ``GenusCapExceeded`` when genus is above genus_cap (when None,
+    ``default_genus_cap(h.dim)``) or its dim^genus coordinates cannot be indexed."""
     cap = genus_cap if genus_cap is not None else default_genus_cap(h.dim)
     if genus > cap:
         raise GenusCapExceeded(f"genus {genus} exceeds cap {cap} for dim {h.dim}")
+    if h.dim ** min(genus, 64) > sys.maxsize:  # dim^64 > sys.maxsize for every dim >= 2
+        raise GenusCapExceeded(f"genus {genus}: {h.dim}^{genus} ambient coordinates cannot be indexed")
 
 
 class BlockSpace:

@@ -1,14 +1,13 @@
 """Constructively specified example algebras and the on-disk algebra format.
 
 Shipped entries: group algebras of Z/2, Z/3, S3; their Drinfeld doubles with
-machine-verified ribbon elements; the 4-dimensional Sweedler algebra H4 and
-its double.  Ribbon data is shipped but never trusted: every candidate must
-pass the full ribbon-axiom battery before it is attached.  Both doubles are
-searched by one routine, ``_attach_double_ribbon``: the Drinfeld element u,
-then u^-1, then u l^-1, l^-1 u, u^-1 l and l u^-1 for each grouplike l the
-constructor supplies (the four of D(H4); none for D(k[G])), until one
-verifies.  Candidates are sparse elements, like every element of a
-``HopfData``.
+machine-verified ribbon elements; the Sweedler algebra H4 = T_2 at zeta = -1
+(``taft``) and its double (``taft_double``).  Every double is searched by
+one routine, ``_attach_double_ribbon``: the Drinfeld element u, then u^-1,
+then u l^-1, l^-1 u, u^-1 l and l u^-1 for each grouplike l the constructor
+supplies (the n^2 of D(T_n) in closed form, four for D(H4); none for
+D(k[G])), until one passes the full ribbon-axiom battery.  Candidates are
+sparse elements, like every element of a ``HopfData``.
 
 In the file format ``unit``, ``counit`` and ``ribbon`` are dense lists of
 dim coefficients and every tensor is a sorted list of index tuples with a
@@ -21,6 +20,7 @@ read; no module is built from it.
 from __future__ import annotations
 
 import json
+from math import isqrt
 from pathlib import Path
 
 from .fields import Field, FieldError, QQ, field_from_json
@@ -154,16 +154,16 @@ def _attach_double_ribbon(d: HopfData, grouplikes=()) -> None:
     ``ribbon_search`` and leave the double ribbon-free.
 
     The candidates, in order: the Drinfeld element u, its inverse, and for
-    each grouplike l the shifts u l^-1, l^-1 u, u^-1 l and l u^-1.  A
-    candidate verifies when it passes the whole battery of
-    ``HopfData.ribbon_battery``: central, invertible, eps(v) = 1, S(v) = v
-    and Delta(v) = (R21 R)(v x v); every double carries its R-matrix.
+    each grouplike l the shifts u l^-1, l^-1 u, u^-1 l and l u^-1, with
+    l^-1 = S(l) (S(l) l = eps(l) 1).  A candidate verifies when it passes the
+    whole battery of ``HopfData.ribbon_battery``: central, invertible,
+    eps(v) = 1, S(v) = v and Delta(v) = (R21 R)(v x v).
     """
     u = d.drinfeld_element()
     uinv = d.element_inverse(u)
     candidates = [(u, "drinfeld_element"), (uinv, "drinfeld_element_inverse")]
     for i, ell in enumerate(grouplikes):
-        ell_inv = d.element_inverse(ell)
+        ell_inv = d.antipode_of(ell)
         candidates.append((d.product(u, ell_inv), f"u*g{i}^-1"))
         candidates.append((d.product(ell_inv, u), f"g{i}^-1*u"))
         candidates.append((d.product(uinv, ell), f"u^-1*g{i}"))
@@ -193,88 +193,88 @@ def double_of_group(group: GroupTable, field: Field = QQ) -> HopfData:
 
 
 # ---------------------------------------------------------------------------
-# Sweedler algebra and its double
+# Taft algebras, the Sweedler algebra T_2 and their doubles
 # ---------------------------------------------------------------------------
 
 
-def sweedler(field: Field = QQ) -> HopfData:
-    """The 4-dimensional Sweedler Hopf algebra on {1, g, x, gx}.
-
-    g^2 = 1, x^2 = 0, xg = -gx, Delta(g) = g x g, Delta(x) = x x 1 + g x x,
-    S(g) = g, S(x) = -gx.
+def taft(n: int, field: Field, zeta) -> HopfData:
+    """The Taft algebra T_n (E. Taft, PNAS 68, 1971) at a primitive n-th root
+    of unity zeta: g^n = 1, x^n = 0, x g = zeta g x, Delta(g) = g x g and
+    Delta(x) = x x 1 + g x x, on the basis g^i x^j at index i + n j, with
+    generators [g, x].  Its structure constants:
+    (g^i x^j)(g^k x^l) = zeta^(jk) g^(i+k) x^(j+l);
+    Delta(g^i x^j) = sum_m [j m]_zeta g^(i+m) x^(j-m) x g^i x^m (Gaussian
+    binomial); S(g^i x^j) = (-1)^j zeta^(-j(j-1)/2 - ij) g^(-i-j) x^j.
     """
     F = field
-    one, g, x, gx = 0, 1, 2, 3
-    mult = [[{} for _ in range(4)] for _ in range(4)]
+    zp = [F.one]  # zeta^k is zp[k mod n], as zeta^n = 1
+    for _ in range(1, n):
+        zp.append(F.mul(zp[-1], zeta))
+    binom = [[F.one]]  # binom[j][m] = [j m]_zeta = [j-1 m-1] + zeta^m [j-1 m]
+    for j in range(1, n):
+        prev = binom[-1] + [F.zero]
+        binom.append([F.add(prev[m - 1] if m else F.zero, F.mul(zp[m], prev[m])) for m in range(j + 1)])
 
-    def put(i, j, k, c=1):
-        mult[i][j][k] = F.from_int(c)
+    def idx(i, j):
+        return i % n + n * j
 
-    for a in range(4):
-        put(one, a, a)
-        if a != one:
-            put(a, one, a)
-    put(g, g, one)
-    put(g, x, gx)
-    put(g, gx, x)
-    put(x, g, gx, -1)
-    # x*x = 0, x*gx = 0, gx*x = 0, gx*gx = 0 (omitted entries are zero)
-    put(gx, g, x, -1)
+    def label(i, j):
+        word = ("g" if i == 1 else f"g{i}" if i else "") + ("x" if j == 1 else f"x{j}" if j else "")
+        return word or "1"
 
-    unit = {one: F.one}
-    comult = [
-        {(one, one): F.one},
-        {(g, g): F.one},
-        {(x, one): F.one, (g, x): F.one},
-        {(gx, g): F.one, (one, gx): F.one},
-    ]
-    counit = [F.one, F.one, F.zero, F.zero]
-    antipode = Matrix(F, 4, 4)
-    antipode.rows[one][one] = F.one
-    antipode.rows[g][g] = F.one
-    antipode.rows[gx][x] = F.neg(F.one)
-    antipode.rows[x][gx] = F.one
+    dim = n * n
+    mult = [[{} for _ in range(dim)] for _ in range(dim)]
+    comult = [{(idx(i + m, j - m), idx(i, m)): binom[j][m] for m in range(j + 1)} for j in range(n) for i in range(n)]
+    antipode = Matrix(F, dim, dim)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n - j):
+                    mult[idx(i, j)][idx(k, l)] = {idx(i + k, j + l): zp[j * k % n]}
+            antipode.rows[idx(-i - j, j)][idx(i, j)] = F.mul(F.from_int((-1) ** j), zp[(-j * (j - 1) // 2 - i * j) % n])
     return HopfData(
-        name="H4",
+        name=f"T{n}",
         field=F,
-        dim=4,
-        basis_labels=["1", "g", "x", "gx"],
+        dim=dim,
+        basis_labels=[label(i, j) for j in range(n) for i in range(n)],
         mult=mult,
-        unit=unit,
+        unit={0: F.one},
         comult=comult,
-        counit=counit,
+        counit=[F.one if a < n else F.zero for a in range(dim)],
         antipode=antipode,
-        generators=[g, x],
+        generators=[1, n],
     )
 
 
-def _sweedler_double_grouplikes(d: HopfData) -> list[dict]:
-    """The four grouplikes of D(H4): characters of H4 paired with 1 and g."""
-    F = d.field
-    n = 4
-    out = []
-    for chi_g in (1, -1):  # chi(1) = 1, chi(g) = chi_g, chi(x) = chi(gx) = 0
-        for grp in (0, 1):  # group part 1 or g
-            vec = {grp: F.one, n + grp: F.from_int(chi_g)}  # chi(e_a) at index a * n + grp
-            if d.is_grouplike(vec):
-                out.append(vec)
-    return out
+def taft_double(t: HopfData) -> HopfData:
+    """D(T_n) for a Taft algebra t (``taft``, under any name) with the first
+    ribbon candidate that verifies.  Any ribbon element is a grouplike shift
+    of the Drinfeld element, and the grouplikes of D(T_n) are the n^2
+    tensors chi_k x g^l (chi_k(g) = zeta^k, chi_k(x) = 0), k-major: the
+    elements sum_i zeta^(ki) e^(g^i) x g^l at index i n^2 + l, with zeta^k
+    read off x g^k = zeta^k g^k x in t.  So the search is exhaustive.
+    """
+    n = isqrt(t.dim)
+    powers = [t.mult[n][k][n + k] for k in range(n)]
+    grouplikes = [{i * n * n + l: powers[k * i % n] for i in range(n)} for k in range(n) for l in range(n)]
+    d = drinfeld_double(t)
+    _attach_double_ribbon(d, grouplikes)
+    return d
+
+
+def sweedler(field: Field = QQ) -> HopfData:
+    """H4, the 4-dimensional Sweedler algebra on {1, g, x, gx}: T_2 at zeta = -1."""
+    h = taft(2, field, field.from_int(-1))
+    h.name = "H4"
+    return h
 
 
 def sweedler_double(field: Field = QQ) -> HopfData:
-    """D(H4): quasitriangular, factorizable, unimodular, non-semisimple.
-
-    Any ribbon element of a quasitriangular Hopf algebra has the form
-    (grouplike shift of the Drinfeld element), and the grouplikes of a tensor
-    coalgebra are exactly the tensors of grouplikes, so the candidate list
-    below is exhaustive.  For D(H4) every candidate fails (the antipode swaps
-    the two central candidates that satisfy the coproduct axiom), so no
-    ribbon element exists; the search outcome is recorded and the algebra is
-    returned ribbon-free, usable for all non-ribbon checks.
-    """
-    d = drinfeld_double(sweedler(field))
-    _attach_double_ribbon(d, _sweedler_double_grouplikes(d))
-    return d
+    """D(H4): quasitriangular, factorizable, unimodular, non-semisimple.  No
+    ribbon element exists: every candidate of ``taft_double``'s exhaustive
+    search fails (the antipode swaps the two central candidates that satisfy
+    the coproduct axiom), so D(H4) is ribbon-free with the outcome recorded."""
+    return taft_double(sweedler(field))
 
 
 # ---------------------------------------------------------------------------

@@ -334,8 +334,9 @@ def field_from_json(spec: dict) -> Field:
     kind = spec.get("kind")
     if kind == "Q":
         return QQ
-    if kind == "cyclotomic":
-        return CyclotomicField(int(spec["n"]))
-    if kind == "Fp":
-        return PrimeField(int(spec["p"]))
-    raise FieldError(f"unknown field kind {kind!r}")
+    if kind not in ("cyclotomic", "Fp"):
+        raise FieldError(f"unknown field kind {kind!r}")
+    param = spec["n" if kind == "cyclotomic" else "p"]
+    if type(param) is not int:  # 7.9, "7" and true are not integers
+        raise FieldError(f"field parameter {param!r} is not an integer")
+    return CyclotomicField(param) if kind == "cyclotomic" else PrimeField(param)

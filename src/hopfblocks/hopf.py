@@ -673,12 +673,6 @@ class HopfData:
         s_img = self.leg_images()[1]
         return self.element(self.t2_multiply(self.apply_leg(self.t2_flip(self.r_matrix), 0, s_img)))
 
-    def is_grouplike(self, x: dict) -> bool:
-        F = self.field
-        if not F.eq(self.counit_of(x), F.one):
-            return False
-        return self.sparse_eq(self.comult_of(x), self.t2_pure(x, x))
-
 
 # ---------------------------------------------------------------------------
 # Drinfeld double

@@ -812,74 +812,82 @@ def dijkgraaf_witten_twist(group, genus: int, separating: int = 0) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The Taft algebras T_n (E. Taft, PNAS 68, 1971) and the grouplikes of their
-# doubles, the non-semisimple inputs that the catalog does not ship yet
+# The Sweedler algebra by its hand-written tables, a reference for the
+# catalog's T_2, and the grouplikes a catalog double hands its ribbon search
 # ---------------------------------------------------------------------------
 
 
-def taft(n: int, field, zeta):
-    """T_n for a primitive n-th root of unity zeta of the field: g^n = 1,
-    x^n = 0, x g = zeta g x, Delta(g) = g x g, Delta(x) = x x 1 + g x x.
+def sweedler_by_table(field):
+    """The 4-dimensional Sweedler Hopf algebra on {1, g, x, gx}, entry by entry.
 
-    The basis element g^i x^j has index i + n j, so T_2 at zeta = -1 is
-    the Sweedler algebra on {1, g, x, gx}.  Its structure constants:
-    (g^i x^j)(g^k x^l) = zeta^(jk) g^(i+k) x^(j+l);
-    Delta(g^i x^j) = sum_m [j m]_zeta g^(i+m) x^(j-m) x g^i x^m, with the
-    Gaussian binomial [j m]_zeta; S(g^i x^j) is
-    (-1)^j zeta^(-j(j-1)/2 - ij) g^(-i-j) x^j.
+    g^2 = 1, x^2 = 0, xg = -gx, Delta(g) = g x g, Delta(x) = x x 1 + g x x,
+    S(g) = g, S(x) = -gx.
     """
     from hopfblocks.hopf import HopfData
     from hopfblocks.linalg import Matrix
 
     F = field
+    one, g, x, gx = 0, 1, 2, 3
+    mult = [[{} for _ in range(4)] for _ in range(4)]
 
-    def zp(k):
-        return field_pow(F, zeta, k)
+    def put(i, j, k, c=1):
+        mult[i][j][k] = F.from_int(c)
 
-    binom = [[F.one]]  # binom[j][m] = [j m]_zeta = [j-1 m-1] + zeta^m [j-1 m]
-    for j in range(1, n):
-        prev = binom[-1] + [F.zero]
-        binom.append([F.add(prev[m - 1] if m else F.zero, F.mul(zp(m), prev[m])) for m in range(j + 1)])
+    for a in range(4):
+        put(one, a, a)
+        if a != one:
+            put(a, one, a)
+    put(g, g, one)
+    put(g, x, gx)
+    put(g, gx, x)
+    put(x, g, gx, -1)
+    # x*x = 0, x*gx = 0, gx*x = 0, gx*gx = 0 (omitted entries are zero)
+    put(gx, g, x, -1)
 
-    def idx(i, j):
-        return i % n + n * j
-
-    def label(i, j):
-        word = ("g" if i == 1 else f"g{i}" if i else "") + ("x" if j == 1 else f"x{j}" if j else "")
-        return word or "1"
-
-    dim = n * n
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    comult = [{} for _ in range(dim)]
-    antipode = Matrix(F, dim, dim)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n - j):
-                    mult[idx(i, j)][idx(k, l)] = {idx(i + k, j + l): zp(j * k)}
-            comult[idx(i, j)] = {(idx(i + m, j - m), idx(i, m)): binom[j][m] for m in range(j + 1)}
-            antipode.rows[idx(-i - j, j)][idx(i, j)] = F.mul(F.from_int((-1) ** j), zp(-j * (j - 1) // 2 - i * j))
+    unit = {one: F.one}
+    comult = [
+        {(one, one): F.one},
+        {(g, g): F.one},
+        {(x, one): F.one, (g, x): F.one},
+        {(gx, g): F.one, (one, gx): F.one},
+    ]
+    counit = [F.one, F.one, F.zero, F.zero]
+    antipode = Matrix(F, 4, 4)
+    antipode.rows[one][one] = F.one
+    antipode.rows[g][g] = F.one
+    antipode.rows[gx][x] = F.neg(F.one)
+    antipode.rows[x][gx] = F.one
     return HopfData(
-        name=f"T{n}",
+        name="H4",
         field=F,
-        dim=dim,
-        basis_labels=[label(i, j) for j in range(n) for i in range(n)],
+        dim=4,
+        basis_labels=["1", "g", "x", "gx"],
         mult=mult,
-        unit={0: F.one},
+        unit=unit,
         comult=comult,
-        counit=[F.one if a < n else F.zero for a in range(dim)],
+        counit=counit,
         antipode=antipode,
-        generators=[1, n],
+        generators=[g, x],
     )
 
 
-def taft_double_grouplikes(d, n: int, zeta) -> list[dict]:
-    """The n^2 grouplikes chi_k x g^l of D(T_n), k-major, where chi_k is the
-    character with chi_k(g) = zeta^k and chi_k(x) = 0: the element
-    sum_i zeta^(ki) e^(g^i) x g^l of the double's basis e^a x e_b
-    (index a n^2 + b)."""
-    F = d.field
-    return [{i * n * n + l: field_pow(F, zeta, k * i) for i in range(n)} for k in range(n) for l in range(n)]
+def searched_grouplikes(build, *args):
+    """build(*args), a catalog double builder, and the grouplikes it hands
+    to ``catalog._attach_double_ribbon``, in order."""
+    import pytest
+
+    from hopfblocks import catalog
+
+    seen = []
+    attach = catalog._attach_double_ribbon
+
+    def spy(d, grouplikes=()):
+        seen.extend(grouplikes)
+        attach(d, grouplikes)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(catalog, "_attach_double_ribbon", spy)
+        return build(*args), seen
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ from hopfblocks.catalog import (
     symmetric_group_3,
     to_json,
 )
-from oracles import dihedral_group_4, element_multiplicative_order, group_table_defect, taft
+from oracles import (
+    dihedral_group_4,
+    element_multiplicative_order,
+    group_table_defect,
+    searched_grouplikes,
+    sweedler_by_table,
+)
 
 
 def test_group_tables():
@@ -183,17 +189,38 @@ def test_group_double_ribbon_choice(group, field):
     assert d.sparse_eq(w, d.element_inverse(d.drinfeld_element()))
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(7), CyclotomicField(3), CyclotomicField(12)], ids=str)
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(7), CyclotomicField(3),
+                                   CyclotomicField(12)], ids=str)
 def test_taft_two_is_the_sweedler_algebra(field):
-    # T_2 at zeta = -1 is H4 entry for entry; only the name differs
-    t2 = taft(2, field, field.from_int(-1))
-    assert {**to_json(t2), "name": "H4"} == to_json(catalog.sweedler(field))
+    # the catalog's H4, T_2 at zeta = -1, is the hand-written Sweedler algebra
+    # entry for entry, and so are the doubles built on each
+    table = sweedler_by_table(field)
+    assert to_json(catalog.sweedler(field)) == to_json(table)
+    assert to_json(hopf.drinfeld_double(catalog.sweedler(field))) == to_json(hopf.drinfeld_double(table))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_taft_algebras_validate(n):
     F = CyclotomicField(n)
-    assert taft(n, F, F.zeta()).validate().passed
+    assert catalog.taft(n, F, F.zeta()).validate().passed
+
+
+TAFT_DOUBLES = {"T2/Q": (2, QQ, -1), "T2/F3": (2, PrimeField(3), -1),
+                "T3/Qzeta3": (3, CyclotomicField(3), None), "T3/F7": (3, PrimeField(7), 2)}
+
+
+@pytest.mark.parametrize("case", sorted(TAFT_DOUBLES))
+def test_taft_double_grouplikes_in_closed_form(case):
+    # the n^2 grouplikes chi_k x g^l that the ribbon search of D(T_n) tries
+    n, F, z = TAFT_DOUBLES[case]
+    zeta = F.zeta() if z is None else F.from_int(z)
+    d, grouplikes = searched_grouplikes(catalog.taft_double, catalog.taft(n, F, zeta))
+    assert len(grouplikes) == n * n
+    assert len({tuple(d.element(ell).items()) for ell in grouplikes}) == n * n
+    for ell in grouplikes:
+        assert F.eq(d.counit_of(ell), F.one)
+        assert d.sparse_eq(d.comult_of(ell), d.t2_pure(ell, ell))
+        assert d.sparse_eq(d.product(ell, d.antipode_of(ell)), d.unit)
 
 
 def test_solver_defects_are_not_read_as_non_invertible(monkeypatch):

@@ -416,6 +416,10 @@ def _corrupt_file(tmp_path, key, value, name="group:Z2"):
         (["check"], ("dim", 4.7), "PARSE_ERROR"),
         (["invariants"], ("dim", "4"), "PARSE_ERROR"),
         (["check"], ("generators", []), "PARSE_ERROR"),
+        (["check"], ("field", {"kind": "Fp", "p": 7.9}), "PARSE_ERROR"),
+        (["invariants"], ("field", {"kind": "Fp", "p": "7"}), "PARSE_ERROR"),
+        (["check"], ("field", {"kind": "cyclotomic", "n": 12.5}), "PARSE_ERROR"),
+        (["invariants"], ("field", {"kind": "cyclotomic", "n": "12"}), "PARSE_ERROR"),
     ],
     ids=["check-field-kind", "invariants-field-kind", "check-generator-index",
          "invariants-generator-index", "theorems-max-genus-0", "theorems-window-negative",
@@ -423,7 +427,8 @@ def _corrupt_file(tmp_path, key, value, name="group:Z2"):
          "check-mult-negative-index", "invariants-antipode-negative-index",
          "check-comult-index-too-large", "check-r-matrix-index-too-large",
          "check-generator-float", "invariants-generator-bool", "check-dim-float", "invariants-dim-string",
-         "check-generators-empty"],
+         "check-generators-empty", "check-field-p-float", "invariants-field-p-string",
+         "check-field-n-float", "invariants-field-n-string"],
 )
 def test_bad_input_exits_usage_with_stable_code(argv, corrupt, code_name, tmp_path, capsys):
     if corrupt is not None:
@@ -553,6 +558,13 @@ OVER_GENUS_CAP = [
 # a genus whose tensor power is too deep to build even under an explicit cap
 TOO_DEEP = [["--genus-cap", "300", "blocks", "@k1", "--genus", "300"]]
 
+# a genus under an explicit cap whose dim^genus ambient coordinates cannot be indexed
+UNINDEXABLE = [
+    ["--genus-cap", "100", "blocks", "group:Z2", "--genus", "70"],
+    ["--genus-cap", "100", "blocks", "group:Z2", "--genus", "70", "--model", "center"],
+    ["--genus-cap", "100", "dehn", "double:Z2", "--curve", "sep:35,35"],
+]
+
 # "@k1" is the path of the dim-1 algebra k[Z1], whose default genus cap is 12
 BAD_FLAGS = [
     ["blocks", "double:Z2", "--genus", "-1"], ["blocks", "double:Z2", "--genus", "9"],
@@ -564,7 +576,7 @@ BAD_FLAGS = [
     ["dehn", "double:Z2", "--genus", "-2", "--curve", "nonsep:1"], ["dehn", "double:Z2", "--curve", "sep:-1,2"],
     ["dehn", "double:Z2", "--curve", "sep:0,0"], ["dehn", "group:Z2", "--curve", "bpair"],
     ["theorems", "double:Z2", "--max-genus", "1", "--genus-cap", "0"],
-    *OVER_GENUS_CAP, *TOO_DEEP,
+    *OVER_GENUS_CAP, *TOO_DEEP, *UNINDEXABLE,
 ]
 
 
@@ -577,6 +589,8 @@ def test_bad_flags_never_exit_discrepancy(argv, k1_file, capsys):
         assert code == 2 and "error[BLOCKS]" in err, cmd
     if argv in TOO_DEEP:
         assert code == 2 and "error[BLOCKS]: genus 300" in err, cmd
+    if argv in UNINDEXABLE:
+        assert code == 2 and "cannot be indexed" in err and "error[BLOCKS]" in err, cmd
 
 
 def test_negative_genus_cap_is_bad_argument_on_every_subcommand(ds3_f7_file, capsys):

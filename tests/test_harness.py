@@ -3,7 +3,6 @@ import pytest
 from hopfblocks import catalog, harness
 from hopfblocks.blocks import DIRECT, RELATIVE_CENTER, block_space, center_twist_op, nonseparating_twist_op
 from hopfblocks.fields import CyclotomicField, PrimeField
-from hopfblocks.hopf import drinfeld_double
 from hopfblocks.linalg import OrderCertificate, finite, infinite, unknown
 from hopfblocks.repcat import adjoint_module, regular_module, tensor_power
 from hopfblocks.harness import (
@@ -17,7 +16,7 @@ from hopfblocks.harness import (
     verify_torelli,
     verify_zg,
 )
-from oracles import dihedral_group_4, taft, taft_double_grouplikes
+from oracles import dihedral_group_4
 
 
 def _trivially_ribboned_z2():
@@ -292,8 +291,7 @@ def test_taft_double_at_genus_one(field, zeta, order):
     # search; over F_7 the harness gates the rows, so the orders are read
     # off the blocks directly
     zeta = field.zeta() if zeta is None else zeta
-    d = drinfeld_double(taft(3, field, zeta))
-    catalog._attach_double_ribbon(d, taft_double_grouplikes(d, 3, zeta))
+    d = catalog.taft_double(catalog.taft(3, field, zeta))
     assert d.validate().passed and d.flags["ribbon_choice"] == "u^-1*g4"
     direct, center = block_space(d, 1, DIRECT), block_space(d, 1, RELATIVE_CENTER)
     assert direct.dim == center.dim == 12

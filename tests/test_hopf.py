@@ -23,6 +23,7 @@ from oracles import (
     full_basis_bialgebra_witness,
     jacobson_radical_dim,
     left_mult_of,
+    searched_grouplikes,
     solve_unique,
     two_sided_span_closure_dim,
 )
@@ -457,8 +458,8 @@ def test_element_inverse_equals_solved_inverse(case):
     name, f = INVERSE_CASES[case]
     F = ANTIPODE_FIELDS[f]
     if name == "H4":
-        d = catalog.sweedler_double(F)
-        elements = [d.drinfeld_element(), *catalog._sweedler_double_grouplikes(d)]
+        d, grouplikes = searched_grouplikes(catalog.sweedler_double, F)
+        elements = [d.drinfeld_element(), *grouplikes]
     else:
         d = catalog.double_of_group(catalog._group_by_name(name), F)
         elements = [d.drinfeld_element(), d.ribbon]
