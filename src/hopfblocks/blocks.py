@@ -56,7 +56,7 @@ cached on the algebra (``HopfData._cache``), never in module globals.
 One genus cap bounds every block, the separating twist's included: by
 default the largest g with max(dim, 2)^g <= ``BLOCK_UNKNOWN_LIMIT``, or the
 caller's ``genus_cap``.  ``block_space`` and ``separating_twist_op`` make
-the same check.
+the same check, and ``bounding_pair_op`` makes it at genus 2.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from .repcat import (
     Module,
     adjoint_module,
     is_intertwiner,
+    power_twist_order,
     regular_module,
     tensor_module,
     tensor_power,
@@ -335,13 +336,12 @@ class MCGOperator:
 
 def _twist_op(block: BlockSpace, key: tuple, kind: str, ambient_op, end_orders=None) -> MCGOperator:
     """The twist ``kind`` on a block: ambient_op() restricted to the block and
-    certified, with end_orders() the end-power certificates of a separating
+    certified, with end_orders the end-power certificates of a separating
     twist.  Built once and cached on the algebra under key."""
     cache = block.algebra._cache
     if key not in cache:
         mat = restrict_operator(block, ambient_op())
-        cache[key] = MCGOperator(kind, block, mat, operator_order(mat),
-                                 None if end_orders is None else end_orders())
+        cache[key] = MCGOperator(kind, block, mat, operator_order(mat), end_orders)
     return cache[key]
 
 
@@ -399,8 +399,8 @@ def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
     ``block_space``, made first), ``MissingRibbon`` without a ribbon
     element, and ``BlocksError`` when the algebra is not factorizable.
 
-    The result is cached on the algebra; its ``end_orders`` certify the
-    twists on A^(g') and A^(g'').
+    The result is cached on the algebra; its ``end_orders`` are the twist
+    orders on A^(g') and A^(g'') (``repcat.power_twist_order``).
     """
     genus = genus_left + genus_right
     _check_genus_cap(h, genus, genus_cap)
@@ -410,20 +410,13 @@ def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
         raise MissingRibbon(h.name)
     if h.r_matrix is None or not h.is_factorizable()[0]:
         raise BlocksError(f"{h.name} is not factorizable: separating twists need A* = A through the Drinfeld map")
-    a = adjoint_module(h)
-    left, right = tensor_power(a, genus_left), tensor_power(a, genus_right)
-
-    def end_orders():
-        left_order = operator_order(twist(left))
-        # for g' = g'' both are the one power and its one twist: certify it once
-        return left_order, left_order if right is left else operator_order(twist(right))
-
     return _twist_op(block_space(h, genus, DIRECT, genus_cap=genus_cap),
                      ("separating", genus_left, genus_right), f"separating({genus_left},{genus_right})",
-                     lambda: _slot_op(h, twist(right), genus_left, 0), end_orders)
+                     lambda: _slot_op(h, twist(tensor_power(adjoint_module(h), genus_right)), genus_left, 0),
+                     (power_twist_order(h, genus_left), power_twist_order(h, genus_right)))
 
 
-def bounding_pair_op(h: HopfData) -> Matrix:
+def bounding_pair_op(h: HopfData, genus_cap: int | None = None) -> Matrix:
     """The bounding-pair action f -> theta_H . f . (theta_H^-1 x id) on
     Hom(H x A, H), H the regular module and A the canonical end.
 
@@ -434,7 +427,10 @@ def bounding_pair_op(h: HopfData) -> Matrix:
     theta_H . sum c L_a C rho_A(S(b)) over the terms c a x b of
     Delta(v^-1): one Kronecker sum.  It maps intertwiners to intertwiners
     exactly when theta_H is one, which is checked on every generator.
+    Its dim H * dim A coordinates are those of a genus-2 ambient, so it
+    first makes ``block_space``'s check at genus 2 (``GenusCapExceeded``).
     """
+    _check_genus_cap(h, 2, genus_cap)
     if h.ribbon is None:
         raise MissingRibbon(h.name)
     reg = regular_module(h)

@@ -2,8 +2,10 @@
 
 Shipped entries: group algebras of Z/2, Z/3, S3; their Drinfeld doubles with
 machine-verified ribbon elements; the Sweedler algebra H4 = T_2 at zeta = -1
-(``taft``) and its double (``taft_double``).  Every double is searched by
-one routine, ``_attach_double_ribbon``: the Drinfeld element u, then u^-1,
+(``taft``) and its double (``taft_double``); and ``double:T3``, the
+81-dimensional double D(T_3) over Q(zeta_3), non-semisimple, ribbon and
+factorizable.  Every double is searched by one routine,
+``_attach_double_ribbon``: the Drinfeld element u, then u^-1,
 then u l^-1, l^-1 u, u^-1 l and l u^-1 for each grouplike l the constructor
 supplies (the n^2 of D(T_n) in closed form, four for D(H4); none for
 D(k[G])), until one passes the full ribbon-axiom battery.  Candidates are
@@ -23,7 +25,7 @@ import json
 from math import isqrt
 from pathlib import Path
 
-from .fields import Field, FieldError, QQ, field_from_json
+from .fields import CyclotomicField, Field, FieldError, QQ, field_from_json
 from .hopf import DimensionMismatch, HopfData, Matrix, StructureReport, drinfeld_double
 
 
@@ -293,6 +295,9 @@ def get(name: str) -> HopfData:
         return sweedler()
     if name in ("double:sweedler", "double:H4", "D(H4)"):
         return sweedler_double()
+    if name == "double:T3":
+        field = CyclotomicField(3)
+        return taft_double(taft(3, field, field.parse([0, 1])))  # zeta_3, the residue of x
     if name.startswith("group:"):
         return group_algebra(_group_by_name(name.split(":", 1)[1]))
     if name.startswith("double:"):
@@ -310,6 +315,7 @@ def catalog_names() -> list[str]:
         "double:S3",
         "sweedler",
         "double:sweedler",
+        "double:T3",
     ]
 
 

@@ -130,15 +130,21 @@ def cmd_dehn(args) -> int:
     curve = args.curve
     kind, _, params = curve.partition(":")
     if kind == "nonsep" and (handle := _curve_ints(params, 1)):
-        space = blk.block_space(h, args.genus, blk.DIRECT, genus_cap=args.genus_cap)
+        space = blk.block_space(h, 1 if args.genus is None else args.genus, blk.DIRECT, genus_cap=args.genus_cap)
         op = blk.nonseparating_twist_op(space, handle[0])
         doc = {"report_version": 1, "algebra": h.name, **op.to_json()}
     elif kind == "sep" and (genera := _curve_ints(params, 2)):
         g1, g2 = genera
+        if args.genus not in (None, g1 + g2):
+            _error("BAD_ARGUMENT", f"--genus {args.genus} is not the genus {g1 + g2} of {curve}")
+            return EXIT_USAGE
         sep = blk.separating_twist_op(h, g1, g2, genus_cap=args.genus_cap)
         doc = {"report_version": 1, "algebra": h.name, "genus": sep.block.genus, **sep.to_json()}
     elif curve == "bpair":
-        mat = blk.bounding_pair_op(h)
+        if args.genus is not None:
+            _error("BAD_ARGUMENT", "--genus does not apply to bpair")
+            return EXIT_USAGE
+        mat = blk.bounding_pair_op(h, genus_cap=args.genus_cap)
         cert = operator_order(mat)
         doc = {
             "report_version": 1,
@@ -226,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparser("dehn", "twist operator and its order certificate")
     p.add_argument("algebra")
-    p.add_argument("--genus", type=int, default=1)
+    p.add_argument("--genus", type=int, help="genus of a nonsep block (default 1); for sep, g'+g''")
     p.add_argument("--curve", required=True, help="nonsep:<i> | sep:<g'>,<g''> | bpair")
     p.set_defaults(fn=cmd_dehn)
 

@@ -32,12 +32,11 @@ from .blocks import (
 from .hopf import HopfData
 from .linalg import Matrix, OrderVerdict, inverse, operator_order
 from .repcat import (
-    adjoint_module,
     johnson_criterion,
+    power_image,
+    power_twist_order,
     regular_module,
-    tensor_power,
     torelli_criterion,
-    trivial_module,
     twist,
 )
 
@@ -178,32 +177,25 @@ def verify_prop_order(h: HopfData) -> Check:
     projective generator, and bounds the twist order of every module.
 
     The ribbon element's order is read off its powers in H
-    (``HopfData.ribbon_order``), the twist's off its matrix.  The sampled
-    twists are certified, not kept, except on the regular and adjoint
-    modules, which keep theirs (``repcat.twist``) for later checks; the
-    twists of the trivial module and of A x A are built as rho_M(v),
-    certified and dropped.
+    (``HopfData.ribbon_order``), the regular twist's off its matrix.  The
+    sampled twists on A^(x0), A and A x A are read at probe entries
+    (``repcat.power_twist_order``); no matrix is built on them.
     """
 
     def body():
         ribbon_cert = h.ribbon_order()
-        reg = regular_module(h)
-        reg_cert = operator_order(twist(reg))
-        a = adjoint_module(h)
-        sample = [trivial_module(h), reg, a, tensor_power(a, 2)]
-        sample_orders = [
-            _known(reg_cert.gl_order if m is reg
-                   else operator_order(twist(m) if m is a else m.act_element(h.ribbon)).gl_order)
-            for m in sample
-        ]
+        reg_cert = operator_order(twist(regular_module(h)))
+        sample = {"trivial": power_twist_order(h, 0), "regular": reg_cert, "adjoint": power_twist_order(h, 1),
+                  "(adjoint@adjoint)": power_twist_order(h, 2)}
+        sample_orders = [_known(c.gl_order) for c in sample.values()]
         ok = _verdict_eq(ribbon_cert.gl_order, reg_cert.gl_order)
         detail = ""
         if ribbon_cert.gl_order.is_finite:
             n = ribbon_cert.gl_order.n
-            for m, v in zip(sample, sample_orders):  # v^n = 1 bounds every twist
+            for name, v in zip(sample, sample_orders):  # v^n = 1 bounds every twist
                 if not v.is_finite or n % v.n != 0:
                     ok = False
-                    detail = f"|twist({m.name})| = {v.n if v.is_finite else v} does not divide {n}"
+                    detail = f"|twist({name})| = {v.n if v.is_finite else v} does not divide {n}"
         return (f"twist(regular): {reg_cert.gl_order}", f"ribbon element: {ribbon_cert.gl_order}", ok,
                 detail or f"sampled module orders: {[str(v) for v in sample_orders]}")
 
@@ -274,13 +266,11 @@ def verify_torelli(h: HopfData) -> Check:
         commutative, witness = h.is_commutative()
         ok = central == commutative
         detail = ""
-        if commutative and ok:
+        if commutative and ok:  # rho_A(e_i) = eps(e_i) I, read as pi(e_i) = eps(e_i) pi(1)
             F = h.field
-            a = adjoint_module(h)
-            ok = all(
-                (c := a.act(i).scalar_value()) is not None and F.eq(c, h.counit[i])
-                for i in range(h.dim)
-            )
+            one = power_image(h, h.unit, 1)
+            ok = all(h.sparse_eq(power_image(h, {i: F.one}, 1), {s: F.mul(h.counit[i], c) for s, c in one.items()})
+                     for i in range(h.dim))
             detail = f"adjoint action scalar (counit) on all basis elements: {ok}"
         elif not commutative:
             detail = f"noncommutativity witness: {witness}"

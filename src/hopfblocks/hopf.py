@@ -30,6 +30,8 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+
 from .fields import Field
 from .linalg import (
     LinAlgError,
@@ -388,14 +390,8 @@ class HopfData:
         regular representation is faithful, so this is also the minimal
         polynomial of left multiplication by x.
         """
-
-        def powers():
-            y = self.unit
-            while True:
-                yield y
-                y = self.product(y, x)
-
-        return _sequence_annihilator(self.field, self.dim, powers())
+        powers = accumulate(repeat(x), self.product, initial=self.unit)
+        return _sequence_annihilator(self.field, self.dim, powers)
 
     def ribbon_order(self) -> OrderCertificate:
         """Order of the ribbon element v, kept on the algebra, from its

@@ -120,25 +120,8 @@ class Matrix:
         return out
 
     def is_identity(self) -> bool:
-        """Square, and 0 x 0 or the scalar one."""
-        if self.nrows == 0:
-            return self.ncols == 0
-        c = self.scalar_value()
-        return c is not None and self.field.eq(c, self.field.one)
-
-    def scalar_value(self):
-        """The scalar c if this matrix equals c*I, else None."""
-        if not self.is_square() or self.nrows == 0:
-            return None
-        F = self.field
-        c = self.rows[0].get(0, F.zero)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                if j != i and not F.is_zero(v):
-                    return None
-            if not F.eq(row.get(i, F.zero), c):
-                return None
-        return c
+        """Square, and equal to the identity (a 0 x 0 matrix is)."""
+        return self.is_square() and self == Matrix.identity(self.field, self.nrows)
 
 
 def tensor_product(a: Matrix, b: Matrix) -> Matrix:

@@ -1,7 +1,6 @@
 """The module category of a Hopf algebra: module constructions, intertwiner
-spaces, the double braiding and the twist from the quasitriangular/ribbon
-data, Mueger centrality, and the paper's Johnson-kernel and Torelli criteria
-on the end.
+spaces, the twist from the ribbon data, and the paper's Johnson-kernel and
+Torelli criteria on the end.
 
 Intertwiner spaces are solved one way only: as the stacked kernel of the
 intertwining constraints over the algebra's generating set, on the
@@ -16,16 +15,27 @@ its tensor powers and its twist, so their action matrices are built once
 per algebra.  A tensor module acts by an element x through Delta(x), one
 Kronecker sum, without building the action of every basis element in the
 support of x.
+
+Every order or triviality test on a power A^(xk) of the end, or on A x H,
+reads pi, y -> (entries of rho_A(y) at the probes), and builds no matrix
+there.  The probes are the pivot columns of the flattened rho_A(e_i), so pi
+is injective on im rho_A; H acts faithfully on itself and needs no probe.
 """
 
 from __future__ import annotations
 
-from .hopf import HopfData, MissingRMatrix, MissingRibbon
+from itertools import accumulate, repeat
+
+from .hopf import HopfData, MissingRibbon
 from .linalg import (
     KernelBasis,
     Matrix,
+    OrderCertificate,
+    _RowReducer,
+    _sequence_annihilator,
     kron_sum,
     linear_combination,
+    minpoly_order,
     simultaneous_kernel,
 )
 
@@ -229,7 +239,7 @@ def hom_space(source: Module, target: Module) -> HomSpace:
 
 
 # ---------------------------------------------------------------------------
-# Braiding, twist, Mueger center
+# The twist, and predicates on powers of the end read at the probes
 # ---------------------------------------------------------------------------
 
 
@@ -237,15 +247,6 @@ def _action_of_tensor_element(m: Module, n: Module, t: dict) -> Matrix:
     """(rho_M x rho_N)(t) for a sparse element t of H x H."""
     terms = [(c, m.act(i), n.act(j)) for (i, j), c in t.items()]
     return kron_sum(m.algebra.field, m.dim * n.dim, m.dim * n.dim, terms)
-
-
-def monodromy(m: Module, n: Module) -> Matrix:
-    """The double braiding c_{N,M} c_{M,N} as the action of R21 R on M x N;
-    the braiding c_{M,N} is the flip composed with the action of R."""
-    h = _same_algebra(m, n)
-    if h.r_matrix is None:
-        raise MissingRMatrix(h.name)
-    return _action_of_tensor_element(m, n, h.monodromy_element())
 
 
 def twist(m: Module) -> Matrix:
@@ -258,21 +259,58 @@ def twist(m: Module) -> Matrix:
     return m._twist
 
 
-def muger_central(m: Module) -> bool:
-    """Trivial double braiding with the regular module (a projective generator)."""
-    h = m.algebra
-    return monodromy(m, regular_module(h)).is_identity()
+def _probes(h: HopfData) -> list[dict]:
+    """pi(e_i), keyed (s,), for every basis index i, kept in ``HopfData._cache``;
+    a reduced row is 1 at its own pivot and 0 at the others: pi is injective on im rho_A."""
+    if "probes" not in h._cache:
+        flat = [{r * h.dim + c: v for r, row in enumerate(adjoint_module(h).act(i).rows) for c, v in row.items()}
+                for i in range(h.dim)]
+        red = _RowReducer(h.field)
+        for row in flat:
+            red.add(row)
+        h._cache["probes"] = [{(s,): row[p] for s, p in enumerate(sorted(red.pivots)) if p in row} for row in flat]
+    return h._cache["probes"]
+
+
+def _on_probes(h: HopfData, t: dict, legs) -> dict:
+    """pi on each of the given legs of the sparse tensor t, id on the rest."""
+    for leg in legs:
+        t = h.apply_leg(t, leg, _probes(h))
+    return t
+
+
+def power_image(h: HopfData, y: dict, k: int) -> dict:
+    """pi^(xk)(Delta^(k) y), its entry at probes s_1..s_k keyed sum s_l dim^(k-l)
+    (s < rank rho_A <= dim H); eps(y) at key 0 for k = 0."""
+    if k == 0:
+        return {0: h.counit_of(y)}
+    t = {(i,): c for i, c in y.items()}
+    for leg in range(k - 1):  # split the last leg and probe the new one before it
+        t = _on_probes(h, h.apply_leg(t, leg, h.comult), [leg])
+    t = _on_probes(h, t, [k - 1])
+    return {sum(s * h.dim ** (k - 1 - l) for l, s in enumerate(key)): c for key, c in t.items()}
+
+
+def power_twist_order(h: HopfData, k: int) -> OrderCertificate:
+    """Order of the twist on A^(xk), kept in ``HopfData._cache``: its minimal
+    polynomial is the first dependence among the images of 1, v, v^2, ..."""
+    if h.ribbon is None:
+        raise MissingRibbon(h.name)
+    if ("twist_order", k) not in h._cache:
+        images = (power_image(h, y, k) for y in accumulate(repeat(h.ribbon), h.product, initial=h.unit))
+        h._cache["twist_order", k] = minpoly_order(h.field, _sequence_annihilator(h.field, h.dim ** k, images))
+    return h._cache["twist_order", k]
 
 
 def johnson_criterion(h: HopfData) -> tuple[bool, bool]:
     """The two sides of the paper's Johnson-kernel criterion: whether the
     end's twist and the end's self double braiding are trivial.  Separating
     twists act trivially iff both are."""
-    a = adjoint_module(h)
-    return twist(a).is_identity(), monodromy(a, a).is_identity()
+    return (power_twist_order(h, 1).gl_order.n == 1,
+            h.sparse_eq(_on_probes(h, h.monodromy_element(), (0, 1)), _on_probes(h, h.t2_unit(), (0, 1))))
 
 
 def torelli_criterion(h: HopfData) -> bool:
     """The paper's Torelli criterion: whether the end is transparent (in the
     Mueger center)."""
-    return muger_central(adjoint_module(h))
+    return h.sparse_eq(_on_probes(h, h.monodromy_element(), (0,)), _on_probes(h, h.t2_unit(), (0,)))

@@ -171,7 +171,7 @@ def order_by_matrix_powers(t, cap: int):
     gl = None
     pgl = None
     for k in range(1, cap + 1):
-        if pgl is None and power.scalar_value() is not None:
+        if pgl is None and scalar_value(power) is not None:
             pgl = finite(k)
         if power == ident:
             gl = finite(k)
@@ -648,11 +648,50 @@ def dual_module(m):
     return Module(h, m.dim, f"dual({m.name})", build)
 
 
+def monodromy(m, n):
+    """The double braiding c_{N,M} c_{M,N} as the action of R21 R on M x N;
+    the braiding c_{M,N} is the flip composed with the action of R.
+
+    The matrix reference for ``repcat.johnson_criterion`` and
+    ``repcat.torelli_criterion``, which read probe entries instead.
+    """
+    from hopfblocks.hopf import MissingRMatrix
+    from hopfblocks.repcat import _action_of_tensor_element, _same_algebra
+
+    h = _same_algebra(m, n)
+    if h.r_matrix is None:
+        raise MissingRMatrix(h.name)
+    return _action_of_tensor_element(m, n, h.monodromy_element())
+
+
+def muger_central(m) -> bool:
+    """Trivial double braiding with the regular module (a projective generator)."""
+    from hopfblocks.repcat import regular_module
+
+    h = m.algebra
+    return monodromy(m, regular_module(h)).is_identity()
+
+
+def scalar_value(m):
+    """The scalar c if the matrix m equals c*I, else None."""
+    if m.nrows != m.ncols or m.nrows == 0:
+        return None
+    F = m.field
+    c = m.rows[0].get(0, F.zero)
+    for i, row in enumerate(m.rows):
+        for j, v in row.items():
+            if j != i and not F.is_zero(v):
+                return None
+        if not F.eq(row.get(i, F.zero), c):
+            return None
+    return c
+
+
 def braiding(m, n):
     """c_{M,N}: M x N -> N x M, the flip composed with the R-matrix action.
 
-    The oracle for ``repcat.monodromy``, the action of R21 R, which must
-    equal c_{N,M} c_{M,N}.
+    The oracle for ``monodromy``, the action of R21 R, which must equal
+    c_{N,M} c_{M,N}.
     """
     from hopfblocks.linalg import Matrix, kron_sum
 

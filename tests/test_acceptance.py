@@ -12,7 +12,7 @@ import pytest
 from hopfblocks import blocks, catalog, harness, repcat
 from hopfblocks.fields import CyclotomicField, QQ
 from hopfblocks.linalg import operator_order, tensor_product
-from oracles import diagonal, element_multiplicative_order, field_pow, from_dense
+from oracles import diagonal, element_multiplicative_order, field_pow, from_dense, monodromy, muger_central
 
 ALL_CATALOG = [
     "group:Z2",
@@ -134,12 +134,13 @@ def test_c06_johnson_criterion():
     with _criterion("C6 Johnson-kernel criterion on D(Z2) and D(S3)"):
         h2 = catalog.get("double:Z2")
         a2 = repcat.adjoint_module(h2)
-        assert repcat.twist(a2).is_identity()
-        assert repcat.monodromy(a2, a2).is_identity()
+        assert repcat.johnson_criterion(h2) == (True, True)
+        assert repcat.twist(a2).is_identity() and monodromy(a2, a2).is_identity()
         assert blocks.separating_twist_op(h2, 1, 1).matrix.is_identity()
         h6 = catalog.get("double:S3")
         a6 = repcat.adjoint_module(h6)
-        assert not (repcat.twist(a6).is_identity() and repcat.monodromy(a6, a6).is_identity())
+        assert not all(repcat.johnson_criterion(h6))
+        assert not (repcat.twist(a6).is_identity() and monodromy(a6, a6).is_identity())
         assert not blocks.separating_twist_op(h6, 1, 1).matrix.is_identity()
 
 
@@ -153,9 +154,9 @@ def test_c07_torelli_criterion():
         }
         for name, should in expect.items():
             h = catalog.get(name)
-            central = repcat.muger_central(repcat.adjoint_module(h))
+            central = repcat.torelli_criterion(h)
             commutative = h.is_commutative()[0]
-            assert central == commutative == should, name
+            assert central == muger_central(repcat.adjoint_module(h)) == commutative == should, name
 
 
 def test_c08_commuting_twist_lattice():
@@ -176,7 +177,7 @@ def test_c09_property_suites():
             triv = repcat.trivial_module(h)
             a = repcat.adjoint_module(h)
             lhs = repcat.twist(repcat.tensor_module(a, a))
-            rhs = repcat.monodromy(a, a).mul(tensor_product(repcat.twist(a), repcat.twist(a)))
+            rhs = monodromy(a, a).mul(tensor_product(repcat.twist(a), repcat.twist(a)))
             assert lhs == rhs  # balancing law
             ta = repcat.twist(a)
             for f in repcat.hom_space(triv, a).basis:
@@ -185,7 +186,7 @@ def test_c09_property_suites():
             d2 = repcat.hom_space(triv, repcat.tensor_power(a, 2)).dim
             assert d2 >= d1 * d1  # invariant-dimension inequality
         h3 = catalog.get("double:Z3")
-        q = repcat.monodromy(repcat.adjoint_module(h3), repcat.regular_module(h3))
+        q = monodromy(repcat.adjoint_module(h3), repcat.regular_module(h3))
         mn = repcat.tensor_module(repcat.adjoint_module(h3), repcat.regular_module(h3))
         for g in h3.generating_indices():
             assert q.mul(mn.act(g)) == mn.act(g).mul(q)  # monodromy intertwines

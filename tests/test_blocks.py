@@ -27,7 +27,7 @@ from hopfblocks.blocks import (
 )
 from hopfblocks.fields import QQ, CyclotomicField, PrimeField
 from hopfblocks.hopf import MissingRibbon
-from hopfblocks.linalg import Matrix, operator_order, simultaneous_kernel
+from hopfblocks.linalg import Matrix, minpoly_order, operator_order, simultaneous_kernel
 from hopfblocks.repcat import adjoint_module, hom_space, regular_module, trivial_module
 from oracles import (
     bounding_pair_by_hom,
@@ -372,7 +372,7 @@ def test_bounding_pair_detects_noncommutativity():
     assert not op.is_identity()
     assert operator_order(op).gl_order.n == 6
     # the identity-induced vector is fixed iff the end double-braids trivially
-    from hopfblocks.repcat import monodromy
+    from oracles import monodromy
 
     assert not monodromy(adjoint_module(h), regular_module(h)).is_identity()
 
@@ -546,29 +546,32 @@ def test_theorems_builds_each_twist_operator_once(tmp_path, monkeypatch, capsys)
 
 
 def test_equal_split_certifies_its_twist_once(monkeypatch):
-    # fresh doubles, so no earlier test has certified a twist on them
-    certified = []
+    # fresh doubles, so no earlier test has read an end order on them; the
+    # end orders are read at probe entries (repcat.power_twist_order), one
+    # minimal polynomial per end power, and only the block operator is a
+    # certified matrix
+    read, certified = [], []
 
-    def counting(t):
+    def counting_minpoly(field, m):
+        read.append(m)
+        return minpoly_order(field, m)
+
+    def counting_operator(t):
         certified.append(t)
         return operator_order(t)
 
-    monkeypatch.setattr(blocks, "operator_order", counting)
-
-    def twist_certificates(h):
-        a = adjoint_module(h)
-        thetas = [repcat.twist(repcat.tensor_power(a, g)) for g in (1, 2)]
-        return sum(any(t is theta for theta in thetas) for t in certified)
-
+    monkeypatch.setattr(repcat, "minpoly_order", counting_minpoly)
+    monkeypatch.setattr(blocks, "operator_order", counting_operator)
     h = catalog.double_of_group(catalog.symmetric_group_3())
     sep = separating_twist_op(h, 1, 1)
-    assert twist_certificates(h) == 1
-    assert sep.end_orders[0] is sep.end_orders[1]
+    assert len(read) == 1 and len(certified) == 1 and certified[0] is sep.matrix
+    assert sep.end_orders[0] is sep.end_orders[1] is repcat.power_twist_order(h, 1)
     assert sep.end_orders[0].gl_order.n == sep.certificate.pgl_order.n == 3
+    read.clear()
     certified.clear()
     h2 = catalog.double_of_group(catalog.cyclic_group(2))
     other = separating_twist_op(h2, 1, 2)
-    assert twist_certificates(h2) == 2
+    assert len(read) == 2 and len(certified) == 1 and certified[0] is other.matrix
     assert other.end_orders[0] is not other.end_orders[1]
 
 

