@@ -16,16 +16,19 @@ Block spaces of the closed surfaces bounding the handlebodies agree with
 these by restriction, for twists supported in the handlebody, so
 ``block_space`` serves both.
 
-The twist about the i-th handle meridian acts in the direct model by
-precomposition with (left multiplication by the ribbon element) in slot i;
-in the relative-center model by the ribbon action on the ambient module.
+Every meridian twist is built from one matrix, ``end_twist``'s L_v (left
+multiplication by the ribbon element, certified central).  The direct model
+precomposes with L_v in slot i.  The relative-center model precomposes with
+theta_G, R_v x I on G x A^(g-1): a block vector x has rho(a) x = (R_a x I) x
+for every a (on the generators by definition, and every rho(a) commutes with
+R_b x I), so on the block R_v x I = rho(v), and v central makes it L_v x I.
 The separating twist that splits g = g' + g'' acts on the genus-g direct
 block by precomposition with I x theta on A^(g') x A^(g''): the block is
 Hom(A^(g') x A^(g''), k) = Hom(A^(g'), (A^(g''))*), and for factorizable H
 the Drinfeld map identifies A* with A, so this is postcomposition with the
-twist on Hom(A^(g'), A^(g'')), up to conjugation.  Both direct-model twists
-are one slot embedding I x X x I on A^(g), built without identity factors
-of size 1.
+twist on Hom(A^(g'), A^(g'')), up to conjugation.  Every meridian and
+separating twist is one slot embedding I x X x I (``_slot_op``), built
+without identity factors of size 1.
 
 Every twist operator takes one path, ``_twist_op``: its ambient operator is
 restricted to the block, certified, cached on the algebra and returned as
@@ -35,7 +38,8 @@ The bounding pair acts on Hom(H x A, H) = Hom_k(A, H)
 (free-module coordinates f -> f(1 x -)), where it is one Kronecker sum over
 Delta(v^-1); no hom space is solved.
 
-A block's basis is the sparse ``KernelBasis`` of its invariance constraints.
+A block is its basis: the sparse ``KernelBasis`` of its invariance
+constraints on the dim^g ambient coordinates, with no ambient module kept.
 The kernel is handed only their nonzero rows: a zero row adds nothing to the
 row space, and at genus 2 most of the dim^g rows are zero.  It is handed
 each forced zero once: matrix rows hold nonzero values only, so a one-term
@@ -48,8 +52,8 @@ their actions.
 ``restrict_operator`` pushes each sparse basis column through the ambient
 operator and certifies the result completely: every image must equal the
 re-expansion of its coordinates in the basis (B.R = Op.B).  The bounding
-pair is certified by its condition: the twist of H intertwines on every
-generator.
+pair is certified by its condition: theta_H is a module map, which is the
+centrality that ``end_twist`` checks.
 Block spaces, the end twist and every twist operator are built once and
 cached on the algebra (``HopfData._cache``), never in module globals.
 
@@ -80,7 +84,6 @@ from .repcat import (
     is_intertwiner,
     power_twist_order,
     regular_module,
-    tensor_module,
     tensor_power,
     twist,
 )
@@ -133,16 +136,13 @@ def _check_genus_cap(h: HopfData, genus: int, genus_cap: int | None) -> None:
 
 
 class BlockSpace:
-    __slots__ = ("algebra", "genus", "model", "basis", "ambient", "covectors")
+    __slots__ = ("algebra", "genus", "model", "basis")
 
-    def __init__(self, algebra: HopfData, genus: int, model: str, basis: KernelBasis, ambient: Module,
-                 covectors: bool):
+    def __init__(self, algebra: HopfData, genus: int, model: str, basis: KernelBasis):
         self.algebra = algebra
         self.genus = genus
         self.model = model
         self.basis = basis
-        self.ambient = ambient
-        self.covectors = covectors  # True for the direct model (basis elements pair with the ambient)
 
     @property
     def dim(self) -> int:
@@ -215,26 +215,24 @@ def _direct_block(h: HopfData, genus: int) -> BlockSpace:
                     row[i] = d
         mats.append(_nonzero_rows(Matrix(F, power_t.dim, power_t.dim, rows), forced))
         del rows  # the next generator's action is built without this one alive
-    basis = simultaneous_kernel(mats)
-    return BlockSpace(h, genus, DIRECT, basis, tensor_power(adjoint_module(h), genus), covectors=True)
+    return BlockSpace(h, genus, DIRECT, simultaneous_kernel(mats))
 
 
 def _center_block(h: HopfData, genus: int) -> BlockSpace:
     F = h.field
     rest = tensor_power(adjoint_module(h), genus - 1)
-    ambient = tensor_module(regular_module(h), rest)
+    n = h.dim * rest.dim
     ident_rest = Matrix.identity(F, rest.dim)
-    forced = bytearray(ambient.dim)
-    # x with (R(g) x I) x = rho_ambient(g) x, each constraint one kron_sum
+    forced = bytearray(n)
+    # x in G x A^(g-1) with (R(g) x I) x = rho(g) x, each constraint one kron_sum
     mats = [
-        _nonzero_rows(kron_sum(F, ambient.dim, ambient.dim,
+        _nonzero_rows(kron_sum(F, n, n,
                                [(F.one, h.right_mult_matrix(g), ident_rest)]
                                + [(F.neg(c), h.left_mult_matrix(a), rest.act(b))
                                   for (a, b), c in h.comult[g].items()]), forced)
         for g in h.generating_indices()
     ]
-    basis = simultaneous_kernel(mats)
-    return BlockSpace(h, genus, RELATIVE_CENTER, basis, ambient, covectors=False)
+    return BlockSpace(h, genus, RELATIVE_CENTER, simultaneous_kernel(mats))
 
 
 def _nonzero_rows(m: Matrix, forced: bytearray) -> Matrix:
@@ -265,20 +263,19 @@ def restrict_operator(block: BlockSpace, ambient_op: Matrix) -> Matrix:
     rows for the covector (direct) model, b_j . Op, and through the rows of
     its transpose for the vector (center) model, Op . b_j.  The kernel basis
     is in reduced form, so the coordinates R[k][j] of an image are its
-    entries at the free columns.  Every image is then compared exactly with
-    its re-expansion sum_k R[k][j] b_k: the complete identity B.R = Op.B,
-    which fails exactly when the operator moves some basis vector out of the
-    block.
+    entries at the free columns (``KernelBasis.coordinates``).  Every image
+    is then compared exactly with its re-expansion sum_k R[k][j] b_k: the
+    complete identity B.R = Op.B, which fails exactly when the operator
+    moves some basis vector out of the block.
     """
     h = block.algebra
     F = h.field
     basis = block.basis
-    rows = (ambient_op if block.covectors else ambient_op.transpose()).rows
-    free_index = {c: k for k, c in enumerate(basis.free_cols)}
+    rows = (ambient_op if block.model == DIRECT else ambient_op.transpose()).rows
     out = Matrix(F, basis.dim, basis.dim)
     for j, col in enumerate(basis.columns):
         img = _times_matrix(F, col, rows)
-        coords = {free_index[t]: v for t, v in img.items() if t in free_index}
+        coords = basis.coordinates(img)
         for k, v in coords.items():
             out.rows[k][j] = v
         if not h.sparse_eq(basis.combination(coords), img):
@@ -287,22 +284,23 @@ def restrict_operator(block: BlockSpace, ambient_op: Matrix) -> Matrix:
 
 
 def end_twist(h: HopfData) -> Matrix:
-    """Left multiplication by the ribbon element on the canonical end: the
-    twist of the regular module, the one matrix of L_v.
+    """L_v, left multiplication by the ribbon element: the twist of the
+    regular module, and the one place L_v is built and certified.
 
-    This is the twist that a meridian Dehn twist induces on the end variable;
-    centrality of the ribbon element makes it an intertwiner of the adjoint
-    action (post-checked once per algebra), and it satisfies
-    rho_M(v * x) = twist(M) rho_M(x) for every module M, matching the end
-    projections.
+    Every meridian twist is built from it (a slot of A^(g) in the direct
+    model, the G slot in the relative-center model), and so is the bounding
+    pair's theta_H.  Its one post-check, once per algebra, is that v is
+    central: L_v L_g = L_g L_v for every generator g.  That is what the
+    center model (R_v = L_v) and the bounding pair (theta_H a module map)
+    rest on, and it makes L_v an intertwiner of the adjoint action too.
     """
     if h.ribbon is None:
         raise MissingRibbon(h.name)
     if "end_twist" not in h._cache:
-        lv = twist(regular_module(h))
-        ad = adjoint_module(h)
-        if not is_intertwiner(lv, ad, ad):
-            raise BlocksError("end twist failed the adjoint intertwiner post-check")
+        reg = regular_module(h)
+        lv = twist(reg)
+        if not is_intertwiner(lv, reg, reg):
+            raise BlocksError("end twist failed the post-check: the ribbon element is not central")
         h._cache["end_twist"] = lv
     return h._cache["end_twist"]
 
@@ -371,18 +369,16 @@ def nonseparating_twist_op(block: BlockSpace, handle: int) -> MCGOperator:
 
 
 def center_twist_op(block: BlockSpace) -> MCGOperator:
-    """The meridian twist on a relative-center block: the ribbon action on the
-    ambient module restricted to the center (precomposition with the twist of
-    the generator under Hom(G, N) = N).  Cached on the algebra per genus;
-    the ambient action of the ribbon element is built for the restriction and
-    not kept on the ambient."""
-    h = block.algebra
+    """The meridian twist on a relative-center block: precomposition with the
+    twist theta_G of the generator under Hom(G, N) = N, that is R_v x I on
+    G x A^(g-1), which on the block is L_v x I (see the module docstring):
+    ``end_twist`` on the G slot, restricted to the block.  Cached on the
+    algebra per genus."""
     if block.model != RELATIVE_CENTER:
         raise BlocksError("center_twist_op expects a relative-center block")
-    if h.ribbon is None:
-        raise MissingRibbon(h.name)
+    h = block.algebra
     return _twist_op(block, ("center_twist", block.genus), "nonseparating(center-model)",
-                     lambda: block.ambient.act_element(h.ribbon))
+                     lambda: _slot_op(h, end_twist(h), 0, block.genus - 1))
 
 
 def separating_twist_op(h: HopfData, genus_left: int, genus_right: int,
@@ -426,17 +422,14 @@ def bounding_pair_op(h: HopfData, genus_cap: int | None = None) -> Matrix:
     f(x x w) = sum rho(x1) f(1 x S(x2) w), so the operator sends C to
     theta_H . sum c L_a C rho_A(S(b)) over the terms c a x b of
     Delta(v^-1): one Kronecker sum.  It maps intertwiners to intertwiners
-    exactly when theta_H is one, which is checked on every generator.
+    exactly when theta_H = L_v is one, that is when v is central, which
+    ``end_twist`` certifies (``MissingRibbon`` without a ribbon element).
     Its dim H * dim A coordinates are those of a genus-2 ambient, so it
     first makes ``block_space``'s check at genus 2 (``GenusCapExceeded``).
     """
     _check_genus_cap(h, 2, genus_cap)
-    if h.ribbon is None:
-        raise MissingRibbon(h.name)
+    theta = end_twist(h)
     reg = regular_module(h)
-    theta = twist(reg)
-    if not is_intertwiner(theta, reg, reg):
-        raise BlocksError("bounding pair left the hom space")
     a = adjoint_module(h)
     s_col = h.antipode_columns()
     terms = [

@@ -140,16 +140,6 @@ def group_algebra(group: GroupTable, field: Field = QQ) -> HopfData:
 # ---------------------------------------------------------------------------
 
 
-def _group_by_name(name: str) -> GroupTable:
-    if name == "Z2":
-        return cyclic_group(2)
-    if name == "Z3":
-        return cyclic_group(3)
-    if name == "S3":
-        return symmetric_group_3()
-    raise CatalogError(f"unknown group {name}")
-
-
 def _attach_double_ribbon(d: HopfData, grouplikes=()) -> None:
     """Attach the first ribbon candidate of a double that verifies, and
     record its label as ``ribbon_choice``; when none verifies, record that in
@@ -284,39 +274,42 @@ def sweedler_double(field: Field = QQ) -> HopfData:
 # ---------------------------------------------------------------------------
 
 
+def _taft_double_3() -> HopfData:
+    field = CyclotomicField(3)
+    return taft_double(taft(3, field, field.parse([0, 1])))  # zeta_3, the residue of x
+
+
+# Every catalog name and its builder, in ``catalog_names`` order.
+CATALOG = {
+    "group:Z2": lambda: group_algebra(cyclic_group(2)),
+    "group:Z3": lambda: group_algebra(cyclic_group(3)),
+    "group:S3": lambda: group_algebra(symmetric_group_3()),
+    "double:Z2": lambda: double_of_group(cyclic_group(2)),
+    "double:Z3": lambda: double_of_group(cyclic_group(3)),
+    "double:S3": lambda: double_of_group(symmetric_group_3()),
+    "sweedler": sweedler,
+    "double:sweedler": sweedler_double,
+    "double:T3": _taft_double_3,
+}
+_ALIASES = {"H4": "sweedler", "double:H4": "double:sweedler", "D(H4)": "double:sweedler"}
+
+
 def get(name: str) -> HopfData:
-    """Resolve a catalog name like ``group:S3``, ``double:Z2``, ``sweedler``.
+    """Resolve a catalog name like ``group:S3``, ``double:Z2``, ``sweedler``,
+    or an alias of the Sweedler algebra (``H4``) or its double.
 
     Each call builds a fresh algebra: what is computed on one (its
     ``_cache`` of blocks, twists and actions) is never shared with another
     caller.
     """
-    if name in ("sweedler", "H4"):
-        return sweedler()
-    if name in ("double:sweedler", "double:H4", "D(H4)"):
-        return sweedler_double()
-    if name == "double:T3":
-        field = CyclotomicField(3)
-        return taft_double(taft(3, field, field.parse([0, 1])))  # zeta_3, the residue of x
-    if name.startswith("group:"):
-        return group_algebra(_group_by_name(name.split(":", 1)[1]))
-    if name.startswith("double:"):
-        return double_of_group(_group_by_name(name.split(":", 1)[1]))
-    raise CatalogError(f"unknown catalog entry {name!r}")
+    build = CATALOG.get(_ALIASES.get(name, name))
+    if build is None:
+        raise CatalogError(f"unknown catalog entry {name!r}")
+    return build()
 
 
 def catalog_names() -> list[str]:
-    return [
-        "group:Z2",
-        "group:Z3",
-        "group:S3",
-        "double:Z2",
-        "double:Z3",
-        "double:S3",
-        "sweedler",
-        "double:sweedler",
-        "double:T3",
-    ]
+    return list(CATALOG)
 
 
 # ---------------------------------------------------------------------------

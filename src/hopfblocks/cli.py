@@ -109,7 +109,7 @@ def cmd_blocks(args) -> int:
         "genus": args.genus,
         "model": args.model,
         "dim": space.dim,
-        "ambient_dim": space.ambient.dim,
+        "ambient_dim": space.basis.ncols,
         "basis_support_columns": space.basis.free_cols,
     }
     _emit(doc, args.format, table=f"{h.name} genus {args.genus} ({args.model} model): dim {space.dim}")

@@ -232,7 +232,10 @@ class CyclotomicField(Field):
 
     Products are reduced eagerly so representatives stay at degree < phi(n),
     through a table of x^(d+j) mod Phi_n; inverses are ``polys.pinvmod``
-    against Phi_n over Q.
+    against Phi_n over Q.  Every raw value the field makes (its operations,
+    ``parse``, ``from_fraction``, ``random_element``, ``zero`` and ``one``)
+    is already a phi(n)-tuple of ``Fraction``, so ``normalize`` returns its
+    argument.
     """
 
     kind = "cyclotomic"
@@ -291,7 +294,7 @@ class CyclotomicField(Field):
         return not any(a)
 
     def normalize(self, a):
-        return tuple(Fraction(x) for x in a)
+        return a
 
     def from_fraction(self, fr: Fraction):
         return (Fraction(fr),) + (Fraction(0),) * (self.phi - 1)

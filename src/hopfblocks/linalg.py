@@ -209,20 +209,27 @@ class KernelBasis:
     form is unique, so the same system gives the same ``free_cols`` and
     vectors over every field in which it has the same rank; ``blocks --format
     json`` publishes ``free_cols`` as ``basis_support_columns``.  A vector v
-    in the span has coordinates v[free_cols[i]].
+    in the span has coordinates v[free_cols[i]] (``coordinates``).
     """
 
-    __slots__ = ("field", "columns", "free_cols", "ncols")
+    __slots__ = ("field", "columns", "free_cols", "ncols", "_free_index")
 
     def __init__(self, field: Field, columns: list[dict], free_cols: list[int], ncols: int):
         self.field = field
         self.columns = columns
         self.free_cols = free_cols
         self.ncols = ncols
+        self._free_index = {c: i for i, c in enumerate(free_cols)}
 
     @property
     def dim(self) -> int:
         return len(self.columns)
+
+    def coordinates(self, vec: dict) -> dict:
+        """The entries of a sparse vector at ``free_cols``, sparse (basis
+        index -> value): its coordinates when it lies in the span."""
+        index = self._free_index
+        return {index[t]: v for t, v in vec.items() if t in index}
 
     def combination(self, coords: dict) -> dict:
         """The sparse vector sum_i coords[i] * columns[i], for sparse

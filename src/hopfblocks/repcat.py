@@ -186,7 +186,6 @@ class HomSpace:
                 r, c = divmod(idx, source.dim)
                 f.rows[r][c] = v
             self.basis.append(f)
-        self._free_entries = [divmod(idx, source.dim) for idx in kernel.free_cols]
 
     @property
     def dim(self) -> int:
@@ -195,13 +194,8 @@ class HomSpace:
     def coordinates(self, f: Matrix) -> dict:
         """Coordinates of an intertwiner f in this basis, sparse (basis index
         -> nonzero value); f must lie in the span."""
-        F = self.source.algebra.field
-        out = {}
-        for k, (r, c) in enumerate(self._free_entries):
-            v = f.rows[r].get(c)
-            if v is not None and not F.is_zero(v):
-                out[k] = v
-        return out
+        n = self.source.dim
+        return self.kernel.coordinates({r * n + c: v for r, row in enumerate(f.rows) for c, v in row.items()})
 
     def combination(self, coords: dict) -> Matrix:
         """The map sum_k coords[k] * basis[k]."""

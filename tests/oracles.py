@@ -616,6 +616,21 @@ def center_block_full_rows(h, genus: int):
     return simultaneous_kernel(mats)
 
 
+def center_twist_by_ribbon_action(block):
+    """The meridian twist on a relative-center block as the ribbon action
+    rho(v) on G x A^(g-1), one Kronecker sum over Delta(v), restricted to the
+    block.
+
+    The oracle for ``blocks.center_twist_op``, which restricts L_v x I.
+    """
+    from hopfblocks.blocks import restrict_operator
+    from hopfblocks.repcat import adjoint_module, regular_module, tensor_module, tensor_power
+
+    h = block.algebra
+    ambient = tensor_module(regular_module(h), tensor_power(adjoint_module(h), block.genus - 1))
+    return restrict_operator(block, ambient.act_element(h.ribbon))
+
+
 # ---------------------------------------------------------------------------
 # Modules and maps that only the tests build: the dual module, the simple
 # modules of some catalog algebras, the braiding, and the check that an
@@ -778,6 +793,15 @@ def dihedral_group_4():
             if r not in elements:
                 elements.append(r)
     return GroupTable("D4", [str(p) for p in elements], elements, [elements.index(g) for g in gens])
+
+
+def group_by_name(name: str):
+    """Z2, Z3 or S3 from the catalog's constructors, or D4."""
+    from hopfblocks.catalog import cyclic_group, symmetric_group_3
+
+    if name == "D4":
+        return dihedral_group_4()
+    return symmetric_group_3() if name == "S3" else cyclic_group(int(name[1:]))
 
 
 def group_table_defect(group) -> str | None:

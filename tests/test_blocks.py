@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfblocks import blocks, catalog, cli, repcat
+from hopfblocks import blocks, catalog, cli, linalg, repcat
 from hopfblocks.blocks import (
     BLOCK_UNKNOWN_LIMIT,
     BlocksError,
@@ -32,9 +32,10 @@ from hopfblocks.repcat import adjoint_module, hom_space, regular_module, trivial
 from oracles import (
     bounding_pair_by_hom,
     center_block_full_rows,
-    dihedral_group_4,
+    center_twist_by_ribbon_action,
     dijkgraaf_witten_twist,
     direct_block_by_transpose,
+    group_by_name,
     left_mult_of,
     matrix_power,
     separating_twist_by_hom,
@@ -69,7 +70,7 @@ def test_group_double_blocks_match_dijkgraaf_witten(group, genus):
     # tuples with prod [a_i, b_i] = 1, which the handle-1 meridian twist
     # permutes; over Q, equal traces of all powers make T conjugate to that
     # permutation matrix, and k up to 12 covers every twist order here
-    G = dihedral_group_4() if group == "D4" else catalog._group_by_name(group)
+    G = group_by_name(group)
     perm = dijkgraaf_witten_twist(G, genus)
     block = block_space(catalog.double_of_group(G), genus, DIRECT)
     assert block.dim == len(perm) == DIJKGRAAF_WITTEN_DIMS[group, genus]
@@ -90,7 +91,7 @@ def test_group_double_separating_twist_matches_dijkgraaf_witten(group):
     # the twist about c = [a_1, b_1] conjugates the first handle by c and
     # permutes the orbits; equal traces of T^k, k = 1..12, make the genus-2
     # separating(1,1) operator conjugate to that permutation matrix over Q
-    G = dihedral_group_4() if group == "D4" else catalog._group_by_name(group)
+    G = group_by_name(group)
     perm = dijkgraaf_witten_twist(G, 2, separating=1)
     sep = separating_twist_op(catalog.double_of_group(G), 1, 1)
     assert sep.block.dim == len(perm) == DIJKGRAAF_WITTEN_DIMS[group, 2]
@@ -339,6 +340,49 @@ def test_center_model_certificates_match():
             assert direct.certificate.pgl_order == center.certificate.pgl_order
 
 
+CENTER_TWIST_CASES = {  # algebra, highest genus checked
+    "D(Z2)": (lambda: catalog.get("double:Z2"), 2),
+    "D(Z3)": (lambda: catalog.get("double:Z3"), 2),
+    "D(S3)": (lambda: catalog.get("double:S3"), 2),
+    "D(S3)/F7": (lambda: catalog.double_of_group(catalog.symmetric_group_3(), PrimeField(7)), 2),
+    "D(Z3)/Qzeta12": (lambda: catalog.double_of_group(catalog.cyclic_group(3), CyclotomicField(12)), 2),
+    "D(T3)/F7": (lambda: catalog.taft_double(catalog.taft(3, PrimeField(7), 2)), 2),
+    "D(T3)/Qzeta3": (lambda: catalog.get("double:T3"), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENTER_TWIST_CASES))
+def test_center_twist_equals_ribbon_action(case):
+    # L_v x I and the ribbon action rho(v) on G x A^(g-1) agree on the
+    # relative-center block, entry for entry
+    build, max_genus = CENTER_TWIST_CASES[case]
+    h = build()
+    for g in range(1, max_genus + 1):
+        block = block_space(h, g, RELATIVE_CENTER, genus_cap=2)
+        assert center_twist_op(block).matrix == center_twist_by_ribbon_action(block), g
+
+
+def test_center_twist_builds_no_kronecker_sum_over_the_ribbon_coproduct(monkeypatch):
+    # the genus-2 center twist of D(S3) is one Kronecker product L_v x I;
+    # rho(v) on G x A would be a sum of len(Delta(v)) = 36 of them
+    h = catalog.get("double:S3")
+    block = block_space(h, 2, RELATIVE_CENTER)
+    assert len(h.comult_of(h.ribbon)) == 36
+    real = linalg.kron_sum
+    term_counts = []
+
+    def recording(field, nrows, ncols, terms):
+        terms = list(terms)
+        term_counts.append(len(terms))
+        return real(field, nrows, ncols, terms)
+
+    for module in (linalg, repcat, blocks):
+        monkeypatch.setattr(module, "kron_sum", recording)
+    op = center_twist_op(block)
+    assert term_counts == [1]
+    assert op.certificate.pgl_order.n == 6
+
+
 def test_separating_z2_identity():
     sep = separating_twist_op(catalog.get("double:Z2"), 1, 1)
     assert sep.matrix.is_identity()
@@ -403,12 +447,12 @@ def test_bounding_pair_solves_no_hom_space(monkeypatch, capsys):
 
 def test_bounding_pair_needs_a_central_twist():
     # a fresh D(S3) whose "ribbon" is the non-central grouplike (12), so
-    # theta_H is no module map and f -> theta_H f (theta_H^-1 x id) leaves
-    # the hom space
+    # theta_H is no module map and f -> theta_H f (theta_H^-1 x id) would
+    # leave the hom space; end_twist's centrality post-check refuses it
     h = catalog.double_of_group(catalog.symmetric_group_3())
     F = h.field
     h.ribbon = {i: F.one for i, label in enumerate(h.basis_labels) if label.endswith(".(12)")}
-    with pytest.raises(BlocksError, match="bounding pair left the hom space"):
+    with pytest.raises(BlocksError, match="the ribbon element is not central"):
         bounding_pair_op(h)
 
 
@@ -461,7 +505,7 @@ def test_restrict_operator_checks_every_basis_vector(model):
     pivot = next(c for c in range(basis.ncols) if c not in basis.free_cols)
     F = block.algebra.field
     op = Matrix.identity(F, basis.ncols)
-    if block.covectors:  # image b . Op
+    if block.model == DIRECT:  # covectors: image b . Op
         op.rows[f][pivot] = F.one
     else:  # image Op . b
         op.rows[pivot][f] = F.one

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +23,7 @@ from hopfblocks.catalog import (
 from oracles import (
     dihedral_group_4,
     element_multiplicative_order,
+    group_by_name,
     group_table_defect,
     searched_grouplikes,
     sweedler_by_table,
@@ -86,6 +88,25 @@ def test_double_of_abelian_commutative():
 def test_resolve_unknown():
     with pytest.raises(CatalogError):
         catalog.resolve("double:Q8")
+    with pytest.raises(CatalogError):
+        catalog.get("group:Z4")
+
+
+def test_sweedler_aliases():
+    for alias, name in (("H4", "sweedler"), ("double:H4", "double:sweedler"), ("D(H4)", "double:sweedler")):
+        assert alias not in catalog.catalog_names()
+        assert catalog.to_json(catalog.get(alias)) == catalog.to_json(catalog.get(name)), alias
+
+
+def test_readme_catalog_table_lists_every_name():
+    # the README's catalog table: every name catalog_names() lists, in
+    # order, with the dimension it builds to, and no other row
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Catalog\n", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()
+            if line.startswith("| `")]
+    assert [row[0] for row in rows] == [f"`{name}`" for name in catalog.catalog_names()]
+    assert [int(row[2]) for row in rows] == [catalog.get(name).dim for name in catalog.catalog_names()]
 
 
 # -- JSON round trips -------------------------------------------------------------
@@ -180,7 +201,7 @@ RIBBON_CHOICES = {"Z2": "drinfeld_element", "Z3": "drinfeld_element_inverse", "S
 @pytest.mark.parametrize("field", sorted(RIBBON_FIELDS))
 @pytest.mark.parametrize("group", sorted(RIBBON_CHOICES))
 def test_group_double_ribbon_choice(group, field):
-    table = catalog._group_by_name(group)
+    table = group_by_name(group)
     d = double_of_group(table, RIBBON_FIELDS[field])
     assert d.flags["ribbon_choice"] == RIBBON_CHOICES[group]
     # sum_g delta_g x g is u^-1, so it needs no candidate of its own

@@ -108,13 +108,15 @@ def test_cyclotomic_reduction_table_matches_shift_and_fold_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 12])
 def test_cyclotomic_raw_values_are_phi_tuples_and_eq_is_plain(n):
-    # CyclotomicField.eq is plain ==: every constructor returns a canonical
-    # phi(n)-tuple of Fraction, so == agrees with normalize-then-compare
+    # CyclotomicField.eq is plain ==: every constructor and every op returns a
+    # canonical phi(n)-tuple of Fraction, so normalize returns its argument
+    # and == agrees with normalize-then-compare
     F = CyclotomicField(n)
     rng = random.Random(300 + n)
 
     def canonical(x):
         assert type(x) is tuple and len(x) == F.phi and all(type(c) is Fraction for c in x), x
+        assert F.normalize(x) is x
         return x
 
     elems = [F.parse([1, "2/3"]), F.parse(["-1/2"] * (2 * F.phi + 1)), F.parse(5), F.parse("3/4"),
@@ -128,6 +130,7 @@ def test_cyclotomic_raw_values_are_phi_tuples_and_eq_is_plain(n):
             elems.append(canonical(x))
         if not F.is_zero(a):
             elems.append(canonical(F.inv(a)))
+            elems.append(canonical(F.div(b, a)))
             elems.append(canonical(field_pow(F, a, -rng.randint(1, 3))))
     pairs = [(a, b) for a in elems[:30] for b in elems[:30]]
     pairs += [(F.sub(F.add(a, b), b), a) for a, b in pairs[:200]]  # equal values built two ways

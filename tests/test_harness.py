@@ -90,13 +90,23 @@ def test_run_all_reaches_genus_two_on_a_dim_64_double():
     assert "(block dim 736)" in report.checks[2].lhs
 
 
-def test_center_twist_keeps_no_ambient_twist():
-    # the center-model meridian twist is restricted and dropped; the verdicts
-    # are those of a run that kept it
+def test_center_twist_keeps_no_ambient_twist(monkeypatch):
+    # the center-model meridian twist is L_v x I restricted to the block: no
+    # tensor module acts for it; the verdicts are those of the ribbon action
     h = catalog.double_of_group(catalog.symmetric_group_3())
+    blocks_by_genus = [block_space(h, g, RELATIVE_CENTER) for g in (1, 2)]
+    real = repcat._action_of_tensor_element
+    built = []
+
+    def recording(m, n, t):
+        built.append((m.name, n.name))
+        return real(m, n, t)
+
+    monkeypatch.setattr(repcat, "_action_of_tensor_element", recording)
+    for block in blocks_by_genus:
+        center_twist_op(block)
+    assert built == []
     report = harness.run_all(h)
-    for g in (1, 2):
-        assert block_space(h, g, RELATIVE_CENTER).ambient._twist is None
     assert [(c.name, c.status, c.lhs, c.rhs) for c in report.checks[4:6]] == [
         ("excision-consistency(g=1)", "pass", "direct: dim 8, gl=Finite(6), pgl=Finite(6)",
          "center: dim 8, gl=Finite(6), pgl=Finite(6)"),

@@ -15,12 +15,12 @@ from hopfblocks.hopf import (
 from hopfblocks.linalg import NotInvertible
 from oracles import (
     _solve_antipode,
-    dihedral_group_4,
     double_generators_with_dual_units,
     double_mult_by_definition,
     element_multiplicative_order,
     full_basis_associativity_witness,
     full_basis_bialgebra_witness,
+    group_by_name,
     jacobson_radical_dim,
     left_mult_of,
     searched_grouplikes,
@@ -423,8 +423,7 @@ def test_double_antipode_formula_equals_solved_antipode(case):
     if name == "H4":
         h = catalog.sweedler(F)
     else:
-        group = dihedral_group_4() if name == "D4" else catalog._group_by_name(name)
-        h = catalog.group_algebra(group, F)
+        h = catalog.group_algebra(group_by_name(name), F)
     d = drinfeld_double(h)
     assert d.antipode == _solve_antipode(F, d.dim, d.mult, d.comult, d.counit, d.unit)
 
@@ -438,8 +437,7 @@ def test_double_product_matches_its_definition(name):
     # Delta(e_s) and Delta^2(e_b) that defines it, coefficient by coefficient
     for f in PRODUCT_FIELDS:
         F = ANTIPODE_FIELDS[f]
-        h = catalog.sweedler(F) if name == "H4" else catalog.group_algebra(
-            dihedral_group_4() if name == "D4" else catalog._group_by_name(name), F)
+        h = catalog.sweedler(F) if name == "H4" else catalog.group_algebra(group_by_name(name), F)
         d = drinfeld_double(h)
         expected = double_mult_by_definition(h)
         assert all(d.sparse_eq(got, want) for row, ref in zip(d.mult, expected) for got, want in zip(row, ref)), f
@@ -461,7 +459,7 @@ def test_element_inverse_equals_solved_inverse(case):
         d, grouplikes = searched_grouplikes(catalog.sweedler_double, F)
         elements = [d.drinfeld_element(), *grouplikes]
     else:
-        d = catalog.double_of_group(catalog._group_by_name(name), F)
+        d = catalog.double_of_group(group_by_name(name), F)
         elements = [d.drinfeld_element(), d.ribbon]
     unit = [d.unit.get(i, F.zero) for i in range(d.dim)]
     for x in elements:

@@ -21,7 +21,6 @@ PACKAGE = Path(hopfblocks.__file__).parent
 # name -> why it stays in the package without a caller there
 ALLOWED = {
     "hom_space": "independent route to intertwiner spaces; perfbench/layers.py traces it",
-    "coordinates": "HomSpace API, read by the hom-space test oracles",
     "save": "public API: writes an algebra file",
     "random_element": "Field API for randomised tests over every field",
     "zeta": "Field API: the root of unity that generates Q(zeta_n)",
